@@ -238,44 +238,46 @@ impl Cli {
     }
 
     /// Loads the cached study if compatible, otherwise starts a fresh one.
+    /// A cache file that exists but does not parse (truncated write,
+    /// hand edit) also starts fresh, after a `bench.cache_unreadable`
+    /// error event naming the path and the parse error.
     pub fn load_study(&self) -> StudyResult {
         let config = self.profile.experiment_config();
-        if !self.fresh {
-            if let Ok(study) = StudyResult::load(self.study_path()) {
-                if study.config == config {
+        let path = self.study_path();
+        if !self.fresh && path.exists() {
+            match StudyResult::load(&path) {
+                Ok(study) if study.config == config => {
                     telemetry::event(
                         telemetry::Level::Info,
                         "bench.cache_hit",
-                        &[("path", self.study_path().display().to_string().into())],
+                        &[("path", path.display().to_string().into())],
                     );
                     return study;
                 }
-                telemetry::event(
+                Ok(_) => telemetry::event(
                     telemetry::Level::Info,
                     "bench.cache_stale",
-                    &[("path", self.study_path().display().to_string().into())],
-                );
+                    &[("path", path.display().to_string().into())],
+                ),
+                Err(e) => telemetry::event(
+                    telemetry::Level::Error,
+                    "bench.cache_unreadable",
+                    &[
+                        ("path", path.display().to_string().into()),
+                        ("error", e.to_string().into()),
+                    ],
+                ),
             }
         }
         StudyResult::new(config)
     }
 
     /// Saves the study back to the cache, stamping it with this run's
-    /// manifest first; failures warn rather than abort (the printed tables
-    /// are the primary output).
-    pub fn save_study(&self, study: &mut StudyResult) {
-        self.save_with_manifest(study, self.manifest());
-    }
-
-    /// Like [`Cli::save_study`], but records the [`ShardPlan`] the searches
-    /// were scheduled with in the manifest's `shard_plan` field, so cached
-    /// study JSON carries its scheduling provenance.
+    /// manifest — including the [`ShardPlan`] the searches were scheduled
+    /// with, in its `shard_plan` field — first; failures warn rather than
+    /// abort (the printed tables are the primary output).
     pub fn save_study_sharded(&self, study: &mut StudyResult, plan: &ShardPlan) {
-        self.save_with_manifest(study, self.manifest().with_shard_plan(&plan.descriptor()));
-    }
-
-    fn save_with_manifest(&self, study: &mut StudyResult, manifest: telemetry::RunManifest) {
-        study.manifest = Some(manifest);
+        study.manifest = Some(self.manifest().with_shard_plan(&plan.descriptor()));
         if let Err(e) = study.save(self.study_path()) {
             telemetry::event(
                 telemetry::Level::Error,
@@ -304,36 +306,12 @@ impl Default for Cli {
     }
 }
 
-/// Ensures `family`'s search results are present in the study, running the
-/// search (with progress logging to stderr) when they are missing.
-/// Returns `true` when a search actually ran.
-pub fn ensure_family(study: &mut StudyResult, family: Family) -> bool {
-    if !study.family(family).is_empty() {
-        return false;
-    }
-    // Per-combo progress is emitted by `search_level` itself as
-    // `search.combo` events; here we only mark the family boundary.
-    telemetry::event(
-        telemetry::Level::Info,
-        "search.family_start",
-        &[
-            ("family", family.name().into()),
-            ("levels", format!("{:?}", study.config.levels).into()),
-            ("threshold", study.config.search.accuracy_threshold.into()),
-            ("runs", study.config.search.runs_per_combo.into()),
-            ("reps", study.config.search.repetitions.into()),
-        ],
-    );
-    study.run_family(family, &mut |_, _, _| {});
-    true
-}
-
 /// Ensures every listed family's search results are present in the study,
 /// running all the missing ones together as one sharded study — their
 /// (family × level) cells fan out over `hqnn_runtime::par_map_budgeted`, so
 /// a multi-family regeneration parallelises across the study's outermost
 /// loop instead of only within levels. Bitwise identical to running
-/// [`ensure_family`] per family, at any thread budget.
+/// [`StudyResult::run_family`] per family, at any thread budget.
 ///
 /// Returns the [`ShardPlan`] the missing families were scheduled with, or
 /// `None` when every family was already cached (pass it to
@@ -424,10 +402,34 @@ mod tests {
     }
 
     #[test]
-    fn ensure_family_skips_already_run_families() {
-        let mut study = StudyResult::new(ExperimentConfig::smoke());
-        study.run_classical();
-        assert!(!ensure_family(&mut study, Family::Classical));
+    fn load_study_reports_a_corrupt_cache_and_starts_fresh() {
+        let dir = std::env::temp_dir().join(format!(
+            "hqnn-bench-corrupt-cache-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).expect("create temp cache dir");
+        let cli = Cli {
+            profile: Profile::Smoke,
+            cache_dir: dir.clone(),
+            ..Cli::default()
+        };
+        let path = cli.study_path();
+        std::fs::write(&path, "{\"config\": {\"levels\": [4").expect("write truncated JSON");
+        let mem = telemetry::add_memory_sink();
+        let study = cli.load_study();
+        assert!(study.classical.is_empty());
+        assert_eq!(study.config, ExperimentConfig::smoke());
+        let shown = telemetry::FieldValue::Str(path.display().to_string());
+        let events: Vec<_> = mem
+            .events_named("bench.cache_unreadable")
+            .into_iter()
+            .filter(|e| e.fields.iter().any(|(k, v)| k == "path" && *v == shown))
+            .collect();
+        assert_eq!(events.len(), 1, "one event for the corrupt cache");
+        assert_eq!(events[0].level, telemetry::Level::Error);
+        assert!(events[0].fields.iter().any(|(k, _)| k == "error"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use hqnn_core::{ClassicalSpec, HybridSpec};
 use hqnn_flops::CostModel;
 use hqnn_nn::{one_hot, Adam, SoftmaxCrossEntropy};
 use hqnn_qsim::{
-    adjoint, parameter_shift, with_batch_layout, with_fusion, with_fusion_level, BatchLayout,
-    EntanglerKind, GateKind, Observable, QnnTemplate, StateVector,
+    adjoint, parameter_shift, with_fusion, with_fusion_level, EntanglerKind, GateKind, Observable,
+    QnnTemplate, StateVector,
 };
 use hqnn_search::protocol::{evaluate_combo, evaluate_combo_wave, prepare_level_data};
 use hqnn_search::SearchConfig;
@@ -290,38 +290,6 @@ pub fn default_suite() -> Vec<Benchmark> {
         });
     }
 
-    // -- qsim.run_batch_rowmajor: the pre-refactor batch layout -----------
-    // The same workload as `qsim.run_batch`, pinned to the row-major layout
-    // (`HQNN_BATCH=row`): each row resolves every gate matrix itself. The
-    // gate-major default hoists shared matrices once per chunk, so the
-    // ratio `qsim.run_batch` / `qsim.run_batch_rowmajor` is the layout win.
-    {
-        const BATCH: usize = 16;
-        let template = QnnTemplate::new(6, 4, EntanglerKind::Strong);
-        let circuit = template.build();
-        let mut rng = SeededRng::new(31);
-        let inputs = Matrix::uniform(BATCH, circuit.input_count(), -1.0, 1.0, &mut rng);
-        let params: Vec<f64> = (0..circuit.trainable_count())
-            .map(|i| (i as f64 * 0.53).sin())
-            .collect();
-        let flops = BATCH as u64
-            * cost
-                .circuit_forward(&circuit.op_census(), circuit.n_qubits())
-                .total();
-        suite.push(Benchmark {
-            id: "qsim.run_batch_rowmajor",
-            throughput_unit: "circuit-runs",
-            ops_per_iter: BATCH as u64,
-            analytic_flops_per_iter: Some(flops),
-            heavy: false,
-            run: Box::new(move || {
-                with_batch_layout(BatchLayout::Row, || {
-                    black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
-                });
-            }),
-        });
-    }
-
     // -- qsim.run_batch_fused2q: pair fusion on the batch seam ------------
     // `HQNN_FUSE=2` over the `qsim.run_batch_fused` workload: CNOT-adjacent
     // single-qubit runs additionally collapse into 4×4 pair applies. The
@@ -356,11 +324,9 @@ pub fn default_suite() -> Vec<Benchmark> {
     // -- qsim.batch_sweep: the gate-major sweep engine under load ---------
     // The sweep engine's showcase configuration — a larger batch than
     // `qsim.run_batch` (several chunks' worth) at fusion level 2, where the
-    // per-row matrix-resolution cost the gate layout hoists (fused matmul
+    // per-row matrix-resolution cost the gate-major sweep hoists (fused matmul
     // chains and 4×4 pair matrices, trig and all) is at its highest. Named
-    // for the `qsim.batch_sweep` span each chunk opens. Its `_rowmajor`
-    // twin below runs the identical workload row-major; the pair's ratio is
-    // the layout win the refactor is gated on.
+    // for the `qsim.batch_sweep` span each chunk opens.
     {
         const BATCH: usize = 64;
         let template = QnnTemplate::new(6, 4, EntanglerKind::Strong);
@@ -382,42 +348,7 @@ pub fn default_suite() -> Vec<Benchmark> {
             heavy: false,
             run: Box::new(move || {
                 with_fusion_level(2, || {
-                    with_batch_layout(BatchLayout::Gate, || {
-                        black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
-                    });
-                });
-            }),
-        });
-    }
-
-    // -- qsim.batch_sweep_rowmajor: the same sweep workload, row-major ----
-    // Identical workload to `qsim.batch_sweep` under `HQNN_BATCH=row`: each
-    // row rebuilds every fused chain and pair matrix itself. This is the
-    // row-major baseline the gate-major sweep is measured against.
-    {
-        const BATCH: usize = 64;
-        let template = QnnTemplate::new(6, 4, EntanglerKind::Strong);
-        let circuit = template.build();
-        let mut rng = SeededRng::new(31);
-        let inputs = Matrix::uniform(BATCH, circuit.input_count(), -1.0, 1.0, &mut rng);
-        let params: Vec<f64> = (0..circuit.trainable_count())
-            .map(|i| (i as f64 * 0.53).sin())
-            .collect();
-        let flops = BATCH as u64
-            * cost
-                .circuit_forward(&circuit.op_census(), circuit.n_qubits())
-                .total();
-        suite.push(Benchmark {
-            id: "qsim.batch_sweep_rowmajor",
-            throughput_unit: "circuit-runs",
-            ops_per_iter: BATCH as u64,
-            analytic_flops_per_iter: Some(flops),
-            heavy: false,
-            run: Box::new(move || {
-                with_fusion_level(2, || {
-                    with_batch_layout(BatchLayout::Row, || {
-                        black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
-                    });
+                    black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
                 });
             }),
         });
@@ -653,12 +584,10 @@ pub fn default_suite() -> Vec<Benchmark> {
         });
     }
 
-    // -- telemetry.counter_hot / counter_hot_mutex: metric hot path -------
+    // -- telemetry.counter_hot: metric hot path ---------------------------
     // Four workers hammering one counter name — the contention shape of
-    // `qsim.gate_applies` under the parallel runtime. The sharded path
-    // (production `counter()`) takes an uncontended per-thread lock; the
-    // `_mutex` twin routes the identical workload through the legacy
-    // global-mutex path, so the pair *is* the sharding win, measured.
+    // `qsim.gate_applies` under the parallel runtime. Each increment lands
+    // in the calling thread's shard behind an uncontended per-thread lock.
     {
         const WORKERS: u64 = 4;
         const INCS_PER_WORKER: u64 = 50_000;
@@ -673,22 +602,6 @@ pub fn default_suite() -> Vec<Benchmark> {
                     hqnn_runtime::par_map_range(WORKERS as usize, |_| {
                         for _ in 0..INCS_PER_WORKER {
                             telemetry::counter("perfbench.hot_ticks", 1);
-                        }
-                    })
-                });
-            }),
-        });
-        suite.push(Benchmark {
-            id: "telemetry.counter_hot_mutex",
-            throughput_unit: "counter-incs",
-            ops_per_iter: WORKERS * INCS_PER_WORKER,
-            analytic_flops_per_iter: None,
-            heavy: false,
-            run: Box::new(move || {
-                hqnn_runtime::with_threads(WORKERS as usize, || {
-                    hqnn_runtime::par_map_range(WORKERS as usize, |_| {
-                        for _ in 0..INCS_PER_WORKER {
-                            telemetry::counter_unsharded("perfbench.hot_mutex_ticks", 1);
                         }
                     })
                 });

@@ -2,33 +2,25 @@
 //!
 //! The hybrid layers upstream (hqnn-core) process inputs a *batch* at a time
 //! — one circuit evaluation per matrix row, all rows independent. These
-//! entry points are the simulator's parallel seam, and they offer two
-//! execution **layouts** selected by `HQNN_BATCH` (or a scoped
-//! [`with_batch_layout`] override):
+//! entry points are the simulator's parallel seam, and they execute
+//! **gate-major**: rows are grouped into fixed-size chunks, each chunk's
+//! statevectors live in one contiguous [`BatchState`] buffer, and the driver
+//! walks a compiled op list *once*, sweeping each op across every row in
+//! the chunk while its matrix is hot. Row-independent matrices
+//! (fixed/trainable angles, fused runs and pairs) are resolved once per
+//! batch and applied with a single whole-buffer kernel call per chunk;
+//! input-dependent encoding gates are resolved per row inside the sweep.
+//! Chunks fan out across [`hqnn_runtime::par_map_range`].
 //!
-//! * **`gate` (default, gate-major).** Rows are grouped into fixed-size
-//!   chunks, each chunk's statevectors live in one contiguous
-//!   [`BatchState`] buffer, and the driver walks the compiled op list
-//!   *once*, sweeping each op across every row in the chunk while its
-//!   matrix is hot. Row-independent matrices (fixed/trainable angles,
-//!   fused runs and pairs) are resolved once per batch and applied with a
-//!   single whole-buffer kernel call per chunk; input-dependent encoding
-//!   gates are resolved per row inside the sweep. Chunks fan out across
-//!   [`hqnn_runtime::par_map_range`].
-//! * **`row` (row-major).** The historical layout: each row runs its
-//!   circuit end to end, rows fan out across the pool.
-//!
-//! Both layouts execute each row through the *same kernels in the same
-//! order with the same matrices*, so results are **bitwise identical** to
-//! the per-row sequential loop — across layouts and regardless of
-//! `HQNN_THREADS` (chunk boundaries depend only on the row count, never on
-//! the thread budget). `crates/qsim/tests/batch_layout_equivalence.rs`
-//! pins that equivalence.
+//! The program is compiled from the [`FusePlan`] at the caller's fusion
+//! level; at level 0 that is the trivial plan (one `Direct` segment per
+//! op). Each row runs through *the same kernels in the same order with the
+//! same matrices* as [`Circuit::run`], so results are **bitwise identical**
+//! to the per-row sequential loop regardless of `HQNN_THREADS` (chunk
+//! boundaries depend only on the row count, never on the thread budget).
+//! The batch-equivalence proptests in `crates/qsim/tests/` pin that
+//! equivalence.
 
-use std::cell::Cell;
-use std::sync::OnceLock;
-
-use hqnn_telemetry::env::BatchLayout;
 use hqnn_tensor::Matrix;
 
 use crate::batch_state::BatchState;
@@ -44,64 +36,6 @@ use crate::state::{
 };
 use crate::state::StateVector;
 
-thread_local! {
-    /// Scoped layout override installed by [`with_batch_layout`]
-    /// (`None` = no override).
-    static LAYOUT_OVERRIDE: Cell<Option<BatchLayout>> = const { Cell::new(None) };
-}
-
-/// The batch layout parsed from `HQNN_BATCH`, read once per process.
-/// Unset or invalid values fall back to gate-major (invalid values warn
-/// loudly, once).
-fn env_batch_layout() -> BatchLayout {
-    static ENV: OnceLock<BatchLayout> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let Some(raw) = hqnn_telemetry::env::var("HQNN_BATCH") else {
-            return BatchLayout::Gate;
-        };
-        match hqnn_telemetry::env::parse_batch_layout(&raw) {
-            Some(layout) => layout,
-            None => {
-                hqnn_telemetry::event(
-                    hqnn_telemetry::Level::Error,
-                    "qsim.bad_batch",
-                    &[
-                        ("value", raw.into()),
-                        ("hint", "HQNN_BATCH must be `gate` or `row`".into()),
-                    ],
-                );
-                BatchLayout::Gate
-            }
-        }
-    })
-}
-
-/// The batch execution layout on the calling thread, resolved as:
-/// [`with_batch_layout`] override → `HQNN_BATCH` → gate-major. Batch entry
-/// points resolve this **once on the caller** before fanning out, so a
-/// scoped override governs the whole batch regardless of which worker
-/// thread runs a chunk.
-pub fn batch_layout() -> BatchLayout {
-    LAYOUT_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or_else(env_batch_layout)
-}
-
-/// Runs `f` with the batch layout pinned for the calling thread (nested
-/// calls nest; the previous setting is restored afterwards, also on panic).
-/// This is how tests and benchmarks compare layouts inside one process
-/// without touching the environment.
-pub fn with_batch_layout<R>(layout: BatchLayout, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<BatchLayout>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LAYOUT_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let _restore = Restore(LAYOUT_OVERRIDE.with(|o| o.replace(Some(layout))));
-    f()
-}
-
 /// Upper bound on rows per gate-major chunk. Fixed (never derived from the
 /// thread budget) so chunk boundaries — and with them span trees and causal
 /// IDs — are identical at every `HQNN_THREADS`.
@@ -112,39 +46,6 @@ const GATE_CHUNK_ROWS: usize = 4;
 /// contiguous buffer stays within ~2²⁰ amplitudes (16 MiB).
 fn chunk_rows_for(n_qubits: usize) -> usize {
     ((1usize << 20) >> n_qubits).clamp(1, GATE_CHUNK_ROWS)
-}
-
-/// How a batch executes its rows, resolved **once on the caller thread**
-/// before the fan-out (thread-local overrides like
-/// [`crate::fuse::with_fusion_level`] do not propagate into pool workers,
-/// and the shared state below must be built exactly once per batch either
-/// way).
-enum BatchMode {
-    /// Fused execution: one [`FusePlan`] (at the caller's fusion level)
-    /// shared by every row.
-    Fused(FusePlan),
-    /// Scalar execution with per-op matrices that don't depend on the
-    /// per-sample inputs precomputed once and shared by every row — bitwise
-    /// identical to each row rebuilding them (same `θ`, same bits).
-    Tables(Vec<Option<Matrix2>>),
-}
-
-impl BatchMode {
-    fn resolve(circuit: &Circuit, params: &[f64]) -> Self {
-        let level = fuse::fusion_level();
-        if level >= 1 {
-            BatchMode::Fused(FusePlan::with_level(circuit, level))
-        } else {
-            BatchMode::Tables(circuit.precompute_tables(params))
-        }
-    }
-
-    fn run_row(&self, circuit: &Circuit, inputs: &[f64], params: &[f64]) -> StateVector {
-        match self {
-            BatchMode::Fused(plan) => plan.run(circuit, inputs, params),
-            BatchMode::Tables(tables) => circuit.run_with_tables(tables, inputs, params),
-        }
-    }
 }
 
 /// One step of a compiled gate-major program.
@@ -173,118 +74,106 @@ enum SweepOp {
     },
 }
 
-/// Whether the op's angle depends on the per-sample inputs — the same rule
-/// [`Circuit::precompute_tables`] uses to leave a table slot empty.
+/// Whether the op's angle depends on the per-sample inputs — such ops stay
+/// per-row steps; everything else is resolved once per batch.
 fn input_dependent(op: &Op) -> bool {
     matches!(op.param, ParamSource::Input(_))
 }
 
-/// A gate-major program compiled once per batch from the resolved
-/// [`BatchMode`]: every row-independent matrix is hoisted out of the
-/// per-row loop, everything input-dependent stays a per-row step. The
-/// per-row kernel sequence — and therefore every amplitude — is bitwise
-/// identical to [`BatchMode::run_row`].
+/// A gate-major program compiled once per batch from a [`FusePlan`]: every
+/// row-independent matrix is hoisted out of the per-row loop, everything
+/// input-dependent stays a per-row step. The per-row kernel sequence — and
+/// therefore every amplitude — is bitwise identical to [`FusePlan::run`]
+/// (at level 0, to [`Circuit::run_unfused`]).
 struct BatchProgram {
     steps: Vec<SweepOp>,
-    /// Gate applications each row is billed for, matching what the
-    /// row-major path emits per row (op count unfused, segment count fused).
+    /// Gate applications each row is billed for, matching what
+    /// [`Circuit::run`] bills per row (the plan's segment count, which is
+    /// the op count at level 0).
     applies_per_row: u64,
-    /// Ops fusion eliminated per row (0 unfused).
+    /// Ops fusion eliminated per row (0 at level 0).
     collapsed_per_row: u64,
 }
 
 impl BatchProgram {
-    fn compile(circuit: &Circuit, mode: &BatchMode, params: &[f64]) -> Self {
+    /// Compiles `circuit` for one batch at the caller's fusion level. The
+    /// level is resolved here, on the caller thread, before the fan-out:
+    /// thread-local overrides like [`crate::fuse::with_fusion_level`] do not
+    /// propagate into pool workers, and the program is built exactly once
+    /// per batch either way.
+    fn for_batch(circuit: &Circuit, params: &[f64]) -> Self {
+        let plan = FusePlan::with_level(circuit, fuse::fusion_level());
+        Self::compile(circuit, &plan, params)
+    }
+
+    fn compile(circuit: &Circuit, plan: &FusePlan, params: &[f64]) -> Self {
         let ops = circuit.ops();
         let mut steps = Vec::new();
-        let (applies_per_row, collapsed_per_row) = match mode {
-            BatchMode::Tables(tables) => {
-                for (k, (op, table)) in ops.iter().zip(tables).enumerate() {
-                    match (table, op.wires) {
-                        (Some(m), Wires::One(w)) => {
-                            steps.push(SweepOp::SharedSingle { m: *m, wire: w });
+        for segment in plan.segments() {
+            match segment {
+                Segment::Run { wire, ops: run } => {
+                    if run.iter().any(|&k| input_dependent(&ops[k])) {
+                        steps.push(SweepOp::RowRun {
+                            wire: *wire,
+                            ops: run.clone(),
+                        });
+                    } else {
+                        // Same left-multiplied chain as `FusePlan::run`,
+                        // hoisted because no angle reads the inputs.
+                        let mut m = fuse::resolved_matrix(&ops[run[0]], &[], params);
+                        for &k in &run[1..] {
+                            m = matmul2(&fuse::resolved_matrix(&ops[k], &[], params), &m);
                         }
-                        (Some(m), Wires::Two(a, b)) => steps.push(SweepOp::SharedControlled {
-                            m: *m,
+                        steps.push(SweepOp::SharedSingle { m, wire: *wire });
+                    }
+                }
+                Segment::Pair { low, high, ops: pair } => {
+                    if pair.iter().any(|&k| input_dependent(&ops[k])) {
+                        steps.push(SweepOp::RowPair {
+                            low: *low,
+                            high: *high,
+                            ops: pair.clone(),
+                        });
+                    } else {
+                        let m = fuse::pair_matrix(circuit, *low, *high, pair, &[], params);
+                        steps.push(SweepOp::SharedPair {
+                            m,
+                            low: *low,
+                            high: *high,
+                        });
+                    }
+                }
+                Segment::Direct(k) => {
+                    let op = &ops[*k];
+                    match op.wires {
+                        Wires::Two(a, b) if op.kind == GateKind::Swap => {
+                            steps.push(SweepOp::Swap { a, b });
+                        }
+                        _ if input_dependent(op) => steps.push(SweepOp::RowOp(*k)),
+                        Wires::One(w) => steps.push(SweepOp::SharedSingle {
+                            m: fuse::resolved_matrix(op, &[], params),
+                            wire: w,
+                        }),
+                        Wires::Two(a, b) => steps.push(SweepOp::SharedControlled {
+                            m: fuse::resolved_matrix(op, &[], params),
                             control: a,
                             target: b,
                         }),
-                        (None, Wires::Two(a, b)) if op.kind == GateKind::Swap => {
-                            steps.push(SweepOp::Swap { a, b });
-                        }
-                        (None, _) => steps.push(SweepOp::RowOp(k)),
                     }
                 }
-                (ops.len() as u64, 0)
             }
-            BatchMode::Fused(plan) => {
-                for segment in plan.segments() {
-                    match segment {
-                        Segment::Run { wire, ops: run } => {
-                            if run.iter().any(|&k| input_dependent(&ops[k])) {
-                                steps.push(SweepOp::RowRun {
-                                    wire: *wire,
-                                    ops: run.clone(),
-                                });
-                            } else {
-                                // Same left-multiplied chain as `FusePlan::run`,
-                                // hoisted because no angle reads the inputs.
-                                let mut m = fuse::resolved_matrix(&ops[run[0]], &[], params);
-                                for &k in &run[1..] {
-                                    m = matmul2(&fuse::resolved_matrix(&ops[k], &[], params), &m);
-                                }
-                                steps.push(SweepOp::SharedSingle { m, wire: *wire });
-                            }
-                        }
-                        Segment::Pair { low, high, ops: pair } => {
-                            if pair.iter().any(|&k| input_dependent(&ops[k])) {
-                                steps.push(SweepOp::RowPair {
-                                    low: *low,
-                                    high: *high,
-                                    ops: pair.clone(),
-                                });
-                            } else {
-                                let m = fuse::pair_matrix(circuit, *low, *high, pair, &[], params);
-                                steps.push(SweepOp::SharedPair {
-                                    m,
-                                    low: *low,
-                                    high: *high,
-                                });
-                            }
-                        }
-                        Segment::Direct(k) => {
-                            let op = &ops[*k];
-                            match op.wires {
-                                Wires::Two(a, b) if op.kind == GateKind::Swap => {
-                                    steps.push(SweepOp::Swap { a, b });
-                                }
-                                _ if input_dependent(op) => steps.push(SweepOp::RowOp(*k)),
-                                Wires::One(w) => steps.push(SweepOp::SharedSingle {
-                                    m: fuse::resolved_matrix(op, &[], params),
-                                    wire: w,
-                                }),
-                                Wires::Two(a, b) => steps.push(SweepOp::SharedControlled {
-                                    m: fuse::resolved_matrix(op, &[], params),
-                                    control: a,
-                                    target: b,
-                                }),
-                            }
-                        }
-                    }
-                }
-                (plan.fused_ops() as u64, plan.collapsed_ops() as u64)
-            }
-        };
+        }
         Self {
             steps,
-            applies_per_row,
-            collapsed_per_row,
+            applies_per_row: plan.fused_ops() as u64,
+            collapsed_per_row: plan.collapsed_ops() as u64,
         }
     }
 
     /// Sweeps the program across rows `row0 .. row0 + rows` of the batch in
     /// one contiguous [`BatchState`]. Telemetry is emitted at chunk
-    /// granularity with the same totals the row-major path would produce.
+    /// granularity with the same totals a per-row [`Circuit::run`] loop
+    /// would produce.
     fn sweep_chunk(
         &self,
         circuit: &Circuit,
@@ -385,27 +274,19 @@ impl Circuit {
     pub fn run_batch(&self, inputs: &Matrix, params: &[f64]) -> Vec<StateVector> {
         self.check_batch(inputs, params);
         let _span = hqnn_telemetry::span("qsim.run_batch");
-        let mode = BatchMode::resolve(self, params);
-        match batch_layout() {
-            BatchLayout::Row => hqnn_runtime::par_map_range(inputs.rows(), |r| {
-                mode.run_row(self, inputs.row(r), params)
-            }),
-            BatchLayout::Gate => {
-                let program = BatchProgram::compile(self, &mode, params);
-                let chunk = chunk_rows_for(self.n_qubits());
-                let n_chunks = inputs.rows().div_ceil(chunk);
-                let chunks = hqnn_runtime::par_map_range(n_chunks, |c| {
-                    let row0 = c * chunk;
-                    let rows = chunk.min(inputs.rows() - row0);
-                    program.sweep_chunk(self, inputs, params, row0, rows)
-                });
-                let mut out = Vec::with_capacity(inputs.rows());
-                for batch in chunks {
-                    out.extend(batch.into_states());
-                }
-                out
-            }
+        let program = BatchProgram::for_batch(self, params);
+        let chunk = chunk_rows_for(self.n_qubits());
+        let n_chunks = inputs.rows().div_ceil(chunk);
+        let chunks = hqnn_runtime::par_map_range(n_chunks, |c| {
+            let row0 = c * chunk;
+            let rows = chunk.min(inputs.rows() - row0);
+            program.sweep_chunk(self, inputs, params, row0, rows)
+        });
+        let mut out = Vec::with_capacity(inputs.rows());
+        for batch in chunks {
+            out.extend(batch.into_states());
         }
+        out
     }
 
     /// Runs the circuit once per row of `inputs` and evaluates every
@@ -434,32 +315,19 @@ impl Circuit {
         if n_rows == 0 || n_obs == 0 {
             return out;
         }
-        let mode = BatchMode::resolve(self, params);
-        match batch_layout() {
-            BatchLayout::Row => {
-                hqnn_runtime::par_chunks_mut(out.as_mut_slice(), n_obs, |r, dst| {
-                    let state = mode.run_row(self, inputs.row(r), params);
-                    for (slot, o) in dst.iter_mut().zip(observables) {
-                        *slot = o.expectation(&state);
-                    }
-                });
+        let program = BatchProgram::for_batch(self, params);
+        let chunk = chunk_rows_for(self.n_qubits());
+        hqnn_runtime::par_chunks_mut(out.as_mut_slice(), chunk * n_obs, |c, dst| {
+            let row0 = c * chunk;
+            let rows = dst.len() / n_obs;
+            let batch = program.sweep_chunk(self, inputs, params, row0, rows);
+            for j in 0..rows {
+                let row = batch.row(j);
+                for (i, o) in observables.iter().enumerate() {
+                    dst[j * n_obs + i] = o.expectation_amps(self.n_qubits(), row);
+                }
             }
-            BatchLayout::Gate => {
-                let program = BatchProgram::compile(self, &mode, params);
-                let chunk = chunk_rows_for(self.n_qubits());
-                hqnn_runtime::par_chunks_mut(out.as_mut_slice(), chunk * n_obs, |c, dst| {
-                    let row0 = c * chunk;
-                    let rows = dst.len() / n_obs;
-                    let batch = program.sweep_chunk(self, inputs, params, row0, rows);
-                    for j in 0..rows {
-                        let row = batch.row(j);
-                        for (i, o) in observables.iter().enumerate() {
-                            dst[j * n_obs + i] = o.expectation_amps(self.n_qubits(), row);
-                        }
-                    }
-                });
-            }
-        }
+        });
         out
     }
 
@@ -482,7 +350,7 @@ impl Circuit {
 /// Computes [`Gradients`] for every row of `inputs` with the chosen engine,
 /// returned in row order (bitwise identical to calling the engine per row).
 /// Gradient engines replay the original op stream per row, so this seam
-/// always fans out row-major regardless of `HQNN_BATCH`.
+/// fans rows (not gate-major chunks) out across the pool and never fuses.
 ///
 /// # Panics
 ///
@@ -537,28 +405,16 @@ mod tests {
         (0..n).map(Observable::z).collect()
     }
 
-    #[test]
-    fn layout_override_nests_and_restores() {
-        let ambient = batch_layout();
-        let inner = with_batch_layout(BatchLayout::Row, || {
-            assert_eq!(batch_layout(), BatchLayout::Row);
-            with_batch_layout(BatchLayout::Gate, batch_layout)
-        });
-        assert_eq!(inner, BatchLayout::Gate);
-        assert_eq!(batch_layout(), ambient);
-    }
-
-    #[test]
-    fn layout_override_restores_on_panic() {
-        let ambient = batch_layout();
-        let flipped = match ambient {
-            BatchLayout::Gate => BatchLayout::Row,
-            BatchLayout::Row => BatchLayout::Gate,
-        };
-        let result =
-            std::panic::catch_unwind(|| with_batch_layout(flipped, || panic!("boom")));
-        assert!(result.is_err());
-        assert_eq!(batch_layout(), ambient);
+    /// Asserts `batch` equals the per-row [`Circuit::run`] loop bit for bit.
+    fn assert_matches_per_row(c: &Circuit, x: &Matrix, params: &[f64], batch: &[StateVector]) {
+        assert_eq!(batch.len(), x.rows());
+        for (r, state) in batch.iter().enumerate() {
+            let solo = c.run(x.row(r), params);
+            for (a, b) in state.amplitudes().iter().zip(solo.amplitudes()) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "row={r}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "row={r}");
+            }
+        }
     }
 
     #[test]
@@ -566,51 +422,26 @@ mod tests {
         let c = encoder_circuit();
         let x = sample_batch();
         let params = [0.5, -0.3];
-        for layout in [BatchLayout::Gate, BatchLayout::Row] {
-            for threads in [1, 2, 7] {
-                let batch = with_batch_layout(layout, || {
-                    hqnn_runtime::with_threads(threads, || c.run_batch(&x, &params))
-                });
-                assert_eq!(batch.len(), x.rows());
-                for (r, state) in batch.iter().enumerate() {
-                    let solo = c.run(x.row(r), &params);
-                    // Bitwise: same kernels in the same order per row, only
-                    // the sweep layout and scheduling differ.
-                    for (a, b) in state.amplitudes().iter().zip(solo.amplitudes()) {
-                        assert_eq!(
-                            a.re.to_bits(),
-                            b.re.to_bits(),
-                            "layout={layout:?} threads={threads} row={r}"
-                        );
-                        assert_eq!(
-                            a.im.to_bits(),
-                            b.im.to_bits(),
-                            "layout={layout:?} threads={threads} row={r}"
-                        );
-                    }
-                }
-            }
+        for threads in [1, 2, 7] {
+            // Bitwise: same kernels in the same order per row, only the
+            // sweep order and scheduling differ.
+            let batch = hqnn_runtime::with_threads(threads, || c.run_batch(&x, &params));
+            assert_matches_per_row(&c, &x, &params, &batch);
         }
     }
 
     #[test]
     fn gate_and_row_layouts_agree_bitwise_fused() {
+        // Gate-major sweeps at fusion levels 1 and 2 against the per-row
+        // loop through the same `FusePlan`.
         let c = encoder_circuit();
         let x = sample_batch();
         let params = [0.5, -0.3];
         for level in [1u8, 2] {
-            let (gate, row) = crate::fuse::with_fusion_level(level, || {
-                (
-                    with_batch_layout(BatchLayout::Gate, || c.run_batch(&x, &params)),
-                    with_batch_layout(BatchLayout::Row, || c.run_batch(&x, &params)),
-                )
+            crate::fuse::with_fusion_level(level, || {
+                let gate = c.run_batch(&x, &params);
+                assert_matches_per_row(&c, &x, &params, &gate);
             });
-            for (r, (g, w)) in gate.iter().zip(&row).enumerate() {
-                for (a, b) in g.amplitudes().iter().zip(w.amplitudes()) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "level={level} row={r}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "level={level} row={r}");
-                }
-            }
         }
     }
 
@@ -622,15 +453,12 @@ mod tests {
         let obs = z_all(2);
         let seq = hqnn_runtime::with_threads(1, || c.expectations_batch(&x, &params, &obs));
         assert_eq!(seq.shape(), (5, 2));
-        for layout in [BatchLayout::Gate, BatchLayout::Row] {
-            for threads in [2, 7] {
-                let par = with_batch_layout(layout, || {
-                    hqnn_runtime::with_threads(threads, || c.expectations_batch(&x, &params, &obs))
-                });
-                assert_eq!(par.shape(), seq.shape());
-                for (a, b) in par.as_slice().iter().zip(seq.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "layout={layout:?} threads={threads}");
-                }
+        for threads in [2, 7] {
+            let par =
+                hqnn_runtime::with_threads(threads, || c.expectations_batch(&x, &params, &obs));
+            assert_eq!(par.shape(), seq.shape());
+            for (a, b) in par.as_slice().iter().zip(seq.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
             }
         }
         for r in 0..x.rows() {
@@ -641,18 +469,14 @@ mod tests {
 
     #[test]
     fn swap_gates_sweep_correctly_gate_major() {
-        // SWAP takes the dedicated sweep step (no matrix table entry).
+        // SWAP takes the dedicated sweep step (no hoisted matrix).
         let mut c = Circuit::new(3);
         c.rx(0, ParamSource::Input(0));
         c.swap(0, 2);
         c.ry(1, ParamSource::Trainable(0));
         let x = Matrix::from_vec(3, 1, vec![0.3, -0.8, 1.4]);
         let params = [0.9];
-        let gate = with_batch_layout(BatchLayout::Gate, || c.run_batch(&x, &params));
-        for (r, state) in gate.iter().enumerate() {
-            let solo = c.run(x.row(r), &params);
-            assert_eq!(state.amplitudes(), solo.amplitudes(), "row={r}");
-        }
+        assert_matches_per_row(&c, &x, &params, &c.run_batch(&x, &params));
     }
 
     #[test]
@@ -690,13 +514,9 @@ mod tests {
     fn empty_batch_is_fine() {
         let c = encoder_circuit();
         let x = Matrix::zeros(0, 2);
-        for layout in [BatchLayout::Gate, BatchLayout::Row] {
-            with_batch_layout(layout, || {
-                assert!(c.run_batch(&x, &[0.0, 0.0]).is_empty());
-                let e = c.expectations_batch(&x, &[0.0, 0.0], &z_all(2));
-                assert_eq!(e.shape(), (0, 2));
-            });
-        }
+        assert!(c.run_batch(&x, &[0.0, 0.0]).is_empty());
+        let e = c.expectations_batch(&x, &[0.0, 0.0], &z_all(2));
+        assert_eq!(e.shape(), (0, 2));
         let noise = NoiseModel::depolarizing(0.05);
         for engine in [
             GradEngine::Adjoint,
@@ -731,10 +551,8 @@ mod tests {
     fn zero_observables_yield_empty_columns() {
         let c = encoder_circuit();
         let x = sample_batch();
-        for layout in [BatchLayout::Gate, BatchLayout::Row] {
-            let e = with_batch_layout(layout, || c.expectations_batch(&x, &[0.0, 0.0], &[]));
-            assert_eq!(e.shape(), (5, 0));
-        }
+        let e = c.expectations_batch(&x, &[0.0, 0.0], &[]);
+        assert_eq!(e.shape(), (5, 0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::gates::{GateKind, Matrix2};
+use crate::gates::GateKind;
 use crate::observable::Observable;
 use crate::state::StateVector;
 use crate::MAX_QUBITS;
@@ -412,59 +412,6 @@ impl Circuit {
     ) -> Vec<f64> {
         let state = self.run(inputs, params);
         observables.iter().map(|o| o.expectation(&state)).collect()
-    }
-
-    /// Precomputes the gate matrix of every op whose angle does not depend
-    /// on the per-sample inputs (`Fixed`/`Trainable`/fixed gates), returning
-    /// one `Option<Matrix2>` slot per op. `Input`-parametrized ops and SWAPs
-    /// get `None` and are resolved at apply time.
-    ///
-    /// Batched execution shares one table across all rows: every row binds
-    /// the same trainable parameters, and `θ → matrix(θ)` is deterministic,
-    /// so the shared matrix is bitwise identical to the one each row would
-    /// rebuild — only the redundant `sin`/`cos` work is skipped.
-    pub(crate) fn precompute_tables(&self, params: &[f64]) -> Vec<Option<Matrix2>> {
-        self.ops
-            .iter()
-            .map(|op| match (op.kind, op.param) {
-                (GateKind::Swap, _) => None,
-                (_, ParamSource::Input(_)) => None,
-                (kind, param) => {
-                    let theta = if kind.is_parametrized() {
-                        param.resolve(&[], params)
-                    } else {
-                        0.0
-                    };
-                    Some(kind.matrix(theta))
-                }
-            })
-            .collect()
-    }
-
-    /// Runs the circuit gate-by-gate, taking each op's matrix from `tables`
-    /// when present (see [`Circuit::precompute_tables`]) and resolving the
-    /// rest against the bindings. Bitwise identical to
-    /// [`Circuit::run_unfused`] for a table built from the same `params`.
-    pub(crate) fn run_with_tables(
-        &self,
-        tables: &[Option<Matrix2>],
-        inputs: &[f64],
-        params: &[f64],
-    ) -> StateVector {
-        assert_eq!(tables.len(), self.ops.len(), "table/ops length mismatch");
-        self.check_bindings(inputs, params);
-        hqnn_telemetry::counter("qsim.circuit_runs", 1);
-        hqnn_telemetry::counter("qsim.gate_applies", self.ops.len() as u64);
-        hqnn_telemetry::gauge_max("qsim.statevector_len", (1u64 << self.n_qubits) as f64);
-        let mut state = StateVector::new(self.n_qubits);
-        for (op, table) in self.ops.iter().zip(tables) {
-            match (table, op.wires) {
-                (Some(m), Wires::One(w)) => state.apply_single(m, w),
-                (Some(m), Wires::Two(a, b)) => state.apply_controlled(m, a, b),
-                (None, _) => Self::apply_op(op, &mut state, inputs, params),
-            }
-        }
-        state
     }
 
     /// Counts ops by how the FLOPs model classifies them:

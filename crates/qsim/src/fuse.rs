@@ -8,10 +8,11 @@
 //! replaces four full-state sweeps with one. The pass has two halves:
 //!
 //! * [`FusePlan`] — a **structural** pass over the circuit IR, computed once
-//!   per circuit (and shared across a whole batch in
-//!   [`crate::Circuit::run_batch`]): which ops collapse into which
-//!   single-wire runs or two-wire pairs. Building the plan never looks at
-//!   parameter values, so one plan serves every row of a batch.
+//!   per circuit (and compiled once per batch by
+//!   [`crate::Circuit::run_batch`], at every level including 0): which ops
+//!   collapse into which single-wire runs or two-wire pairs. Building the
+//!   plan never looks at parameter values, so one plan serves every row of
+//!   a batch.
 //! * [`FusePlan::run`] — execution: resolve each segment's angles, multiply
 //!   its matrices into one [`Matrix2`] (runs) or [`Matrix4`] (pairs), and
 //!   apply it with the amplitude-pair or pair-quad kernel.
@@ -19,7 +20,9 @@
 //! # Fusion levels
 //!
 //! `HQNN_FUSE` selects a **level**: `0` (unset/off) applies every gate
-//! individually; `1`/`true`/`on` collapses single-qubit runs; `2` also
+//! individually — its plan is the trivial one, a `Direct` segment per op,
+//! so the gate-major batch compiler has a single input type at every
+//! level; `1`/`true`/`on` collapses single-qubit runs; `2` also
 //! absorbs CNOT/CZ ops and the runs adjacent to them into 4×4 pair ops. A
 //! pair segment opens at a CNOT/CZ, swallows the pending runs on its two
 //! wires, keeps absorbing single-qubit gates on those wires and further
@@ -163,15 +166,19 @@ pub struct FusePlan {
 }
 
 impl FusePlan {
-    /// Builds the plan for `circuit` at the given fusion level: level ≤ 1
-    /// collapses single-qubit runs ([`FusePlan::new`]); level ≥ 2 also
-    /// absorbs CNOT/CZ-adjacent runs into 4×4 pair segments where the pair
-    /// wins on per-amplitude multiply count (see the module docs).
+    /// Builds the plan for `circuit` at the given fusion level: level 0 is
+    /// the trivial plan (one `Segment::Direct` per op, nothing fused);
+    /// level 1 collapses single-qubit runs ([`FusePlan::new`]); level ≥ 2
+    /// also absorbs CNOT/CZ-adjacent runs into 4×4 pair segments where the
+    /// pair wins on per-amplitude multiply count (see the module docs).
     pub fn with_level(circuit: &Circuit, level: u8) -> Self {
-        if level >= 2 {
-            Self::new_paired(circuit)
-        } else {
-            Self::new(circuit)
+        match level {
+            0 => Self {
+                segments: (0..circuit.ops().len()).map(Segment::Direct).collect(),
+                n_ops: circuit.ops().len(),
+            },
+            1 => Self::new(circuit),
+            _ => Self::new_paired(circuit),
         }
     }
 
@@ -794,6 +801,23 @@ mod tests {
         assert_eq!(plan.collapsed_ops(), 0);
         let s = plan.run(&c, &[], &[]);
         assert_eq!(s.probability(0), 1.0);
+    }
+
+    #[test]
+    fn level_zero_plan_is_one_direct_segment_per_op() {
+        let c = QnnTemplate::new(3, 2, EntanglerKind::Strong).build();
+        let plan = FusePlan::with_level(&c, 0);
+        let direct: Vec<Segment> = (0..c.ops().len()).map(Segment::Direct).collect();
+        assert_eq!(plan.segments(), &direct[..]);
+        assert_eq!(plan.collapsed_ops(), 0);
+        assert_eq!(plan.audit(&c), Ok(()));
+        // Direct segments apply each op as-is: bitwise the unfused path.
+        let inputs = [0.2, -0.4, 0.9];
+        let params: Vec<f64> = (0..c.trainable_count()).map(|i| 0.1 * i as f64).collect();
+        assert_eq!(
+            plan.run(&c, &inputs, &params).amplitudes(),
+            c.run_unfused(&inputs, &params).amplitudes()
+        );
     }
 
     #[test]

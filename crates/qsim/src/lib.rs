@@ -51,7 +51,7 @@ pub mod state;
 pub mod verify;
 
 pub use ansatz::{EntanglerKind, QnnTemplate, RotationAxis};
-pub use batch::{batch_layout, gradients_batch, with_batch_layout, GradEngine};
+pub use batch::{gradients_batch, GradEngine};
 pub use batch_state::BatchState;
 pub use circuit::{Circuit, Op, ParamSource, Wires};
 pub use complex::C64;
@@ -59,7 +59,6 @@ pub use density::DensityMatrix;
 pub use fuse::{fusion_enabled, fusion_level, with_fusion, with_fusion_level, FusePlan};
 pub use gates::GateKind;
 pub use gradient::{adjoint, finite_diff, parameter_shift, Gradients};
-pub use hqnn_telemetry::env::BatchLayout;
 pub use noise::{NoiseChannel, NoiseModel};
 pub use observable::{Observable, Pauli};
 pub use state::StateVector;

@@ -125,7 +125,8 @@ impl Observable {
 
     /// Expectation over a raw amplitude slice (one batch row of a
     /// [`crate::BatchState`]). Shares the exact FP operation sequence with
-    /// [`Self::expectation`] so batch layouts stay bitwise identical.
+    /// [`Self::expectation`] so batched and per-row evaluation stay
+    /// bitwise identical.
     pub(crate) fn expectation_amps(&self, n_qubits: usize, amps: &[C64]) -> f64 {
         // Fast path: a single-Z observable has a closed form.
         if let [(wire, Pauli::Z)] = self.factors[..] {

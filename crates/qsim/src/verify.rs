@@ -347,9 +347,10 @@ impl Circuit {
             }
         }
         // Fusion legality: the structural pass at every level must cover
-        // each op exactly once — level 1 with same-wire single-qubit runs,
-        // level 2 additionally with legal CNOT/CZ pair segments.
-        for level in [1u8, 2] {
+        // each op exactly once — level 0 with one direct segment per op,
+        // level 1 with same-wire single-qubit runs, level 2 additionally
+        // with legal CNOT/CZ pair segments.
+        for level in [0u8, 1, 2] {
             crate::fuse::FusePlan::with_level(self, level)
                 .audit(self)
                 .map_err(|detail| VerifyError::FusionIllegal { detail })?;

@@ -1,17 +1,13 @@
-//! Property tests: the gate-major batch layout is bitwise identical to the
-//! row-major layout and to the per-row sequential loop — across random
-//! circuits up to 10 qubits, batch sizes, thread budgets, and fusion levels
-//! 0/1/2.
+//! Property tests: the gate-major batch sweep is bitwise identical to the
+//! per-row sequential loop — across random circuits up to 10 qubits, batch
+//! sizes, thread budgets, and fusion levels 0/1/2.
 //!
-//! This is the contract that makes `HQNN_BATCH` safe to flip: the layout
-//! changes *when* each gate touches each row's amplitudes, never the FP
-//! operation sequence inside a row, so study JSON and training curves are
-//! byte-identical whichever layout produced them.
+//! The sweep changes *when* each gate touches each row's amplitudes, never
+//! the FP operation sequence inside a row, so study JSON and training
+//! curves are byte-identical to running every row through
+//! [`Circuit::run`] on its own.
 
-use hqnn_qsim::{
-    with_batch_layout, with_fusion_level, BatchLayout, Circuit, GateKind, Observable,
-    ParamSource, StateVector,
-};
+use hqnn_qsim::{with_fusion_level, Circuit, GateKind, Observable, ParamSource, StateVector};
 use hqnn_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -95,23 +91,19 @@ proptest! {
     ) {
         for level in LEVELS {
             // Per-row reference at this fusion level — the sequential loop
-            // both layouts must reproduce bit for bit.
+            // the gate-major sweep must reproduce bit for bit.
             let reference: Vec<StateVector> = with_fusion_level(level, || {
                 (0..x.rows()).map(|r| c.run(x.row(r), &params)).collect()
             });
             let want = amp_bits(&reference);
-            for layout in [BatchLayout::Gate, BatchLayout::Row] {
-                for threads in THREADS {
-                    let got = with_fusion_level(level, || {
-                        with_batch_layout(layout, || {
-                            hqnn_runtime::with_threads(threads, || c.run_batch(&x, &params))
-                        })
-                    });
-                    prop_assert_eq!(
-                        &amp_bits(&got), &want,
-                        "level={} layout={:?} threads={}", level, layout, threads
-                    );
-                }
+            for threads in THREADS {
+                let got = with_fusion_level(level, || {
+                    hqnn_runtime::with_threads(threads, || c.run_batch(&x, &params))
+                });
+                prop_assert_eq!(
+                    &amp_bits(&got), &want,
+                    "level={} threads={}", level, threads
+                );
             }
         }
     }
@@ -122,18 +114,18 @@ proptest! {
     ) {
         let obs: Vec<Observable> = (0..c.n_qubits()).map(Observable::z).collect();
         for level in LEVELS {
-            let reference = with_fusion_level(level, || {
-                with_batch_layout(BatchLayout::Row, || {
-                    hqnn_runtime::with_threads(1, || c.expectations_batch(&x, &params, &obs))
-                })
+            // Per-row reference: `Circuit::expectations` row by row, which
+            // evaluates through the same `Observable::expectation_amps`.
+            let want: Vec<u64> = with_fusion_level(level, || {
+                (0..x.rows())
+                    .flat_map(|r| c.expectations(x.row(r), &params, &obs))
+                    .map(f64::to_bits)
+                    .collect()
             });
-            let want: Vec<u64> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
             for threads in THREADS {
                 let got = with_fusion_level(level, || {
-                    with_batch_layout(BatchLayout::Gate, || {
-                        hqnn_runtime::with_threads(threads, || {
-                            c.expectations_batch(&x, &params, &obs)
-                        })
+                    hqnn_runtime::with_threads(threads, || {
+                        c.expectations_batch(&x, &params, &obs)
                     })
                 });
                 prop_assert_eq!((got.rows(), got.cols()), (x.rows(), obs.len()));

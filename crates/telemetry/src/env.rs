@@ -56,11 +56,6 @@ pub const REGISTRY: &[EnvVar] = &[
         accepted: "1|true|on for single-qubit run fusion; 2 adds two-qubit pair fusion; anything else (or unset) disables",
     },
     EnvVar {
-        name: "HQNN_BATCH",
-        purpose: "batch execution layout for run_batch/expectations_batch",
-        accepted: "gate (sweep each gate across all rows; default) | row (run each row's circuit end to end)",
-    },
-    EnvVar {
         name: "HQNN_HEALTH",
         purpose: "training-health sentinel action on NaN/Inf loss or exploding gradients",
         accepted: "off|warn|abort (default warn)",
@@ -92,37 +87,6 @@ pub fn parse_health(raw: &str) -> Option<HealthAction> {
         "off" | "none" | "0" => Some(HealthAction::Off),
         "warn" => Some(HealthAction::Warn),
         "abort" => Some(HealthAction::Abort),
-        _ => None,
-    }
-}
-
-/// How batched circuit execution walks the (rows × gates) work square
-/// (`HQNN_BATCH`). Both layouts are bitwise identical per row; the choice is
-/// purely a throughput knob.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BatchLayout {
-    /// Run each row's full circuit before moving to the next row.
-    Row,
-    /// Sweep each gate across every row in a chunk while its matrix is hot
-    /// (default).
-    Gate,
-}
-
-impl BatchLayout {
-    /// The manifest/provenance spelling (`"row"` / `"gate"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BatchLayout::Row => "row",
-            BatchLayout::Gate => "gate",
-        }
-    }
-}
-
-/// Parses an `HQNN_BATCH` value, or `None` when invalid.
-pub fn parse_batch_layout(raw: &str) -> Option<BatchLayout> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "row" | "row-major" => Some(BatchLayout::Row),
-        "gate" | "gate-major" => Some(BatchLayout::Gate),
         _ => None,
     }
 }
@@ -276,8 +240,8 @@ mod tests {
         assert!(is_registered("HQNN_FUSE"));
         assert!(is_registered("HQNN_HEALTH"));
         assert!(is_registered("HQNN_ALLOC"));
-        assert!(is_registered("HQNN_BATCH"));
         assert!(!is_registered("HQNN_THREAD"));
+        assert_eq!(REGISTRY.len(), 5, "a new knob must earn its place");
         assert!(REGISTRY.iter().all(|v| v.name.starts_with("HQNN_")));
     }
 
@@ -315,18 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_layout_parsing_accepts_documented_spellings() {
-        assert_eq!(parse_batch_layout("row"), Some(BatchLayout::Row));
-        assert_eq!(parse_batch_layout(" GATE "), Some(BatchLayout::Gate));
-        assert_eq!(parse_batch_layout("gate-major"), Some(BatchLayout::Gate));
-        assert_eq!(parse_batch_layout("row-major"), Some(BatchLayout::Row));
-        assert_eq!(parse_batch_layout("column"), None);
-        assert_eq!(parse_batch_layout(""), None);
-        assert_eq!(BatchLayout::Gate.as_str(), "gate");
-        assert_eq!(BatchLayout::Row.as_str(), "row");
-    }
-
-    #[test]
     fn fuse_level_parsing_covers_all_tiers() {
         assert_eq!(parse_fuse_level("1"), 1);
         assert_eq!(parse_fuse_level("true"), 1);
@@ -357,8 +309,6 @@ mod tests {
         assert_eq!(closest_registered("HQNN_HEALT"), Some("HQNN_HEALTH"));
         assert_eq!(closest_registered("HQNN_ALOC"), Some("HQNN_ALLOC"));
         assert_eq!(closest_registered("HQNN_ALLOCS"), Some("HQNN_ALLOC"));
-        assert_eq!(closest_registered("HQNN_BATC"), Some("HQNN_BATCH"));
-        assert_eq!(closest_registered("HQNN_BACH"), Some("HQNN_BATCH"));
         assert_eq!(closest_registered("HQNN_COMPLETELY_ELSE"), None);
     }
 

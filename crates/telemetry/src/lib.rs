@@ -292,15 +292,6 @@ pub fn counter(name: &str, delta: u64) {
     }
 }
 
-/// Adds `delta` to the named counter through the contended global-mutex
-/// path, bypassing the per-thread shards. Exists only so `perfbench` can
-/// measure the sharded path against the legacy one; production code should
-/// always use [`counter`].
-#[doc(hidden)]
-pub fn counter_unsharded(name: &str, delta: u64) {
-    registry::global().add_counter(name, delta);
-}
-
 /// Sets the named gauge to `value` (last write wins).
 ///
 /// Under concurrency, last-writer-wins makes the stored value depend on

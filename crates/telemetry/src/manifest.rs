@@ -39,14 +39,6 @@ pub struct RunManifest {
     /// to `false` when absent (pre-fusion manifests).
     #[serde(default)]
     pub fuse: bool,
-    /// Batch execution layout the run's environment selected
-    /// (`HQNN_BATCH`): `"gate"` (gate-major sweeps, the default) or
-    /// `"row"`. Layouts are bitwise identical, so numbers stay comparable
-    /// across them — the stamp records which code path produced a timing.
-    /// Defaults to `""` when absent (pre-layout manifests, which always ran
-    /// row-major).
-    #[serde(default)]
-    pub batch: String,
     /// Whether the run counted allocations (`HQNN_ALLOC=1`/`true`/`on`).
     /// Counting never changes numerics, but it adds allocator bookkeeping
     /// that can perturb timings, so timed comparisons should match on
@@ -88,7 +80,6 @@ impl RunManifest {
             hostname: hostname(),
             threads: configured_threads(),
             fuse: configured_fuse(),
-            batch: configured_batch(),
             alloc: configured_alloc(),
             shard_plan: String::new(),
             config_hash: "-".to_string(),
@@ -126,7 +117,6 @@ impl RunManifest {
             ("hostname", self.hostname.clone().into()),
             ("threads", self.threads.into()),
             ("fuse", self.fuse.into()),
-            ("batch", self.batch.clone().into()),
             ("alloc", self.alloc.into()),
             ("shard_plan", self.shard_plan.clone().into()),
             ("config_hash", self.config_hash.clone().into()),
@@ -158,17 +148,6 @@ fn configured_fuse() -> bool {
     crate::env::var("HQNN_FUSE")
         .map(|raw| crate::env::parse_fuse_level(&raw) >= 1)
         .unwrap_or(false)
-}
-
-/// Batch layout the run executes with. Mirrors `hqnn-qsim`'s resolution
-/// (`HQNN_BATCH` env, gate-major default; invalid values fall back to the
-/// default there too).
-fn configured_batch() -> String {
-    crate::env::var("HQNN_BATCH")
-        .and_then(|raw| crate::env::parse_batch_layout(&raw))
-        .unwrap_or(crate::env::BatchLayout::Gate)
-        .as_str()
-        .to_string()
 }
 
 /// Whether the environment enables allocation counting (`HQNN_ALLOC`).
@@ -252,7 +231,9 @@ mod tests {
     #[test]
     fn pre_fusion_manifests_parse_with_fuse_false() {
         // Baselines written before the `fuse` field existed must keep
-        // loading — absent means the run could not have fused.
+        // loading — absent means the run could not have fused. The retired
+        // `batch` layout key (still present in committed bench history) is
+        // ignored as an unknown field.
         let json = r#"{
             "git_sha": "abc123",
             "git_dirty": false,
@@ -262,15 +243,14 @@ mod tests {
             "host_arch": "x86_64",
             "hostname": "vm",
             "threads": 1,
+            "batch": "row",
             "config_hash": "-",
             "timestamp_unix": 1700000000
         }"#;
         let m: RunManifest = serde_json::from_str(json).expect("parse");
         assert!(!m.fuse);
-        // Pre-layout manifests default to the empty string (those runs
-        // always executed row-major; "" distinguishes them from an explicit
-        // "row").
-        assert_eq!(m.batch, "");
+        assert_eq!(m.threads, 1);
+        assert_eq!(m.config_hash, "-");
         // Pre-sharding manifests default to "" — those studies ran
         // sequentially.
         assert_eq!(m.shard_plan, "");
@@ -282,15 +262,5 @@ mod tests {
         assert_eq!(m.shard_plan, "cells=6;outer=3;inner=2");
         let names: Vec<&str> = m.fields().iter().map(|(k, _)| *k).collect();
         assert!(names.contains(&"shard_plan"));
-    }
-
-    #[test]
-    fn captured_batch_is_a_valid_layout_name() {
-        let m = RunManifest::capture("b");
-        assert!(
-            crate::env::parse_batch_layout(&m.batch).is_some(),
-            "captured batch {:?} must parse as a layout",
-            m.batch
-        );
     }
 }
