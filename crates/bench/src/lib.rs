@@ -33,7 +33,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use hqnn_search::experiments::Family;
-use hqnn_search::{ExperimentConfig, ShardPlan, StudyResult};
+use hqnn_search::{ExperimentConfig, ShardPlan, StudyResult, NUMERICS_VERSION};
 use hqnn_telemetry as telemetry;
 
 /// Which protocol profile a binary runs with.
@@ -238,6 +238,9 @@ impl Cli {
     }
 
     /// Loads the cached study if compatible, otherwise starts a fresh one.
+    /// A cache computed under another configuration or another
+    /// [`NUMERICS_VERSION`] is stale: a warn-level `bench.cache_stale`
+    /// event names the differing field with its cached and current values.
     /// A cache file that exists but does not parse (truncated write,
     /// hand edit) also starts fresh, after a `bench.cache_unreadable`
     /// error event naming the path and the parse error.
@@ -246,19 +249,26 @@ impl Cli {
         let path = self.study_path();
         if !self.fresh && path.exists() {
             match StudyResult::load(&path) {
-                Ok(study) if study.config == config => {
-                    telemetry::event(
-                        telemetry::Level::Info,
-                        "bench.cache_hit",
-                        &[("path", path.display().to_string().into())],
-                    );
-                    return study;
-                }
-                Ok(_) => telemetry::event(
-                    telemetry::Level::Info,
-                    "bench.cache_stale",
-                    &[("path", path.display().to_string().into())],
-                ),
+                Ok(study) => match stale_field(&study, &config) {
+                    None => {
+                        telemetry::event(
+                            telemetry::Level::Info,
+                            "bench.cache_hit",
+                            &[("path", path.display().to_string().into())],
+                        );
+                        return study;
+                    }
+                    Some((field, old, new)) => telemetry::event(
+                        telemetry::Level::Warn,
+                        "bench.cache_stale",
+                        &[
+                            ("path", path.display().to_string().into()),
+                            ("field", field.into()),
+                            ("old", old.into()),
+                            ("new", new.into()),
+                        ],
+                    ),
+                },
                 Err(e) => telemetry::event(
                     telemetry::Level::Error,
                     "bench.cache_unreadable",
@@ -289,6 +299,30 @@ impl Cli {
             );
         }
     }
+}
+
+/// The first field in which a cached study differs from what this build
+/// would compute, as `(field, cached value, current value)`; `None` when
+/// the cache is current. Configurations are shown by their hash.
+fn stale_field(
+    study: &StudyResult,
+    config: &ExperimentConfig,
+) -> Option<(&'static str, String, String)> {
+    if study.config != *config {
+        return Some((
+            "config",
+            telemetry::config_hash(&study.config),
+            telemetry::config_hash(config),
+        ));
+    }
+    if study.numerics != NUMERICS_VERSION {
+        return Some((
+            "numerics",
+            study.numerics.to_string(),
+            NUMERICS_VERSION.to_string(),
+        ));
+    }
+    None
 }
 
 impl Default for Cli {
@@ -401,35 +435,123 @@ mod tests {
         assert_eq!(study.config, ExperimentConfig::fast());
     }
 
-    #[test]
-    fn load_study_reports_a_corrupt_cache_and_starts_fresh() {
+    /// A smoke-profile CLI over a fresh temp cache dir named by `tag`.
+    fn smoke_cli_in_temp_dir(tag: &str) -> Cli {
         let dir = std::env::temp_dir().join(format!(
-            "hqnn-bench-corrupt-cache-{}-{:?}",
+            "hqnn-bench-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).expect("create temp cache dir");
-        let cli = Cli {
+        Cli {
             profile: Profile::Smoke,
-            cache_dir: dir.clone(),
+            cache_dir: dir,
             ..Cli::default()
-        };
-        let path = cli.study_path();
-        std::fs::write(&path, "{\"config\": {\"levels\": [4").expect("write truncated JSON");
+        }
+    }
+
+    /// The `bench.cache_*` events named `name` that concern `cli`'s cache.
+    fn cache_events(mem: &telemetry::MemorySink, cli: &Cli, name: &str) -> Vec<telemetry::Event> {
+        let shown = telemetry::FieldValue::Str(cli.study_path().display().to_string());
+        mem.events_named(name)
+            .into_iter()
+            .filter(|e| e.fields.iter().any(|(k, v)| k == "path" && *v == shown))
+            .collect()
+    }
+
+    fn field<'a>(event: &'a telemetry::Event, key: &str) -> Option<&'a telemetry::FieldValue> {
+        event.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    #[test]
+    fn load_study_reports_a_corrupt_cache_and_starts_fresh() {
+        let cli = smoke_cli_in_temp_dir("corrupt-cache");
+        std::fs::write(cli.study_path(), "{\"config\": {\"levels\": [4")
+            .expect("write truncated JSON");
         let mem = telemetry::add_memory_sink();
         let study = cli.load_study();
         assert!(study.classical.is_empty());
         assert_eq!(study.config, ExperimentConfig::smoke());
-        let shown = telemetry::FieldValue::Str(path.display().to_string());
-        let events: Vec<_> = mem
-            .events_named("bench.cache_unreadable")
-            .into_iter()
-            .filter(|e| e.fields.iter().any(|(k, v)| k == "path" && *v == shown))
-            .collect();
+        let events = cache_events(&mem, &cli, "bench.cache_unreadable");
         assert_eq!(events.len(), 1, "one event for the corrupt cache");
         assert_eq!(events[0].level, telemetry::Level::Error);
-        assert!(events[0].fields.iter().any(|(k, _)| k == "error"));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(field(&events[0], "error").is_some());
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+    }
+
+    #[test]
+    fn load_study_treats_a_cache_without_numerics_stamp_as_stale() {
+        let cli = smoke_cli_in_temp_dir("unstamped-cache");
+        let mut cached = StudyResult::new(ExperimentConfig::smoke());
+        cached.run_classical();
+        // Drop the stamp, as in a study saved before it existed.
+        let mut json = serde_json::to_value(&cached).expect("study serializes");
+        if let serde_json::Value::Map(fields) = &mut json {
+            fields.retain(|(k, _)| k != "numerics");
+        }
+        std::fs::write(
+            cli.study_path(),
+            serde_json::to_string_pretty(&json).unwrap(),
+        )
+        .expect("write unstamped cache");
+        assert_eq!(StudyResult::load(cli.study_path()).unwrap().numerics, 0);
+
+        let mem = telemetry::add_memory_sink();
+        let study = cli.load_study();
+        assert!(study.classical.is_empty(), "stale cache must not be reused");
+        assert_eq!(study.numerics, NUMERICS_VERSION);
+        let stale = cache_events(&mem, &cli, "bench.cache_stale");
+        assert_eq!(stale.len(), 1, "one stale event");
+        assert_eq!(stale[0].level, telemetry::Level::Warn);
+        let s = |v: &str| telemetry::FieldValue::Str(v.to_string());
+        assert_eq!(field(&stale[0], "field"), Some(&s("numerics")));
+        assert_eq!(field(&stale[0], "old"), Some(&s("0")));
+        assert_eq!(
+            field(&stale[0], "new"),
+            Some(&s(&NUMERICS_VERSION.to_string()))
+        );
+        assert!(cache_events(&mem, &cli, "bench.cache_hit").is_empty());
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+    }
+
+    #[test]
+    fn load_study_names_a_config_mismatch() {
+        let cli = smoke_cli_in_temp_dir("other-config-cache");
+        let mut other = ExperimentConfig::smoke();
+        other.levels = vec![4];
+        StudyResult::new(other.clone())
+            .save(cli.study_path())
+            .expect("save cache");
+        let mem = telemetry::add_memory_sink();
+        let study = cli.load_study();
+        assert_eq!(study.config, ExperimentConfig::smoke());
+        let stale = cache_events(&mem, &cli, "bench.cache_stale");
+        assert_eq!(stale.len(), 1);
+        let hash = |c: &ExperimentConfig| telemetry::FieldValue::Str(telemetry::config_hash(c));
+        assert_eq!(
+            field(&stale[0], "field"),
+            Some(&telemetry::FieldValue::Str("config".into()))
+        );
+        assert_eq!(field(&stale[0], "old"), Some(&hash(&other)));
+        assert_eq!(
+            field(&stale[0], "new"),
+            Some(&hash(&ExperimentConfig::smoke()))
+        );
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+    }
+
+    #[test]
+    fn load_study_reuses_a_current_cache() {
+        let cli = smoke_cli_in_temp_dir("current-cache");
+        let mut cached = StudyResult::new(ExperimentConfig::smoke());
+        cached.run_classical();
+        cached.save(cli.study_path()).expect("save cache");
+        let mem = telemetry::add_memory_sink();
+        let study = cli.load_study();
+        assert_eq!(study, cached, "a matching cache is a hit");
+        assert_eq!(cache_events(&mem, &cli, "bench.cache_hit").len(), 1);
+        assert!(cache_events(&mem, &cli, "bench.cache_stale").is_empty());
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl SavedModel {
         Ok(model)
     }
 
-    /// Writes the model as pretty JSON.
+    /// Writes the model as pretty JSON, atomically (temp file + rename).
     ///
     /// # Errors
     ///
@@ -140,7 +140,7 @@ impl SavedModel {
         if let Some(parent) = path.as_ref().parent() {
             fs::create_dir_all(parent)?;
         }
-        fs::write(path, json)
+        hqnn_telemetry::write_atomic(path, json)
     }
 
     /// Loads a model previously written by [`SavedModel::save`].

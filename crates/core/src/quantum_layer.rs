@@ -1,7 +1,7 @@
 //! The simulated quantum layer — a [`hqnn_nn::Layer`] backed by `hqnn-qsim`.
 
 use hqnn_nn::Layer;
-use hqnn_qsim::{gradients_batch, Circuit, GradEngine, Observable, QnnTemplate};
+use hqnn_qsim::{gradients_batch, vjp_batch, Circuit, GradEngine, Observable, QnnTemplate};
 use hqnn_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 /// bench for the measured gap).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GradientMethod {
-    /// Adjoint (reverse-pass) differentiation — exact, O(gates · 2ⁿ).
+    /// Adjoint (reverse-pass) differentiation — exact, O(gates · 2ⁿ): one
+    /// vector-Jacobian sweep per sample, seeded with the upstream gradient.
     #[default]
     Adjoint,
     /// Two-term parameter-shift rule — exact, hardware-compatible,
@@ -119,13 +120,6 @@ impl QuantumLayer {
     pub fn gradient_method(&self) -> GradientMethod {
         self.method
     }
-
-    fn engine(&self) -> GradEngine<'static> {
-        match self.method {
-            GradientMethod::Adjoint => GradEngine::Adjoint,
-            GradientMethod::ParameterShift => GradEngine::ParameterShift,
-        }
-    }
 }
 
 impl Layer for QuantumLayer {
@@ -160,23 +154,42 @@ impl Layer for QuantumLayer {
         let mut grad_params = Matrix::zeros(1, n_params);
         let mut grad_input = Matrix::zeros(input.rows(), n);
 
-        // Per-sample gradients fan out in parallel; the chain-rule reduction
-        // below stays sequential in row order so the shared `grad_params`
-        // accumulator sums in exactly the order the per-row loop did.
-        let batch = gradients_batch(
-            &self.circuit,
-            self.engine(),
-            input,
-            self.params.as_slice(),
-            &self.observables,
-        );
-        for (r, grads) in batch.iter().enumerate() {
-            accumulate_chain(
-                grads,
-                grad_output.row(r),
-                &mut grad_params,
-                grad_input.row_mut(r),
-            );
+        // Per-sample gradients fan out in parallel; the reduction below stays
+        // sequential in row order so the shared `grad_params` accumulator
+        // sums in the same order at every thread count.
+        let params = self.params.as_slice();
+        match self.method {
+            GradientMethod::Adjoint => {
+                // One reverse sweep per row, seeded with the upstream
+                // gradient: the contraction over observables happens inside
+                // the sweep instead of after it.
+                let batch = vjp_batch(&self.circuit, input, params, &self.observables, grad_output);
+                for (r, vjp) in batch.iter().enumerate() {
+                    for (acc, g) in grad_params.as_mut_slice().iter_mut().zip(&vjp.d_params) {
+                        *acc += g;
+                    }
+                    for (dst, g) in grad_input.row_mut(r).iter_mut().zip(&vjp.d_inputs) {
+                        *dst = *g;
+                    }
+                }
+            }
+            GradientMethod::ParameterShift => {
+                let batch = gradients_batch(
+                    &self.circuit,
+                    GradEngine::ParameterShift,
+                    input,
+                    params,
+                    &self.observables,
+                );
+                for (r, grads) in batch.iter().enumerate() {
+                    accumulate_chain(
+                        grads,
+                        grad_output.row(r),
+                        &mut grad_params,
+                        grad_input.row_mut(r),
+                    );
+                }
+            }
         }
         self.grad_params = grad_params;
         grad_input
@@ -203,7 +216,8 @@ impl Layer for QuantumLayer {
 /// `dL/dθ_t += Σ_o dL/d⟨O_o⟩ · d⟨O_o⟩/dθ_t` into `grad_params` (a
 /// `1 × n_params` accumulator shared across the batch) and
 /// `dL/dx_i = Σ_o dL/d⟨O_o⟩ · d⟨O_o⟩/dx_i` into this sample's
-/// `grad_input_row`. Shared by the ideal and noisy quantum layers.
+/// `grad_input_row`. Used by the shift-rule paths of the ideal and noisy
+/// quantum layers; the adjoint path contracts inside the sweep instead.
 pub(crate) fn accumulate_chain(
     grads: &hqnn_qsim::Gradients,
     grad_output_row: &[f64],
@@ -339,6 +353,53 @@ mod tests {
                 dn[(r, c)] -= eps;
                 let fd = (eval(&params, &up) - eval(&params, &dn)) / (2.0 * eps);
                 assert!((dx[(r, c)] - fd).abs() < 1e-6, "x_({r},{c})");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_is_bitwise_identical_across_threads_and_fusion_levels() {
+        let mut rng = SeededRng::new(5);
+        let x = Matrix::uniform(9, 4, -1.5, 1.5, &mut rng);
+        let mut g = Matrix::uniform(9, 4, -1.0, 1.0, &mut rng);
+        g[(2, 1)] = 0.0;
+        for kind in [EntanglerKind::Basic, EntanglerKind::Strong] {
+            let template = QnnTemplate::new(4, 3, kind);
+            let params = Matrix::uniform(
+                1,
+                template.param_count(),
+                0.0,
+                std::f64::consts::TAU,
+                &mut rng,
+            );
+            let run = |threads: usize, level: u8| {
+                hqnn_runtime::with_threads(threads, || {
+                    hqnn_qsim::with_fusion_level(level, || {
+                        let mut l = QuantumLayer::from_parts(template, params.clone());
+                        let _ = l.forward(&x, true);
+                        let dx = l.backward(&g);
+                        let mut dtheta = Matrix::zeros(1, 0);
+                        l.visit_params(&mut |_v, gr| dtheta = gr.clone());
+                        (dx, dtheta)
+                    })
+                })
+            };
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (dx_ref, dtheta_ref) = run(1, 0);
+            for threads in [1, 2, 7] {
+                for level in [0u8, 1, 2] {
+                    let (dx, dtheta) = run(threads, level);
+                    assert_eq!(
+                        bits(&dx),
+                        bits(&dx_ref),
+                        "{kind:?} threads={threads} level={level}"
+                    );
+                    assert_eq!(
+                        bits(&dtheta),
+                        bits(&dtheta_ref),
+                        "{kind:?} threads={threads} level={level}"
+                    );
+                }
             }
         }
     }

@@ -100,10 +100,12 @@ pub enum QuantumBackwardCost {
     /// op count as the forward graph).
     #[default]
     MirrorForward,
-    /// The adjoint-differentiation sweep `hqnn-qsim` actually executes:
-    /// per observable, every gate is un-applied twice and every
-    /// differentiated gate costs an extra `dU` application plus a state
-    /// inner product.
+    /// The vector-Jacobian adjoint backward `hqnn-qsim` actually executes
+    /// in training: one forward re-simulation, one seeding Pauli
+    /// application and accumulation per observable, then a single reverse
+    /// sweep that un-applies every gate twice and costs each differentiated
+    /// gate an extra `dU` application plus a state inner product (see
+    /// [`CostModel::circuit_backward_adjoint`]).
     Adjoint,
 }
 
@@ -311,12 +313,14 @@ impl CostModel {
         }
     }
 
-    /// The adjoint-sweep backward cost (what `hqnn-qsim` actually executes),
-    /// independent of the configured convention. Per observable: every gate
-    /// is un-applied twice (`ψ` and `λ` sweeps), every differentiated gate
-    /// adds a `dU` application plus a state inner product, and seeding
-    /// `λ = O|ψ⟩` costs one Pauli application. Encoding gates' share is
-    /// attributed to encoding; the rest to the quantum layer.
+    /// The adjoint backward cost of one sample, as `hqnn-qsim`'s training
+    /// path (`adjoint_vjp`) executes it, independent of the configured
+    /// convention: one forward re-simulation; per observable, one Pauli
+    /// application to seed `λ = Σ_o w_o·O_o|ψ⟩` plus accumulating it into
+    /// the sum; then a single reverse sweep in which every gate is
+    /// un-applied twice (`ψ` and `λ`) and every differentiated gate adds a
+    /// `dU` application plus a state inner product. Encoding gates' share
+    /// is attributed to encoding; the rest to the quantum layer.
     pub fn circuit_backward_adjoint(
         &self,
         census: &OpCensus,
@@ -328,19 +332,20 @@ impl CostModel {
         let inner = self.state_inner_product(n_qubits);
         let forward = self.circuit_forward(census, n_qubits);
 
-        // Undoing every gate twice per observable, same split as forward.
-        let sweep_encoding = 2 * n_obs * forward.encoding;
-        let sweep_quantum = 2 * n_obs * forward.quantum_layer;
+        // One re-simulation plus two un-apply sweeps, same split as forward.
+        let sweep_encoding = 3 * forward.encoding;
+        let sweep_quantum = 3 * forward.quantum_layer;
 
         // dU application + inner product per differentiated gate.
-        let enc_diff = n_obs * census.encoding_rotations as u64 * (single + inner);
-        let var_diff = n_obs
-            * (census.variational_rotations as u64 * (single + inner)
-                + census.variational_two_qubit as u64
-                    * (self.controlled_rotation_gate(n_qubits) + inner));
+        let enc_diff = census.encoding_rotations as u64 * (single + inner);
+        let var_diff = census.variational_rotations as u64 * (single + inner)
+            + census.variational_two_qubit as u64
+                * (self.controlled_rotation_gate(n_qubits) + inner);
 
-        // Seeding λ = O|ψ⟩ (one Z application ≈ sign flips over half the state).
-        let seed = n_obs * self.two_qubit_fixed_gate(n_qubits);
+        // Seeding: one Z application (≈ sign flips over half the state)
+        // per observable, plus a multiply-add per amplitude to accumulate
+        // it into λ.
+        let seed = n_obs * (self.two_qubit_fixed_gate(n_qubits) + inner);
 
         QuantumFlops {
             encoding: sweep_encoding + enc_diff,

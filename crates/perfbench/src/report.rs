@@ -156,7 +156,8 @@ impl BenchReport {
         self.results.iter().find(|r| r.id == id)
     }
 
-    /// Writes the report as pretty-printed JSON.
+    /// Writes the report as pretty-printed JSON, atomically (temp file +
+    /// rename).
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -165,7 +166,7 @@ impl BenchReport {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        std::fs::write(path, json + "\n")
+        hqnn_telemetry::write_atomic(path, json + "\n")
     }
 
     /// Loads a report written by [`BenchReport::save`].

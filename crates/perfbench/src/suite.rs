@@ -354,7 +354,10 @@ pub fn default_suite() -> Vec<Benchmark> {
         });
     }
 
-    // -- qsim.adjoint_grad: the gradient engine hybrid training uses ------
+    // -- qsim.adjoint_grad: the full-Jacobian adjoint engine -------------
+    // One reverse sweep per observable. Training runs the one-sweep
+    // `adjoint_vjp`, which is what the analytic FLOPs price, so this
+    // benchmark's efficiency ratio understates the engine's throughput.
     {
         let template = QnnTemplate::new(4, 3, EntanglerKind::Strong);
         let circuit = template.build();

@@ -20,6 +20,11 @@
 //! boundaries depend only on the row count, never on the thread budget).
 //! The batch-equivalence proptests in `crates/qsim/tests/` pin that
 //! equivalence.
+//!
+//! The gradient seams — [`vjp_batch`] for the adjoint method,
+//! [`gradients_batch`] for the shift-rule engines — replay the original op
+//! stream per row, so they fan rows (not gate-major chunks) out across the
+//! pool and never fuse.
 
 use hqnn_tensor::Matrix;
 
@@ -28,7 +33,7 @@ use crate::circuit::{Circuit, Op, ParamSource, Wires};
 use crate::complex::C64;
 use crate::fuse::{self, FusePlan, Segment};
 use crate::gates::{matmul2, GateKind, Matrix2, Matrix4};
-use crate::gradient::{self, Gradients};
+use crate::gradient::{self, Gradients, Vjp};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
 use crate::state::{
@@ -251,11 +256,11 @@ fn apply_op_amps(op: &Op, row: &mut [C64], inputs: &[f64], params: &[f64]) {
     }
 }
 
-/// Which differentiation engine [`gradients_batch`] drives per row.
+/// Which shift-rule engine [`gradients_batch`] drives per row. The adjoint
+/// method's batch seam is [`vjp_batch`]; full adjoint Jacobians come from
+/// [`gradient::adjoint`] per row.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum GradEngine<'a> {
-    /// Reverse-pass adjoint differentiation ([`gradient::adjoint`]).
-    Adjoint,
     /// Two-term parameter-shift rule ([`gradient::parameter_shift`]).
     ParameterShift,
     /// Parameter-shift through a density-matrix simulation under the given
@@ -354,8 +359,8 @@ impl Circuit {
 ///
 /// # Panics
 ///
-/// As for the underlying engine — see [`gradient::adjoint`],
-/// [`gradient::parameter_shift`], [`gradient::parameter_shift_noisy`].
+/// As for the underlying engine — see [`gradient::parameter_shift`],
+/// [`gradient::parameter_shift_noisy`].
 pub fn gradients_batch(
     circuit: &Circuit,
     engine: GradEngine,
@@ -367,7 +372,6 @@ pub fn gradients_batch(
     hqnn_runtime::par_map_range(inputs.rows(), |r| {
         let row = inputs.row(r);
         match engine {
-            GradEngine::Adjoint => gradient::adjoint(circuit, row, params, observables),
             GradEngine::ParameterShift => {
                 gradient::parameter_shift(circuit, row, params, observables)
             }
@@ -375,6 +379,34 @@ pub fn gradients_batch(
                 gradient::parameter_shift_noisy(circuit, row, params, observables, noise)
             }
         }
+    })
+}
+
+/// Computes the adjoint vector-Jacobian product ([`gradient::adjoint_vjp`])
+/// for every row of `inputs`, weighting observable `o` of row `r` by
+/// `weights[(r, o)]`; returned in row order, bitwise identical to calling
+/// the engine per row at any `HQNN_THREADS`. This is the training seam: one
+/// reverse sweep per row, rows fanned out across the pool.
+///
+/// # Panics
+///
+/// As for [`gradient::adjoint_vjp`]; additionally if `weights` is not
+/// `(inputs.rows(), observables.len())`.
+pub fn vjp_batch(
+    circuit: &Circuit,
+    inputs: &Matrix,
+    params: &[f64],
+    observables: &[Observable],
+    weights: &Matrix,
+) -> Vec<Vjp> {
+    assert_eq!(
+        weights.shape(),
+        (inputs.rows(), observables.len()),
+        "one weight per row and observable"
+    );
+    let _span = hqnn_telemetry::span("qsim.vjp_batch");
+    hqnn_runtime::par_map_range(inputs.rows(), |r| {
+        gradient::adjoint_vjp(circuit, inputs.row(r), params, observables, weights.row(r))
     })
 }
 
@@ -487,7 +519,6 @@ mod tests {
         let obs = z_all(2);
         let noise = NoiseModel::depolarizing(0.05);
         let engines = [
-            GradEngine::Adjoint,
             GradEngine::ParameterShift,
             GradEngine::ParameterShiftNoisy(&noise),
         ];
@@ -497,7 +528,6 @@ mod tests {
             assert_eq!(batch.len(), x.rows());
             for (r, got) in batch.iter().enumerate() {
                 let want = match engine {
-                    GradEngine::Adjoint => gradient::adjoint(&c, x.row(r), &params, &obs),
                     GradEngine::ParameterShift => {
                         gradient::parameter_shift(&c, x.row(r), &params, &obs)
                     }
@@ -511,6 +541,24 @@ mod tests {
     }
 
     #[test]
+    fn vjp_batch_matches_per_row_bitwise_at_any_thread_count() {
+        let c = encoder_circuit();
+        let x = sample_batch();
+        let params = [0.5, -0.3];
+        let obs = z_all(2);
+        let w = Matrix::from_vec(5, 2, vec![0.3, -1.1, 0.0, 0.8, 2.0, 0.0, -0.4, 0.4, 1.5, -0.9]);
+        for threads in [1, 2, 7] {
+            let batch =
+                hqnn_runtime::with_threads(threads, || vjp_batch(&c, &x, &params, &obs, &w));
+            assert_eq!(batch.len(), x.rows());
+            for (r, got) in batch.iter().enumerate() {
+                let want = gradient::adjoint_vjp(&c, x.row(r), &params, &obs, w.row(r));
+                assert_eq!(got, &want, "threads={threads} row={r}");
+            }
+        }
+    }
+
+    #[test]
     fn empty_batch_is_fine() {
         let c = encoder_circuit();
         let x = Matrix::zeros(0, 2);
@@ -519,7 +567,6 @@ mod tests {
         assert_eq!(e.shape(), (0, 2));
         let noise = NoiseModel::depolarizing(0.05);
         for engine in [
-            GradEngine::Adjoint,
             GradEngine::ParameterShift,
             GradEngine::ParameterShiftNoisy(&noise),
         ] {
@@ -528,6 +575,8 @@ mod tests {
                 "engine={engine:?}"
             );
         }
+        let w = Matrix::zeros(0, 2);
+        assert!(vjp_batch(&c, &x, &[0.0, 0.0], &z_all(2), &w).is_empty());
     }
 
     #[test]

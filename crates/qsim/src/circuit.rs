@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::gates::GateKind;
+use crate::gates::{GateKind, Matrix2};
 use crate::observable::Observable;
 use crate::state::StateVector;
 use crate::MAX_QUBITS;
@@ -304,29 +304,31 @@ impl Circuit {
         }
     }
 
-    /// Applies the inverse of one op (used by adjoint differentiation).
-    pub(crate) fn apply_op_inverse(
+    /// Resolves the inverse of one op once, so the adjoint sweep can
+    /// un-apply it from several states without recomputing its matrix.
+    /// Returns the angle `θ` the op was resolved at (0 when unparametrized)
+    /// and `U(θ)†` — `None` for SWAP, which is self-inverse.
+    pub(crate) fn resolve_inverse(
         op: &Op,
-        state: &mut StateVector,
         inputs: &[f64],
         params: &[f64],
-    ) {
-        if op.kind == GateKind::Swap {
-            // SWAP is self-inverse.
-            if let Wires::Two(a, b) = op.wires {
-                state.apply_swap(a, b);
-            }
-            return;
-        }
+    ) -> (f64, Option<Matrix2>) {
         let theta = if op.kind.is_parametrized() {
             op.param.resolve(inputs, params)
         } else {
             0.0
         };
-        let inv = crate::gates::dagger(&op.kind.matrix(theta));
-        match op.wires {
-            Wires::One(w) => state.apply_single(&inv, w),
-            Wires::Two(a, b) => state.apply_controlled(&inv, a, b),
+        let inv = (op.kind != GateKind::Swap).then(|| crate::gates::dagger(&op.kind.matrix(theta)));
+        (theta, inv)
+    }
+
+    /// Un-applies one op with the inverse from [`Circuit::resolve_inverse`].
+    pub(crate) fn apply_inverse(op: &Op, inv: Option<&Matrix2>, state: &mut StateVector) {
+        match (op.wires, inv) {
+            (Wires::Two(a, b), None) => state.apply_swap(a, b),
+            (Wires::One(w), Some(m)) => state.apply_single(m, w),
+            (Wires::Two(a, b), Some(m)) => state.apply_controlled(m, a, b),
+            (Wires::One(_), None) => unreachable!("only SWAP resolves to no inverse matrix"),
         }
     }
 
@@ -579,7 +581,8 @@ mod tests {
         let forward = c.run(&[], &[]);
         let mut undone = forward.clone();
         for op in c.ops().iter().rev() {
-            Circuit::apply_op_inverse(op, &mut undone, &[], &[]);
+            let (_, inv) = Circuit::resolve_inverse(op, &[], &[]);
+            Circuit::apply_inverse(op, inv.as_ref(), &mut undone);
         }
         assert!(undone.approx_eq(&StateVector::new(3), 1e-12));
     }

@@ -3,17 +3,25 @@
 //! Three independent ways to compute `d⟨O⟩/dθ` for every trainable parameter
 //! **and** every encoded input of a [`Circuit`]:
 //!
-//! * [`adjoint`] — reverse-pass differentiation in O(gates · 2ⁿ) with three
-//!   statevectors of working memory. Exact (no shots, no truncation). This is
-//!   what hybrid training uses.
+//! * [`adjoint`] — reverse-pass differentiation in O(gates · 2ⁿ) per
+//!   observable with three statevectors of working memory. Exact (no shots,
+//!   no truncation). It returns the full `n_obs × n_params` Jacobian and is
+//!   the oracle the examples, the benchmarks and the property tests use.
+//! * [`adjoint_vjp`] — the same reverse pass seeded with the weighted sum
+//!   `λ = Σ_o w_o·O_o|ψ⟩`, returning the vector-Jacobian product
+//!   `Σ_o w_o·d⟨O_o⟩/dθ` from **one** sweep instead of one per observable.
+//!   This is what hybrid training uses: the loss is scalar, so the upstream
+//!   gradient can be contracted before the sweep rather than after it.
 //! * [`parameter_shift`] — the hardware-compatible two-term shift rule,
 //!   `dE/dθ = (E(θ+π/2) − E(θ−π/2))/2`, costing two circuit executions per
-//!   parametrized gate. Used to cross-check `adjoint` and for the
+//!   parametrized gate. Used to cross-check the adjoint engines and for the
 //!   gradient-cost ablation.
 //! * [`finite_diff`] — central differences; a test oracle only.
 //!
-//! All three agree to numerical precision on every supported circuit, which
-//! the test-suite and the workspace's property tests enforce.
+//! Both adjoint engines drive one private reverse-sweep routine; [`adjoint`]
+//! is a loop of one-hot seeds over it. All engines agree to numerical
+//! precision on every supported circuit, which the test-suite and the
+//! workspace's property tests enforce.
 
 use hqnn_tensor::Matrix;
 
@@ -35,14 +43,27 @@ pub struct Gradients {
     pub d_inputs: Matrix,
 }
 
+/// A vector-Jacobian product for one circuit evaluation: the observable
+/// axis of the Jacobian contracted with a weight vector `w`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Vjp {
+    /// `Σ_o w_o · d⟨O_o⟩ / dθ_t` — one entry per trainable slot.
+    pub d_params: Vec<f64>,
+    /// `Σ_o w_o · d⟨O_o⟩ / dx_i` — one entry per input slot.
+    pub d_inputs: Vec<f64>,
+}
+
 /// Computes expectations and gradients with the adjoint method.
 ///
 /// One forward pass builds the final state; then, per observable, a single
-/// reverse sweep walks the circuit backwards, un-applying each gate and
-/// accumulating `2·Re⟨λ|dU|ψ⟩` for every differentiable gate. Gradients are
-/// produced for both [`ParamSource::Trainable`] and [`ParamSource::Input`]
-/// slots, so a classical layer feeding the encoding can be backpropagated
-/// into.
+/// reverse sweep seeded with `λ = O|ψ⟩` walks the circuit backwards,
+/// un-applying each gate and accumulating `2·Re⟨λ|dU|ψ⟩` for every
+/// differentiable gate. Gradients are produced for both
+/// [`ParamSource::Trainable`] and [`ParamSource::Input`] slots, so a
+/// classical layer feeding the encoding can be backpropagated into.
+///
+/// Training needs only the contraction of this Jacobian with the upstream
+/// gradient — [`adjoint_vjp`] computes that from one sweep.
 ///
 /// # Panics
 ///
@@ -62,54 +83,134 @@ pub fn adjoint(
         d_params: Matrix::zeros(n_obs, circuit.trainable_count()),
         d_inputs: Matrix::zeros(n_obs, circuit.input_count()),
     };
-    // The reverse sweep below un-applies the circuit op by op, so the
-    // forward state must come from the same per-op stream: gradients are
-    // bitwise identical whether or not gate fusion is enabled.
+    // The reverse sweep un-applies the circuit op by op, so the forward
+    // state must come from the same per-op stream: gradients are bitwise
+    // identical whether or not gate fusion is enabled.
     let final_state = circuit.run_unfused(inputs, params);
 
     for (o, obs) in observables.iter().enumerate() {
         grads.expectations.push(obs.expectation(&final_state));
-
-        let mut psi = final_state.clone();
         let mut lambda = final_state.clone();
         obs.apply_to(&mut lambda);
-        // One scratch state reused across the reverse sweep: refilling it
-        // copies the same bits `psi.clone()` would, without reallocating
-        // 2^n amplitudes per differentiable gate.
-        let mut mu = final_state.clone();
-
-        for op in circuit.ops().iter().rev() {
-            // ψ ← U† ψ : recover the pre-gate state.
-            Circuit::apply_op_inverse(op, &mut psi, inputs, params);
-
-            if op.param.is_differentiable() {
-                let theta = op.param.resolve(inputs, params);
-                let dm = op
-                    .kind
-                    .dmatrix(theta)
-                    // lint:allow(panic): grad loop only visits parametrized ops
-                    .expect("differentiable op must be parametrized");
-                mu.copy_amps_from(&psi);
-                match op.wires {
-                    Wires::One(w) => mu.apply_single(&dm, w),
-                    Wires::Two(c, t) => {
-                        // d(controlled-U)/dθ acts as |1⟩⟨1| ⊗ dU.
-                        mu.apply_controlled_projected(&dm, c, t);
-                    }
-                }
-                let g = 2.0 * lambda.inner(&mu).re;
-                match op.param {
-                    ParamSource::Trainable(i) => grads.d_params[(o, i)] += g,
-                    ParamSource::Input(i) => grads.d_inputs[(o, i)] += g,
-                    _ => unreachable!("is_differentiable filtered the rest"),
-                }
-            }
-
-            // λ ← U† λ.
-            Circuit::apply_op_inverse(op, &mut lambda, inputs, params);
-        }
+        reverse_sweep(
+            circuit,
+            inputs,
+            params,
+            &final_state,
+            lambda,
+            grads.d_params.row_mut(o),
+            grads.d_inputs.row_mut(o),
+        );
     }
     grads
+}
+
+/// Computes the vector-Jacobian product `Σ_o w_o · d⟨O_o⟩/d(θ, x)` with a
+/// single adjoint sweep.
+///
+/// The adjoint gradient `2·Re⟨λ|dU|ψ⟩` is linear in the seed `λ`, so seeding
+/// the sweep with `λ = Σ_o w_o·O_o|ψ⟩` yields the contracted gradient
+/// directly: one forward re-simulation, one Pauli application per nonzero
+/// weight, and one reverse sweep — independent of the observable count.
+/// Observables whose weight is exactly `0` are skipped. Agrees with the
+/// [`adjoint`] Jacobian contracted by `weights` to rounding (the observable
+/// sum is re-associated), and bit for bit when `weights` is one-hot.
+///
+/// # Panics
+///
+/// As for [`adjoint`]; additionally if `weights.len() != observables.len()`.
+pub fn adjoint_vjp(
+    circuit: &Circuit,
+    inputs: &[f64],
+    params: &[f64],
+    observables: &[Observable],
+    weights: &[f64],
+) -> Vjp {
+    assert_eq!(
+        weights.len(),
+        observables.len(),
+        "one weight per observable"
+    );
+    let _span = hqnn_telemetry::span("qsim.adjoint");
+    hqnn_telemetry::counter("qsim.adjoint_passes", 1);
+    let mut vjp = Vjp {
+        d_params: vec![0.0; circuit.trainable_count()],
+        d_inputs: vec![0.0; circuit.input_count()],
+    };
+    let final_state = circuit.run_unfused(inputs, params);
+
+    let mut lambda = StateVector::zeroed(circuit.n_qubits());
+    let mut term = final_state.clone();
+    for (obs, &w) in observables.iter().zip(weights) {
+        if w == 0.0 {
+            continue;
+        }
+        term.copy_amps_from(&final_state);
+        obs.apply_to(&mut term);
+        lambda.add_scaled(w, &term);
+    }
+    reverse_sweep(
+        circuit,
+        inputs,
+        params,
+        &final_state,
+        lambda,
+        &mut vjp.d_params,
+        &mut vjp.d_inputs,
+    );
+    vjp
+}
+
+/// The adjoint reverse sweep shared by [`adjoint`] and [`adjoint_vjp`].
+///
+/// Starting from the circuit's final state `ψ` and the seed `λ`, walks the
+/// ops backwards: `ψ ← U†ψ` recovers each gate's input state, every
+/// differentiable gate adds `2·Re⟨λ|dU|ψ⟩` to its slot in `d_params` or
+/// `d_inputs`, and `λ ← U†λ` carries the seed along.
+fn reverse_sweep(
+    circuit: &Circuit,
+    inputs: &[f64],
+    params: &[f64],
+    final_state: &StateVector,
+    mut lambda: StateVector,
+    d_params: &mut [f64],
+    d_inputs: &mut [f64],
+) {
+    let mut psi = final_state.clone();
+    // One scratch state reused across the sweep: refilling it copies the
+    // same bits `psi.clone()` would, without reallocating 2^n amplitudes
+    // per differentiable gate.
+    let mut mu = final_state.clone();
+
+    for op in circuit.ops().iter().rev() {
+        // U† is resolved once and un-applied from both ψ and λ.
+        let (theta, inv) = Circuit::resolve_inverse(op, inputs, params);
+        Circuit::apply_inverse(op, inv.as_ref(), &mut psi);
+
+        if op.param.is_differentiable() {
+            let dm = op
+                .kind
+                .dmatrix(theta)
+                // lint:allow(panic): grad loop only visits parametrized ops
+                .expect("differentiable op must be parametrized");
+            mu.copy_amps_from(&psi);
+            match op.wires {
+                Wires::One(w) => mu.apply_single(&dm, w),
+                Wires::Two(c, t) => {
+                    // d(controlled-U)/dθ acts as |1⟩⟨1| ⊗ dU.
+                    mu.apply_controlled_projected(&dm, c, t);
+                }
+            }
+            let g = 2.0 * lambda.inner(&mu).re;
+            match op.param {
+                ParamSource::Trainable(i) => d_params[i] += g,
+                ParamSource::Input(i) => d_inputs[i] += g,
+                _ => unreachable!("is_differentiable filtered the rest"),
+            }
+        }
+
+        Circuit::apply_inverse(op, inv.as_ref(), &mut lambda);
+    }
 }
 
 /// Computes expectations and gradients with the two-term parameter-shift rule.

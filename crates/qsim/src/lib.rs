@@ -8,11 +8,15 @@
 //! [`ansatz::strongly_entangling_layers`] (SEL) — and two independent
 //! differentiation engines:
 //!
-//! * [`gradient::adjoint`] — O(gates · 2ⁿ) reverse-pass differentiation, used
-//!   in training (this is what makes hybrid backprop tractable), and
+//! * [`gradient::adjoint_vjp`] — O(gates · 2ⁿ) reverse-pass differentiation
+//!   of the loss-weighted observable sum, one sweep per sample. This is the
+//!   training path ([`batch::vjp_batch`]), and what makes hybrid backprop
+//!   tractable; [`gradient::adjoint`] runs the same sweep once per
+//!   observable to return the full Jacobian, the oracle the examples,
+//!   benchmarks and property tests use, and
 //! * [`gradient::parameter_shift`] — the textbook two-term shift rule, used to
-//!   cross-check the adjoint implementation and for the gradient-cost
-//!   ablation bench.
+//!   cross-check the adjoint engines and for the gradient-cost ablation
+//!   bench.
 //!
 //! Qubit ordering is **little-endian**: wire `q` corresponds to bit `q` of the
 //! amplitude index, so `|q1 q0⟩ = |10⟩` is amplitude index `2`.
@@ -51,14 +55,14 @@ pub mod state;
 pub mod verify;
 
 pub use ansatz::{EntanglerKind, QnnTemplate, RotationAxis};
-pub use batch::{gradients_batch, GradEngine};
+pub use batch::{gradients_batch, vjp_batch, GradEngine};
 pub use batch_state::BatchState;
 pub use circuit::{Circuit, Op, ParamSource, Wires};
 pub use complex::C64;
 pub use density::DensityMatrix;
 pub use fuse::{fusion_enabled, fusion_level, with_fusion, with_fusion_level, FusePlan};
 pub use gates::GateKind;
-pub use gradient::{adjoint, finite_diff, parameter_shift, Gradients};
+pub use gradient::{adjoint, adjoint_vjp, finite_diff, parameter_shift, Gradients, Vjp};
 pub use noise::{NoiseChannel, NoiseModel};
 pub use observable::{Observable, Pauli};
 pub use state::StateVector;

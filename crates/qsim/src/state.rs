@@ -269,6 +269,24 @@ impl StateVector {
         self.amps.copy_from_slice(&other.amps);
     }
 
+    /// The all-zero (unnormalised) vector on `n_qubits` qubits — the empty
+    /// accumulator [`crate::gradient::adjoint_vjp`] sums its seed into.
+    pub(crate) fn zeroed(n_qubits: usize) -> Self {
+        Self::from_raw(n_qubits, vec![C64::ZERO; 1 << n_qubits])
+    }
+
+    /// `self ← self + w·other`, amplitude by amplitude.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two states have different qubit counts.
+    pub(crate) fn add_scaled(&mut self, w: f64, other: &Self) {
+        assert_eq!(self.n_qubits, other.n_qubits, "qubit count mismatch");
+        for (a, b) in self.amps.iter_mut().zip(&other.amps) {
+            *a += b.scale(w);
+        }
+    }
+
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits

@@ -6,8 +6,8 @@
 //! `HQNN_THREADS` does.
 
 use hqnn_qsim::{
-    gradients_batch, with_fusion, Circuit, EntanglerKind, GradEngine, Observable, ParamSource,
-    QnnTemplate,
+    gradients_batch, vjp_batch, with_fusion, Circuit, EntanglerKind, GradEngine, Observable,
+    ParamSource, QnnTemplate,
 };
 use hqnn_tensor::Matrix;
 use proptest::prelude::*;
@@ -131,24 +131,41 @@ proptest! {
     #[test]
     fn gradients_batch_bitwise_matches_sequential((c, params, x) in scenario()) {
         let obs = z_all(c.n_qubits());
-        for engine in [GradEngine::Adjoint, GradEngine::ParameterShift] {
-            let seq: Vec<_> = (0..x.rows())
-                .map(|r| match engine {
-                    GradEngine::Adjoint => hqnn_qsim::adjoint(&c, x.row(r), &params, &obs),
-                    _ => hqnn_qsim::parameter_shift(&c, x.row(r), &params, &obs),
-                })
-                .collect();
-            for threads in THREADS {
-                let got = hqnn_runtime::with_threads(threads, || {
-                    gradients_batch(&c, engine, &x, &params, &obs)
-                });
-                prop_assert_eq!(got.len(), seq.len());
-                for (r, (g, s)) in got.iter().zip(&seq).enumerate() {
-                    // Gradients derives PartialEq over exact f64s: equality
-                    // here *is* the bitwise claim (no NaNs in these circuits).
-                    prop_assert_eq!(g, s, "engine={:?} threads={} row={}", engine, threads, r);
-                }
+        let seq: Vec<_> = (0..x.rows())
+            .map(|r| hqnn_qsim::parameter_shift(&c, x.row(r), &params, &obs))
+            .collect();
+        for threads in THREADS {
+            let got = hqnn_runtime::with_threads(threads, || {
+                gradients_batch(&c, GradEngine::ParameterShift, &x, &params, &obs)
+            });
+            prop_assert_eq!(got.len(), seq.len());
+            for (r, (g, s)) in got.iter().zip(&seq).enumerate() {
+                // Gradients derives PartialEq over exact f64s: equality
+                // here *is* the bitwise claim (no NaNs in these circuits).
+                prop_assert_eq!(g, s, "threads={} row={}", threads, r);
             }
+        }
+    }
+
+    #[test]
+    fn vjp_batch_bitwise_matches_sequential((c, params, x) in scenario()) {
+        let obs = z_all(c.n_qubits());
+        // Deterministic upstream gradients with an exact zero in the mix.
+        let w = Matrix::from_vec(
+            x.rows(),
+            obs.len(),
+            (0..x.rows() * obs.len())
+                .map(|i| if i % 5 == 3 { 0.0 } else { (i as f64 * 0.37).sin() })
+                .collect(),
+        );
+        let seq: Vec<_> = (0..x.rows())
+            .map(|r| hqnn_qsim::adjoint_vjp(&c, x.row(r), &params, &obs, w.row(r)))
+            .collect();
+        for threads in THREADS {
+            let got = hqnn_runtime::with_threads(threads, || vjp_batch(&c, &x, &params, &obs, &w));
+            // `Vjp` derives PartialEq over exact f64s: equality is the
+            // bitwise claim.
+            prop_assert_eq!(&got, &seq, "threads={}", threads);
         }
     }
 
@@ -199,17 +216,26 @@ proptest! {
         (c, params, x) in template_scenario()
     ) {
         let obs = z_all(c.n_qubits());
-        for engine in [GradEngine::Adjoint, GradEngine::ParameterShift] {
-            let off = with_fusion(false, || gradients_batch(&c, engine, &x, &params, &obs));
-            for threads in THREADS {
-                let on = hqnn_runtime::with_threads(threads, || {
-                    with_fusion(true, || gradients_batch(&c, engine, &x, &params, &obs))
-                });
-                prop_assert_eq!(on.len(), off.len());
-                for (r, (g, s)) in on.iter().zip(&off).enumerate() {
-                    prop_assert_eq!(g, s, "engine={:?} threads={} row={}", engine, threads, r);
-                }
+        let engine = GradEngine::ParameterShift;
+        let w = Matrix::from_vec(
+            x.rows(),
+            obs.len(),
+            (0..x.rows() * obs.len()).map(|i| (i as f64 * 0.53).cos()).collect(),
+        );
+        let off = with_fusion(false, || gradients_batch(&c, engine, &x, &params, &obs));
+        let vjp_off = with_fusion(false, || vjp_batch(&c, &x, &params, &obs, &w));
+        for threads in THREADS {
+            let on = hqnn_runtime::with_threads(threads, || {
+                with_fusion(true, || gradients_batch(&c, engine, &x, &params, &obs))
+            });
+            prop_assert_eq!(on.len(), off.len());
+            for (r, (g, s)) in on.iter().zip(&off).enumerate() {
+                prop_assert_eq!(g, s, "threads={} row={}", threads, r);
             }
+            let vjp_on = hqnn_runtime::with_threads(threads, || {
+                with_fusion(true, || vjp_batch(&c, &x, &params, &obs, &w))
+            });
+            prop_assert_eq!(&vjp_on, &vjp_off, "vjp threads={}", threads);
         }
     }
 }

@@ -144,6 +144,16 @@ impl ExperimentConfig {
     }
 }
 
+/// Version of the numeric code paths a study's results depend on. Bumped
+/// whenever a change moves trained results in the last bits (a declared
+/// one-time bit change), so a cached study computed by older numerics is
+/// recognised as stale instead of being mixed into new figures.
+///
+/// - 0: studies saved before the stamp existed.
+/// - 1: hybrid training backpropagates through the vector-Jacobian adjoint
+///   (`hqnn_qsim::adjoint_vjp`), which re-associates the observable sum.
+pub const NUMERICS_VERSION: u32 = 1;
+
 /// The collected outcome of the study: one [`LevelResult`] per complexity
 /// level per family that was run (empty `Vec` for families not yet run).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -160,6 +170,10 @@ pub struct StudyResult {
     /// profile, thread count, …). `None` in studies cached before manifests
     /// existed — `Option` keeps old JSON loadable.
     pub manifest: Option<hqnn_telemetry::RunManifest>,
+    /// The [`NUMERICS_VERSION`] the results were computed with; 0 in
+    /// studies saved before the stamp existed.
+    #[serde(default)]
+    pub numerics: u32,
 }
 
 impl StudyResult {
@@ -171,6 +185,7 @@ impl StudyResult {
             hybrid_bel: Vec::new(),
             hybrid_sel: Vec::new(),
             manifest: None,
+            numerics: NUMERICS_VERSION,
         }
     }
 
@@ -326,7 +341,8 @@ impl StudyResult {
         }
     }
 
-    /// Serialises the study as pretty JSON.
+    /// Serialises the study as pretty JSON, atomically (temp file + rename)
+    /// so a killed run never leaves a truncated cache behind.
     ///
     /// # Errors
     ///
@@ -336,7 +352,7 @@ impl StudyResult {
         if let Some(parent) = path.as_ref().parent() {
             fs::create_dir_all(parent)?;
         }
-        fs::write(path, json)
+        hqnn_telemetry::write_atomic(path, json)
     }
 
     /// Loads a study previously written by [`StudyResult::save`].

@@ -43,7 +43,7 @@ pub const REGISTRY: &[EnvVar] = &[
     EnvVar {
         name: "HQNN_LOG",
         purpose: "console log level for telemetry events",
-        accepted: "off|error|info|debug|trace",
+        accepted: "off|error|warn|info|debug|trace",
     },
     EnvVar {
         name: "HQNN_THREADS",

@@ -10,9 +10,10 @@ use std::str::FromStr;
 pub enum Level {
     Off = 0,
     Error = 1,
-    Info = 2,
-    Debug = 3,
-    Trace = 4,
+    Warn = 2,
+    Info = 3,
+    Debug = 4,
+    Trace = 5,
 }
 
 impl Level {
@@ -20,8 +21,9 @@ impl Level {
         match v {
             0 => Level::Off,
             1 => Level::Error,
-            2 => Level::Info,
-            3 => Level::Debug,
+            2 => Level::Warn,
+            3 => Level::Info,
+            4 => Level::Debug,
             _ => Level::Trace,
         }
     }
@@ -30,6 +32,7 @@ impl Level {
         match self {
             Level::Off => "off",
             Level::Error => "error",
+            Level::Warn => "warn",
             Level::Info => "info",
             Level::Debug => "debug",
             Level::Trace => "trace",
@@ -43,7 +46,7 @@ impl fmt::Display for Level {
     }
 }
 
-/// Parses the `HQNN_LOG` syntax: `off|error|info|debug|trace`.
+/// Parses the `HQNN_LOG` syntax: `off|error|warn|info|debug|trace`.
 impl FromStr for Level {
     type Err = String;
 
@@ -51,11 +54,12 @@ impl FromStr for Level {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "none" | "0" => Ok(Level::Off),
             "error" => Ok(Level::Error),
+            "warn" | "warning" => Ok(Level::Warn),
             "info" => Ok(Level::Info),
             "debug" => Ok(Level::Debug),
             "trace" => Ok(Level::Trace),
             other => Err(format!(
-                "unknown log level `{other}` (expected off|error|info|debug|trace)"
+                "unknown log level `{other}` (expected off|error|warn|info|debug|trace)"
             )),
         }
     }

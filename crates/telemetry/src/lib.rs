@@ -18,7 +18,7 @@
 //!   exit — parallel hot loops never contend on a global lock.
 //! - **Events** ([`event`]): leveled, structured records dispatched to
 //!   pluggable [`Sink`]s — a human-readable stderr logger (level set by the
-//!   `HQNN_LOG` env var: `off|error|info|debug|trace`), a JSONL file sink for
+//!   `HQNN_LOG` env var: `off|error|warn|info|debug|trace`), a JSONL file sink for
 //!   machine-readable run logs, and an in-memory sink for tests.
 //! - **Reports** ([`report`]): an indented span-tree profile with self vs.
 //!   cumulative time, designed to be printed at the end of a bench binary.
@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 
 pub mod alloc;
+pub mod artifact;
 pub mod env;
 mod event;
 pub mod hist;
@@ -53,6 +54,7 @@ mod sink;
 mod span;
 pub mod trace;
 
+pub use artifact::write_atomic;
 pub use event::{Event, FieldValue, Level};
 pub use manifest::{config_hash, RunManifest};
 pub use registry::{CounterSnapshot, Snapshot, SpanStats};
@@ -401,7 +403,7 @@ mod tests {
             let rendered = warnings[0].human_readable();
             assert!(rendered.contains("verbose"), "names the bad value");
             assert!(
-                rendered.contains("off|error|info|debug|trace"),
+                rendered.contains("off|error|warn|info|debug|trace"),
                 "lists accepted levels"
             );
             // Re-applying (e.g. another lazy init after reset) must not spam.

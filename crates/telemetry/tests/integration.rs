@@ -210,6 +210,7 @@ fn env_var_levels_parse() {
     for (s, expected) in [
         ("off", telemetry::Level::Off),
         ("error", telemetry::Level::Error),
+        ("warn", telemetry::Level::Warn),
         ("info", telemetry::Level::Info),
         ("debug", telemetry::Level::Debug),
         ("trace", telemetry::Level::Trace),
