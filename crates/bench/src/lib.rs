@@ -196,7 +196,7 @@ impl Cli {
     pub fn finish(&self) {
         telemetry::flush();
         if let Some(path) = &self.trace_out {
-            match std::fs::write(path, telemetry::trace::chrome_trace_json()) {
+            match telemetry::write_atomic(path, telemetry::trace::chrome_trace_json()) {
                 Ok(()) => telemetry::event(
                     telemetry::Level::Info,
                     "trace.written",
@@ -215,7 +215,7 @@ impl Cli {
                 ),
             }
             let folded = path.with_extension("folded");
-            if let Err(e) = std::fs::write(&folded, telemetry::trace::collapsed_stacks()) {
+            if let Err(e) = telemetry::write_atomic(&folded, telemetry::trace::collapsed_stacks()) {
                 telemetry::event(
                     telemetry::Level::Error,
                     "trace.write_failed",
@@ -238,9 +238,10 @@ impl Cli {
     }
 
     /// Loads the cached study if compatible, otherwise starts a fresh one.
-    /// A cache computed under another configuration or another
-    /// [`NUMERICS_VERSION`] is stale: a warn-level `bench.cache_stale`
-    /// event names the differing field with its cached and current values.
+    /// A cache computed under another configuration, another
+    /// [`NUMERICS_VERSION`] or another gate-fusion level is stale: a
+    /// warn-level `bench.cache_stale` event names the differing field
+    /// (`config`, `numerics` or `fusion`) with its cached and current values.
     /// A cache file that exists but does not parse (truncated write,
     /// hand edit) also starts fresh, after a `bench.cache_unreadable`
     /// error event naming the path and the parse error.
@@ -322,6 +323,10 @@ fn stale_field(
             NUMERICS_VERSION.to_string(),
         ));
     }
+    let level = hqnn_qsim::fusion_level();
+    if study.fusion_level != level {
+        return Some(("fusion", study.fusion_level.to_string(), level.to_string()));
+    }
     None
 }
 
@@ -375,11 +380,12 @@ pub fn ensure_families(study: &mut StudyResult, families: &[Family]) -> Option<S
     Some(study.run_study_sharded(&missing, &mut |_, _, _, _| {}))
 }
 
-/// Writes a generated artifact (markdown report, CSV export) and reports
-/// the outcome as a telemetry event; failures warn rather than abort, since
-/// the stdout tables are the primary output.
+/// Writes a generated artifact (markdown report, CSV export) atomically —
+/// an existing file is replaced whole or left untouched — and reports the
+/// outcome as a telemetry event; failures warn rather than abort, since the
+/// stdout tables are the primary output.
 pub fn write_artifact(path: &std::path::Path, contents: &str) {
-    match std::fs::write(path, contents) {
+    match telemetry::write_atomic(path, contents) {
         Ok(()) => telemetry::event(
             telemetry::Level::Info,
             "bench.artifact",
@@ -537,6 +543,70 @@ mod tests {
             field(&stale[0], "new"),
             Some(&hash(&ExperimentConfig::smoke()))
         );
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+    }
+
+    #[test]
+    fn load_study_treats_another_fusion_level_as_stale() {
+        let cli = smoke_cli_in_temp_dir("other-fusion-cache");
+        let mut cached = StudyResult::new(ExperimentConfig::smoke());
+        cached.fusion_level = 1;
+        cached.run_classical();
+        cached.save(cli.study_path()).expect("save cache");
+        let mem = telemetry::add_memory_sink();
+        let study = hqnn_qsim::with_fusion_level(2, || cli.load_study());
+        assert!(study.classical.is_empty(), "stale cache must not be reused");
+        assert_eq!(study.fusion_level, 2);
+        let stale = cache_events(&mem, &cli, "bench.cache_stale");
+        assert_eq!(stale.len(), 1, "one stale event");
+        assert_eq!(stale[0].level, telemetry::Level::Warn);
+        let s = |v: &str| telemetry::FieldValue::Str(v.to_string());
+        assert_eq!(field(&stale[0], "field"), Some(&s("fusion")));
+        assert_eq!(field(&stale[0], "old"), Some(&s("1")));
+        assert_eq!(field(&stale[0], "new"), Some(&s("2")));
+        assert!(cache_events(&mem, &cli, "bench.cache_hit").is_empty());
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+    }
+
+    #[test]
+    fn load_study_reuses_a_cache_at_its_own_fusion_level() {
+        let cli = smoke_cli_in_temp_dir("same-fusion-cache");
+        let mut cached =
+            hqnn_qsim::with_fusion_level(2, || StudyResult::new(ExperimentConfig::smoke()));
+        assert_eq!(cached.fusion_level, 2);
+        cached.run_classical();
+        cached.save(cli.study_path()).expect("save cache");
+        let mem = telemetry::add_memory_sink();
+        let study = hqnn_qsim::with_fusion_level(2, || cli.load_study());
+        assert_eq!(study, cached, "a cache at the current level is a hit");
+        assert_eq!(cache_events(&mem, &cli, "bench.cache_hit").len(), 1);
+        assert!(cache_events(&mem, &cli, "bench.cache_stale").is_empty());
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+    }
+
+    #[test]
+    fn a_cache_without_fusion_stamp_loads_as_level_zero() {
+        let cli = smoke_cli_in_temp_dir("unstamped-fusion-cache");
+        let cached =
+            hqnn_qsim::with_fusion_level(0, || StudyResult::new(ExperimentConfig::smoke()));
+        let mut json = serde_json::to_value(&cached).expect("study serializes");
+        if let serde_json::Value::Map(fields) = &mut json {
+            let before = fields.len();
+            fields.retain(|(k, _)| k != "fusion_level");
+            assert_eq!(fields.len(), before - 1, "the stamp is serialized");
+        }
+        std::fs::write(
+            cli.study_path(),
+            serde_json::to_string_pretty(&json).unwrap(),
+        )
+        .expect("write unstamped cache");
+        let loaded = StudyResult::load(cli.study_path()).expect("old JSON loads");
+        assert_eq!(loaded.fusion_level, 0);
+        assert_eq!(loaded, cached);
+        let mem = telemetry::add_memory_sink();
+        let study = hqnn_qsim::with_fusion_level(0, || cli.load_study());
+        assert_eq!(study, cached, "an unstamped cache is current at level 0");
+        assert_eq!(cache_events(&mem, &cli, "bench.cache_hit").len(), 1);
         let _ = std::fs::remove_dir_all(&cli.cache_dir);
     }
 

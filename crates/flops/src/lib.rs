@@ -314,13 +314,15 @@ impl CostModel {
     }
 
     /// The adjoint backward cost of one sample, as `hqnn-qsim`'s training
-    /// path (`adjoint_vjp`) executes it, independent of the configured
-    /// convention: one forward re-simulation; per observable, one Pauli
-    /// application to seed `λ = Σ_o w_o·O_o|ψ⟩` plus accumulating it into
-    /// the sum; then a single reverse sweep in which every gate is
-    /// un-applied twice (`ψ` and `λ`) and every differentiated gate adds a
-    /// `dU` application plus a state inner product. Encoding gates' share
-    /// is attributed to encoding; the rest to the quantum layer.
+    /// path (`vjp_batch`; `adjoint_vjp` on one row) executes it,
+    /// independent of the configured convention: one forward
+    /// re-simulation; per observable, one Pauli application to seed
+    /// `λ = Σ_o w_o·O_o|ψ⟩` plus accumulating it into the sum; then a
+    /// single reverse sweep in which every gate is un-applied twice (`ψ`
+    /// and `λ`) and every differentiated gate adds a `dU` application plus
+    /// a state inner product — computed as one fused `⟨λ|dU|ψ⟩` pass with
+    /// the same multiply-adds. Encoding gates' share is attributed to
+    /// encoding; the rest to the quantum layer.
     pub fn circuit_backward_adjoint(
         &self,
         census: &OpCensus,

@@ -158,7 +158,7 @@ fn run_trend(dir: &PathBuf, out: Option<&PathBuf>) -> ! {
             dir.display()
         );
         if let Some(path) = out {
-            if let Err(e) = std::fs::write(path, "no history yet\n") {
+            if let Err(e) = telemetry::write_atomic(path, "no history yet\n") {
                 eprintln!("could not write trend report {}: {e}", path.display());
                 exit(1);
             }
@@ -169,7 +169,7 @@ fn run_trend(dir: &PathBuf, out: Option<&PathBuf>) -> ! {
     let rendered = trend::render(&trends);
     print!("{rendered}");
     if let Some(path) = out {
-        if let Err(e) = std::fs::write(path, &rendered) {
+        if let Err(e) = telemetry::write_atomic(path, &rendered) {
             eprintln!("could not write trend report {}: {e}", path.display());
             exit(1);
         }
@@ -304,11 +304,11 @@ fn main() {
 
     telemetry::flush();
     if let Some(path) = &args.trace_out {
-        if let Err(e) = std::fs::write(path, telemetry::trace::chrome_trace_json()) {
+        if let Err(e) = telemetry::write_atomic(path, telemetry::trace::chrome_trace_json()) {
             eprintln!("could not write trace {}: {e}", path.display());
         }
         let folded = path.with_extension("folded");
-        if let Err(e) = std::fs::write(&folded, telemetry::trace::collapsed_stacks()) {
+        if let Err(e) = telemetry::write_atomic(&folded, telemetry::trace::collapsed_stacks()) {
             eprintln!("could not write {}: {e}", folded.display());
         }
     }

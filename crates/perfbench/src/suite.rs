@@ -12,8 +12,8 @@ use hqnn_core::{ClassicalSpec, HybridSpec};
 use hqnn_flops::CostModel;
 use hqnn_nn::{one_hot, Adam, SoftmaxCrossEntropy};
 use hqnn_qsim::{
-    adjoint, parameter_shift, with_fusion, with_fusion_level, EntanglerKind, GateKind, Observable,
-    QnnTemplate, StateVector,
+    adjoint, parameter_shift, vjp_batch, with_fusion, with_fusion_level, EntanglerKind, GateKind,
+    Observable, QnnTemplate, StateVector,
 };
 use hqnn_search::protocol::{evaluate_combo, evaluate_combo_wave, prepare_level_data};
 use hqnn_search::SearchConfig;
@@ -377,6 +377,66 @@ pub fn default_suite() -> Vec<Benchmark> {
             heavy: false,
             run: Box::new(move || {
                 black_box(adjoint(black_box(&circuit), &inputs, &params, &observables));
+            }),
+        });
+    }
+
+    // -- qsim.vjp_batch: the adjoint training seam ------------------------
+    // What `QuantumLayer::backward` runs per batch: the gate-major
+    // vector-Jacobian sweep over an 8-row batch (the training batch size) on
+    // a wide SEL and a small BEL circuit, at one thread so the number is the
+    // sweep's own cost, not the pool's.
+    {
+        const BATCH: usize = 8;
+        let mut rng = SeededRng::new(41);
+        let cases: Vec<_> = [
+            QnnTemplate::new(5, 4, EntanglerKind::Strong),
+            QnnTemplate::new(3, 2, EntanglerKind::Basic),
+        ]
+        .iter()
+        .map(|template| {
+            let circuit = template.build();
+            let n = circuit.n_qubits();
+            let inputs = Matrix::uniform(BATCH, circuit.input_count(), -1.0, 1.0, &mut rng);
+            let params: Vec<f64> = (0..circuit.trainable_count())
+                .map(|i| (i as f64 * 0.47).sin())
+                .collect();
+            let observables: Vec<Observable> = (0..n).map(Observable::z).collect();
+            let weights = Matrix::uniform(BATCH, n, -1.0, 1.0, &mut rng);
+            (circuit, inputs, params, observables, weights)
+        })
+        .collect();
+        let flops = cases
+            .iter()
+            .map(|(circuit, _, _, observables, _)| {
+                BATCH as u64
+                    * cost
+                        .circuit_backward_adjoint(
+                            &circuit.op_census(),
+                            circuit.n_qubits(),
+                            observables.len(),
+                        )
+                        .total()
+            })
+            .sum::<u64>();
+        suite.push(Benchmark {
+            id: "qsim.vjp_batch",
+            throughput_unit: "vjp-rows",
+            ops_per_iter: (cases.len() * BATCH) as u64,
+            analytic_flops_per_iter: Some(flops),
+            heavy: false,
+            run: Box::new(move || {
+                hqnn_runtime::with_threads(1, || {
+                    for (circuit, inputs, params, observables, weights) in &cases {
+                        black_box(vjp_batch(
+                            black_box(circuit),
+                            black_box(inputs),
+                            black_box(params),
+                            observables,
+                            black_box(weights),
+                        ));
+                    }
+                });
             }),
         });
     }

@@ -21,10 +21,12 @@
 //! The batch-equivalence proptests in `crates/qsim/tests/` pin that
 //! equivalence.
 //!
-//! The gradient seams — [`vjp_batch`] for the adjoint method,
-//! [`gradients_batch`] for the shift-rule engines — replay the original op
-//! stream per row, so they fan rows (not gate-major chunks) out across the
-//! pool and never fuse.
+//! [`vjp_batch`], the adjoint training seam, is gate-major too: each chunk
+//! is re-simulated through the level-0 program (never fused, so gradients
+//! do not depend on the fusion level), seeded, and swept backwards with the
+//! row-independent `U†`/`dU` resolved once per batch. The shift-rule seam
+//! [`gradients_batch`] replays the original op stream per row, so it fans
+//! rows (not gate-major chunks) out across the pool and never fuses.
 
 use hqnn_tensor::Matrix;
 
@@ -90,7 +92,7 @@ fn input_dependent(op: &Op) -> bool {
 /// input-dependent stays a per-row step. The per-row kernel sequence — and
 /// therefore every amplitude — is bitwise identical to [`FusePlan::run`]
 /// (at level 0, to [`Circuit::run_unfused`]).
-struct BatchProgram {
+pub(crate) struct BatchProgram {
     steps: Vec<SweepOp>,
     /// Gate applications each row is billed for, matching what
     /// [`Circuit::run`] bills per row (the plan's segment count, which is
@@ -109,6 +111,13 @@ impl BatchProgram {
     fn for_batch(circuit: &Circuit, params: &[f64]) -> Self {
         let plan = FusePlan::with_level(circuit, fuse::fusion_level());
         Self::compile(circuit, &plan, params)
+    }
+
+    /// Compiles the level-0 program whatever the fusion level: bitwise
+    /// [`Circuit::run_unfused`] per row. The adjoint sweep re-simulates
+    /// through it, so gradients never depend on the fusion level.
+    pub(crate) fn unfused(circuit: &Circuit, params: &[f64]) -> Self {
+        Self::compile(circuit, &FusePlan::with_level(circuit, 0), params)
     }
 
     fn compile(circuit: &Circuit, plan: &FusePlan, params: &[f64]) -> Self {
@@ -175,10 +184,7 @@ impl BatchProgram {
         }
     }
 
-    /// Sweeps the program across rows `row0 .. row0 + rows` of the batch in
-    /// one contiguous [`BatchState`]. Telemetry is emitted at chunk
-    /// granularity with the same totals a per-row [`Circuit::run`] loop
-    /// would produce.
+    /// [`Self::run_chunk`] under a `qsim.batch_sweep` span.
     fn sweep_chunk(
         &self,
         circuit: &Circuit,
@@ -188,6 +194,21 @@ impl BatchProgram {
         rows: usize,
     ) -> BatchState {
         let _span = hqnn_telemetry::span("qsim.batch_sweep");
+        self.run_chunk(circuit, inputs, params, row0, rows)
+    }
+
+    /// Sweeps the program across rows `row0 .. row0 + rows` of the batch in
+    /// one contiguous [`BatchState`]. Telemetry is emitted at chunk
+    /// granularity with the same totals a per-row [`Circuit::run`] loop
+    /// would produce.
+    pub(crate) fn run_chunk(
+        &self,
+        circuit: &Circuit,
+        inputs: &Matrix,
+        params: &[f64],
+        row0: usize,
+        rows: usize,
+    ) -> BatchState {
         hqnn_telemetry::counter("qsim.circuit_runs", rows as u64);
         hqnn_telemetry::counter("qsim.gate_applies", self.applies_per_row * rows as u64);
         if self.collapsed_per_row > 0 {
@@ -336,7 +357,7 @@ impl Circuit {
         out
     }
 
-    fn check_batch(&self, inputs: &Matrix, params: &[f64]) {
+    pub(crate) fn check_batch(&self, inputs: &Matrix, params: &[f64]) {
         assert!(
             inputs.cols() >= self.input_count(),
             "batch rows bind {} inputs, circuit expects {}",
@@ -385,13 +406,17 @@ pub fn gradients_batch(
 /// Computes the adjoint vector-Jacobian product ([`gradient::adjoint_vjp`])
 /// for every row of `inputs`, weighting observable `o` of row `r` by
 /// `weights[(r, o)]`; returned in row order, bitwise identical to calling
-/// the engine per row at any `HQNN_THREADS`. This is the training seam: one
-/// reverse sweep per row, rows fanned out across the pool.
+/// the engine per row at any `HQNN_THREADS`. This is the training seam.
+///
+/// It runs gate-major like [`Circuit::run_batch`]: the row-independent
+/// `U†`/`dU` matrices are resolved once per batch, and each chunk of rows
+/// is re-simulated, seeded and swept backwards in contiguous
+/// [`BatchState`]s, chunks fanned out across the pool.
 ///
 /// # Panics
 ///
-/// As for [`gradient::adjoint_vjp`]; additionally if `weights` is not
-/// `(inputs.rows(), observables.len())`.
+/// As for [`Circuit::run_batch`] and [`gradient::adjoint_vjp`];
+/// additionally if `weights` is not `(inputs.rows(), observables.len())`.
 pub fn vjp_batch(
     circuit: &Circuit,
     inputs: &Matrix,
@@ -404,10 +429,17 @@ pub fn vjp_batch(
         (inputs.rows(), observables.len()),
         "one weight per row and observable"
     );
+    circuit.check_batch(inputs, params);
     let _span = hqnn_telemetry::span("qsim.vjp_batch");
-    hqnn_runtime::par_map_range(inputs.rows(), |r| {
-        gradient::adjoint_vjp(circuit, inputs.row(r), params, observables, weights.row(r))
-    })
+    let program = gradient::AdjointProgram::compile(circuit, params);
+    let chunk = chunk_rows_for(circuit.n_qubits());
+    let n_chunks = inputs.rows().div_ceil(chunk);
+    let chunks = hqnn_runtime::par_map_range(n_chunks, |c| {
+        let row0 = c * chunk;
+        let rows = chunk.min(inputs.rows() - row0);
+        program.vjp_chunk(inputs, observables, weights, row0, rows)
+    });
+    chunks.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -50,6 +50,28 @@ impl BatchState {
         }
     }
 
+    /// Allocates `rows` all-zero (unnormalised) rows — the accumulator the
+    /// adjoint sweep sums each row's seed `λ = Σ_o w_o·O_o|ψ⟩` into.
+    pub(crate) fn zeroed(n_qubits: usize, rows: usize) -> Self {
+        let mut batch = Self::new(n_qubits, rows);
+        batch.amps.fill(C64::ZERO);
+        batch
+    }
+
+    /// Overwrites every row with `other`'s amplitudes without reallocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two chunks differ in shape.
+    pub(crate) fn copy_from(&mut self, other: &Self) {
+        assert_eq!(
+            (self.n_qubits, self.rows),
+            (other.n_qubits, other.rows),
+            "batch shape mismatch"
+        );
+        self.amps.copy_from_slice(&other.amps);
+    }
+
     /// Number of qubits per row.
     pub fn n_qubits(&self) -> usize {
         self.n_qubits

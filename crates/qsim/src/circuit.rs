@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::gates::{GateKind, Matrix2};
+use crate::gates::GateKind;
 use crate::observable::Observable;
 use crate::state::StateVector;
 use crate::MAX_QUBITS;
@@ -304,34 +304,6 @@ impl Circuit {
         }
     }
 
-    /// Resolves the inverse of one op once, so the adjoint sweep can
-    /// un-apply it from several states without recomputing its matrix.
-    /// Returns the angle `θ` the op was resolved at (0 when unparametrized)
-    /// and `U(θ)†` — `None` for SWAP, which is self-inverse.
-    pub(crate) fn resolve_inverse(
-        op: &Op,
-        inputs: &[f64],
-        params: &[f64],
-    ) -> (f64, Option<Matrix2>) {
-        let theta = if op.kind.is_parametrized() {
-            op.param.resolve(inputs, params)
-        } else {
-            0.0
-        };
-        let inv = (op.kind != GateKind::Swap).then(|| crate::gates::dagger(&op.kind.matrix(theta)));
-        (theta, inv)
-    }
-
-    /// Un-applies one op with the inverse from [`Circuit::resolve_inverse`].
-    pub(crate) fn apply_inverse(op: &Op, inv: Option<&Matrix2>, state: &mut StateVector) {
-        match (op.wires, inv) {
-            (Wires::Two(a, b), None) => state.apply_swap(a, b),
-            (Wires::One(w), Some(m)) => state.apply_single(m, w),
-            (Wires::Two(a, b), Some(m)) => state.apply_controlled(m, a, b),
-            (Wires::One(_), None) => unreachable!("only SWAP resolves to no inverse matrix"),
-        }
-    }
-
     /// Checks that the bindings cover every referenced slot.
     ///
     /// # Panics
@@ -466,6 +438,7 @@ impl OpCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::dagger;
 
     #[test]
     fn empty_circuit_runs_to_ground_state() {
@@ -581,8 +554,15 @@ mod tests {
         let forward = c.run(&[], &[]);
         let mut undone = forward.clone();
         for op in c.ops().iter().rev() {
-            let (_, inv) = Circuit::resolve_inverse(op, &[], &[]);
-            Circuit::apply_inverse(op, inv.as_ref(), &mut undone);
+            let theta = match op.param {
+                ParamSource::Fixed(v) => v,
+                _ => 0.0,
+            };
+            match op.wires {
+                Wires::Two(a, b) if op.kind == GateKind::Swap => undone.apply_swap(a, b),
+                Wires::One(w) => undone.apply_single(&dagger(&op.kind.matrix(theta)), w),
+                Wires::Two(a, b) => undone.apply_controlled(&dagger(&op.kind.matrix(theta)), a, b),
+            }
         }
         assert!(undone.approx_eq(&StateVector::new(3), 1e-12));
     }

@@ -10,24 +10,37 @@
 //! * [`adjoint_vjp`] — the same reverse pass seeded with the weighted sum
 //!   `λ = Σ_o w_o·O_o|ψ⟩`, returning the vector-Jacobian product
 //!   `Σ_o w_o·d⟨O_o⟩/dθ` from **one** sweep instead of one per observable.
-//!   This is what hybrid training uses: the loss is scalar, so the upstream
-//!   gradient can be contracted before the sweep rather than after it.
+//!   This is what hybrid training uses (batched as [`crate::vjp_batch`]):
+//!   the loss is scalar, so the upstream gradient can be contracted before
+//!   the sweep rather than after it.
 //! * [`parameter_shift`] — the hardware-compatible two-term shift rule,
 //!   `dE/dθ = (E(θ+π/2) − E(θ−π/2))/2`, costing two circuit executions per
 //!   parametrized gate. Used to cross-check the adjoint engines and for the
 //!   gradient-cost ablation.
 //! * [`finite_diff`] — central differences; a test oracle only.
 //!
-//! Both adjoint engines drive one private reverse-sweep routine; [`adjoint`]
-//! is a loop of one-hot seeds over it. All engines agree to numerical
-//! precision on every supported circuit, which the test-suite and the
-//! workspace's property tests enforce.
+//! There is one reverse-sweep routine, and it runs gate-major over a chunk
+//! of rows held in [`BatchState`]s: row-independent `U†`/`dU` are resolved
+//! once per batch and swept across the chunk in one kernel call, and each
+//! `⟨λ|dU|ψ⟩` comes from a fused read-only kernel. [`crate::vjp_batch`]
+//! drives it per chunk, [`adjoint_vjp`] is its 1-row case, and [`adjoint`]
+//! is a loop of one-hot seeds over it — every row gets the bits of the
+//! textbook per-row sweep. All engines agree to numerical precision on
+//! every supported circuit, which the test-suite and the workspace's
+//! property tests enforce.
 
 use hqnn_tensor::Matrix;
 
-use crate::circuit::{Circuit, ParamSource, Wires};
+use crate::batch::BatchProgram;
+use crate::batch_state::BatchState;
+use crate::circuit::{Circuit, Op, ParamSource, Wires};
+use crate::complex::C64;
+use crate::gates::{dagger, GateKind, Matrix2};
 use crate::observable::Observable;
-use crate::state::StateVector;
+use crate::state::{
+    apply_single_amps, inner_controlled_projected_amps, inner_single_amps,
+    transform_control1_pairs_amps, StateVector,
+};
 
 /// Expectation values and their derivatives for one circuit evaluation.
 ///
@@ -75,6 +88,7 @@ pub fn adjoint(
     params: &[f64],
     observables: &[Observable],
 ) -> Gradients {
+    circuit.check_bindings(inputs, params);
     let _span = hqnn_telemetry::span("qsim.adjoint");
     hqnn_telemetry::counter("qsim.adjoint_passes", 1);
     let n_obs = observables.len();
@@ -83,24 +97,26 @@ pub fn adjoint(
         d_params: Matrix::zeros(n_obs, circuit.trainable_count()),
         d_inputs: Matrix::zeros(n_obs, circuit.input_count()),
     };
-    // The reverse sweep un-applies the circuit op by op, so the forward
-    // state must come from the same per-op stream: gradients are bitwise
-    // identical whether or not gate fusion is enabled.
-    let final_state = circuit.run_unfused(inputs, params);
+    let x = Matrix::row_vector(inputs);
+    let program = AdjointProgram::compile(circuit, params);
+    let final_state = program.forward.run_chunk(circuit, &x, params, 0, 1);
 
     for (o, obs) in observables.iter().enumerate() {
-        grads.expectations.push(obs.expectation(&final_state));
+        grads
+            .expectations
+            .push(obs.expectation_amps(circuit.n_qubits(), final_state.row(0)));
         let mut lambda = final_state.clone();
-        obs.apply_to(&mut lambda);
-        reverse_sweep(
-            circuit,
-            inputs,
-            params,
-            &final_state,
+        obs.apply_to_batch(&mut lambda);
+        let mut vjp = program.empty_vjp();
+        program.reverse_sweep(
+            &x,
+            0,
+            final_state.clone(),
             lambda,
-            grads.d_params.row_mut(o),
-            grads.d_inputs.row_mut(o),
+            std::slice::from_mut(&mut vjp),
         );
+        grads.d_params.row_mut(o).copy_from_slice(&vjp.d_params);
+        grads.d_inputs.row_mut(o).copy_from_slice(&vjp.d_inputs);
     }
     grads
 }
@@ -115,6 +131,9 @@ pub fn adjoint(
 /// Observables whose weight is exactly `0` are skipped. Agrees with the
 /// [`adjoint`] Jacobian contracted by `weights` to rounding (the observable
 /// sum is re-associated), and bit for bit when `weights` is one-hot.
+///
+/// This is the 1-row case of [`crate::vjp_batch`]: both run the same chunk
+/// routine, so a row's result does not depend on which entry computed it.
 ///
 /// # Panics
 ///
@@ -131,86 +150,220 @@ pub fn adjoint_vjp(
         observables.len(),
         "one weight per observable"
     );
-    let _span = hqnn_telemetry::span("qsim.adjoint");
-    hqnn_telemetry::counter("qsim.adjoint_passes", 1);
-    let mut vjp = Vjp {
-        d_params: vec![0.0; circuit.trainable_count()],
-        d_inputs: vec![0.0; circuit.input_count()],
-    };
-    let final_state = circuit.run_unfused(inputs, params);
-
-    let mut lambda = StateVector::zeroed(circuit.n_qubits());
-    let mut term = final_state.clone();
-    for (obs, &w) in observables.iter().zip(weights) {
-        if w == 0.0 {
-            continue;
-        }
-        term.copy_amps_from(&final_state);
-        obs.apply_to(&mut term);
-        lambda.add_scaled(w, &term);
-    }
-    reverse_sweep(
-        circuit,
-        inputs,
-        params,
-        &final_state,
-        lambda,
-        &mut vjp.d_params,
-        &mut vjp.d_inputs,
+    circuit.check_bindings(inputs, params);
+    let program = AdjointProgram::compile(circuit, params);
+    let mut vjps = program.vjp_chunk(
+        &Matrix::row_vector(inputs),
+        observables,
+        &Matrix::row_vector(weights),
+        0,
+        1,
     );
-    vjp
+    // lint:allow(panic): a 1-row chunk yields exactly one product
+    vjps.pop().expect("one row in, one product out")
 }
 
-/// The adjoint reverse sweep shared by [`adjoint`] and [`adjoint_vjp`].
+/// One step of the compiled reverse sweep, in reverse op order.
+enum ReverseStep {
+    /// Row-independent op `k` (fixed, trainable or unparametrized angle):
+    /// `U†` and, when the angle is trainable, `dU` are resolved once per
+    /// batch and applied with whole-buffer kernel sweeps.
+    Shared {
+        k: usize,
+        inv: Matrix2,
+        dm: Option<Matrix2>,
+    },
+    /// SWAP: self-inverse and never parametrized.
+    Swap { a: usize, b: usize },
+    /// Input-dependent op `k`: `U†` and `dU` are resolved per row.
+    Row(usize),
+}
+
+/// Both halves of the adjoint method compiled once per batch: the level-0
+/// forward program for the re-simulation and the reverse sweep's steps.
 ///
-/// Starting from the circuit's final state `ψ` and the seed `λ`, walks the
-/// ops backwards: `ψ ← U†ψ` recovers each gate's input state, every
-/// differentiable gate adds `2·Re⟨λ|dU|ψ⟩` to its slot in `d_params` or
-/// `d_inputs`, and `λ ← U†λ` carries the seed along.
-fn reverse_sweep(
-    circuit: &Circuit,
-    inputs: &[f64],
-    params: &[f64],
-    final_state: &StateVector,
-    mut lambda: StateVector,
-    d_params: &mut [f64],
-    d_inputs: &mut [f64],
-) {
-    let mut psi = final_state.clone();
-    // One scratch state reused across the sweep: refilling it copies the
-    // same bits `psi.clone()` would, without reallocating 2^n amplitudes
-    // per differentiable gate.
-    let mut mu = final_state.clone();
+/// The one reverse-sweep routine, [`AdjointProgram::reverse_sweep`], runs
+/// over a chunk of rows; [`adjoint`] drives it once per observable on one
+/// row, [`adjoint_vjp`] once on one row and [`crate::vjp_batch`] once per
+/// chunk. Each row sees the kernels, matrices and accumulation order of the
+/// textbook per-row sweep, so results are bitwise independent of the chunk
+/// a row lands in.
+pub(crate) struct AdjointProgram<'a> {
+    circuit: &'a Circuit,
+    params: &'a [f64],
+    forward: BatchProgram,
+    steps: Vec<ReverseStep>,
+}
 
-    for op in circuit.ops().iter().rev() {
-        // U† is resolved once and un-applied from both ψ and λ.
-        let (theta, inv) = Circuit::resolve_inverse(op, inputs, params);
-        Circuit::apply_inverse(op, inv.as_ref(), &mut psi);
-
-        if op.param.is_differentiable() {
-            let dm = op
-                .kind
-                .dmatrix(theta)
-                // lint:allow(panic): grad loop only visits parametrized ops
-                .expect("differentiable op must be parametrized");
-            mu.copy_amps_from(&psi);
-            match op.wires {
-                Wires::One(w) => mu.apply_single(&dm, w),
-                Wires::Two(c, t) => {
-                    // d(controlled-U)/dθ acts as |1⟩⟨1| ⊗ dU.
-                    mu.apply_controlled_projected(&dm, c, t);
+impl<'a> AdjointProgram<'a> {
+    /// Resolves every row-independent `U†`/`dU` of `circuit` at `params`.
+    pub(crate) fn compile(circuit: &'a Circuit, params: &'a [f64]) -> Self {
+        let steps = circuit
+            .ops()
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(k, op)| match op.wires {
+                Wires::Two(a, b) if op.kind == GateKind::Swap => ReverseStep::Swap { a, b },
+                _ if matches!(op.param, ParamSource::Input(_)) => ReverseStep::Row(k),
+                _ => {
+                    let theta = resolve_angle(op, &[], params);
+                    ReverseStep::Shared {
+                        k,
+                        inv: dagger(&op.kind.matrix(theta)),
+                        dm: op.param.is_differentiable().then(|| derivative(op, theta)),
+                    }
                 }
+            })
+            .collect();
+        Self {
+            circuit,
+            params,
+            forward: BatchProgram::unfused(circuit, params),
+            steps,
+        }
+    }
+
+    fn empty_vjp(&self) -> Vjp {
+        Vjp {
+            d_params: vec![0.0; self.circuit.trainable_count()],
+            d_inputs: vec![0.0; self.circuit.input_count()],
+        }
+    }
+
+    /// Vector-Jacobian products of rows `row0 .. row0 + rows`, weighting
+    /// observable `o` of row `r` by `weights[(r, o)]`: re-simulates the
+    /// chunk, sums each row's seed `λ = Σ_o w_o·O_o|ψ⟩` (zero weights
+    /// skipped) and runs one reverse sweep over the chunk.
+    pub(crate) fn vjp_chunk(
+        &self,
+        inputs: &Matrix,
+        observables: &[Observable],
+        weights: &Matrix,
+        row0: usize,
+        rows: usize,
+    ) -> Vec<Vjp> {
+        let _span = hqnn_telemetry::span("qsim.adjoint");
+        hqnn_telemetry::counter("qsim.adjoint_passes", rows as u64);
+        let psi = self
+            .forward
+            .run_chunk(self.circuit, inputs, self.params, row0, rows);
+
+        let mut lambda = BatchState::zeroed(self.circuit.n_qubits(), rows);
+        let mut term = psi.clone();
+        for (o, obs) in observables.iter().enumerate() {
+            let live = |j: usize| weights[(row0 + j, o)] != 0.0;
+            if !(0..rows).any(live) {
+                continue;
             }
-            let g = 2.0 * lambda.inner(&mu).re;
-            match op.param {
-                ParamSource::Trainable(i) => d_params[i] += g,
-                ParamSource::Input(i) => d_inputs[i] += g,
-                _ => unreachable!("is_differentiable filtered the rest"),
+            term.copy_from(&psi);
+            obs.apply_to_batch(&mut term);
+            for j in (0..rows).filter(|&j| live(j)) {
+                let w = weights[(row0 + j, o)];
+                for (a, b) in lambda.row_mut(j).iter_mut().zip(term.row(j)) {
+                    *a += b.scale(w);
+                }
             }
         }
 
-        Circuit::apply_inverse(op, inv.as_ref(), &mut lambda);
+        let mut out: Vec<Vjp> = (0..rows).map(|_| self.empty_vjp()).collect();
+        self.reverse_sweep(inputs, row0, psi, lambda, &mut out);
+        out
     }
+
+    /// The adjoint reverse sweep over a chunk of rows, shared by every
+    /// adjoint entry point.
+    ///
+    /// Starting from each row's final state `ψ` and seed `λ`, walks the ops
+    /// backwards: `ψ ← U†ψ` recovers each gate's input state, every
+    /// differentiable gate adds `2·Re⟨λ|dU|ψ⟩` (one fused read-only pass,
+    /// no scratch state) to its slot in `out[j]`, and `λ ← U†λ` carries the
+    /// seed along. `out[j]` belongs to batch row `row0 + j`.
+    fn reverse_sweep(
+        &self,
+        inputs: &Matrix,
+        row0: usize,
+        mut psi: BatchState,
+        mut lambda: BatchState,
+        out: &mut [Vjp],
+    ) {
+        let ops = self.circuit.ops();
+        for step in &self.steps {
+            match *step {
+                ReverseStep::Swap { a, b } => {
+                    psi.apply_swap_all(a, b);
+                    lambda.apply_swap_all(a, b);
+                }
+                ReverseStep::Shared { k, inv, dm } => {
+                    let op = &ops[k];
+                    apply_all(&mut psi, &inv, op.wires);
+                    if let (Some(dm), ParamSource::Trainable(i)) = (dm, op.param) {
+                        for (j, vjp) in out.iter_mut().enumerate() {
+                            vjp.d_params[i] +=
+                                adjoint_term(lambda.row(j), psi.row(j), &dm, op.wires);
+                        }
+                    }
+                    apply_all(&mut lambda, &inv, op.wires);
+                }
+                ReverseStep::Row(k) => {
+                    let op = &ops[k];
+                    let ParamSource::Input(i) = op.param else {
+                        unreachable!("row steps are input-fed ops")
+                    };
+                    for (j, vjp) in out.iter_mut().enumerate() {
+                        let theta = resolve_angle(op, inputs.row(row0 + j), self.params);
+                        let inv = dagger(&op.kind.matrix(theta));
+                        apply_row(psi.row_mut(j), &inv, op.wires);
+                        let dm = derivative(op, theta);
+                        vjp.d_inputs[i] += adjoint_term(lambda.row(j), psi.row(j), &dm, op.wires);
+                        apply_row(lambda.row_mut(j), &inv, op.wires);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The op's angle (0 when unparametrized), as [`Circuit::run`] resolves it.
+fn resolve_angle(op: &Op, inputs: &[f64], params: &[f64]) -> f64 {
+    if op.kind.is_parametrized() {
+        op.param.resolve(inputs, params)
+    } else {
+        0.0
+    }
+}
+
+/// `dU/dθ` of a differentiable op.
+fn derivative(op: &Op, theta: f64) -> Matrix2 {
+    op.kind
+        .dmatrix(theta)
+        // lint:allow(panic): only differentiable (hence parametrized) ops get here
+        .expect("differentiable op must be parametrized")
+}
+
+/// Un-applies a non-SWAP op from every row with one whole-buffer sweep.
+fn apply_all(batch: &mut BatchState, m: &Matrix2, wires: Wires) {
+    match wires {
+        Wires::One(w) => batch.apply_single_all(m, w),
+        Wires::Two(c, t) => batch.apply_controlled_all(m, c, t),
+    }
+}
+
+/// Un-applies a non-SWAP op from one row's amplitudes.
+fn apply_row(row: &mut [C64], m: &Matrix2, wires: Wires) {
+    match wires {
+        Wires::One(w) => apply_single_amps(row, m, w),
+        Wires::Two(c, t) => transform_control1_pairs_amps(row, m, 1usize << c, 1usize << t),
+    }
+}
+
+/// `2·Re⟨λ|dU|ψ⟩` for one row; d(controlled-U)/dθ acts as `|1⟩⟨1| ⊗ dU`.
+fn adjoint_term(lambda: &[C64], psi: &[C64], dm: &Matrix2, wires: Wires) -> f64 {
+    let inner = match wires {
+        Wires::One(w) => inner_single_amps(lambda, psi, dm, w),
+        Wires::Two(c, t) => inner_controlled_projected_amps(lambda, psi, dm, c, t),
+    };
+    2.0 * inner.re
 }
 
 /// Computes expectations and gradients with the two-term parameter-shift rule.

@@ -10,7 +10,8 @@
 //!
 //! * [`gradient::adjoint_vjp`] — O(gates · 2ⁿ) reverse-pass differentiation
 //!   of the loss-weighted observable sum, one sweep per sample. This is the
-//!   training path ([`batch::vjp_batch`]), and what makes hybrid backprop
+//!   training path ([`batch::vjp_batch`], which sweeps chunks of samples
+//!   gate-major), and what makes hybrid backprop
 //!   tractable; [`gradient::adjoint`] runs the same sweep once per
 //!   observable to return the full Jacobian, the oracle the examples,
 //!   benchmarks and property tests use, and

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::batch_state::BatchState;
 use crate::complex::C64;
 use crate::gates::GateKind;
 use crate::state::StateVector;
@@ -111,6 +112,19 @@ impl Observable {
     pub fn apply_to(&self, state: &mut StateVector) {
         for &(wire, p) in &self.factors {
             state.apply_single(&p.gate().matrix(0.0), wire);
+        }
+    }
+
+    /// [`Self::apply_to`] on every row of a batch chunk: one whole-buffer
+    /// sweep per factor, bitwise the per-row application.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a factor's wire is out of range for the rows.
+    pub(crate) fn apply_to_batch(&self, batch: &mut BatchState) {
+        for &(wire, p) in &self.factors {
+            assert!(wire < batch.n_qubits(), "target wire {wire} out of range");
+            batch.apply_single_all(&p.gate().matrix(0.0), wire);
         }
     }
 

@@ -115,6 +115,65 @@ pub(crate) fn apply_swap_amps(amps: &mut [C64], a: usize, b: usize) {
     }
 }
 
+/// `⟨λ|M_target|ψ⟩` over one row, without materialising `M·ψ` — the fused
+/// read-only kernel behind the adjoint sweep's per-gate derivative term.
+/// Each `(M·ψ)_k` is the exact expression [`apply_single_amps`] writes, and
+/// the products fold left to right in index order (each `2·stride` block's
+/// target-0 half, then its target-1 half) like [`StateVector::inner`], so
+/// the result is bitwise `λ.inner(&mu)` for `mu = ψ` with `M` applied,
+/// minus the scratch copy and its write pass. The block walk avoids a
+/// per-amplitude branch and bounds check.
+pub(crate) fn inner_single_amps(lambda: &[C64], psi: &[C64], m: &Matrix2, target: usize) -> C64 {
+    debug_assert_eq!(lambda.len(), psi.len());
+    let stride = 1usize << target;
+    let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
+    let mut acc = C64::ZERO;
+    for (lb, pb) in lambda
+        .chunks_exact(stride << 1)
+        .zip(psi.chunks_exact(stride << 1))
+    {
+        let (p0, p1) = pb.split_at(stride);
+        let (l0, l1) = lb.split_at(stride);
+        for ((l, x), y) in l0.iter().zip(p0).zip(p1) {
+            acc += l.conj() * (m00 * *x + m01 * *y);
+        }
+        for ((l, x), y) in l1.iter().zip(p0).zip(p1) {
+            acc += l.conj() * (m10 * *x + m11 * *y);
+        }
+    }
+    acc
+}
+
+/// `⟨λ|(|1⟩⟨1|_control ⊗ M_target)|ψ⟩` over one row — the fused counterpart
+/// of [`StateVector::apply_controlled_projected`] followed by
+/// [`StateVector::inner`]. Control-0 indices contribute `λ_k* · 0`, control-1
+/// pairs the exact [`transform_control1_pairs_amps`] expressions, folded in
+/// index order: bitwise the copy-apply-inner result.
+pub(crate) fn inner_controlled_projected_amps(
+    lambda: &[C64],
+    psi: &[C64],
+    m: &Matrix2,
+    control: usize,
+    target: usize,
+) -> C64 {
+    debug_assert_eq!(lambda.len(), psi.len());
+    let (c_mask, t_stride) = (1usize << control, 1usize << target);
+    let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
+    hqnn_tensor::fold::ordered_sum(
+        C64::ZERO,
+        lambda.iter().enumerate().map(|(k, l)| {
+            let mu = if k & c_mask == 0 {
+                C64::ZERO
+            } else if k & t_stride == 0 {
+                m00 * psi[k] + m01 * psi[k | t_stride]
+            } else {
+                m10 * psi[k ^ t_stride] + m11 * psi[k]
+            };
+            l.conj() * mu
+        }),
+    )
+}
+
 /// Applies a 4×4 unitary on the wire pair `(low, high)` (`low < high`) to
 /// every row of `amps` — the dedicated pair-quad kernel behind fused
 /// two-qubit ops.
@@ -256,35 +315,6 @@ impl StateVector {
     pub(crate) fn from_raw(n_qubits: usize, amps: Vec<C64>) -> Self {
         debug_assert_eq!(amps.len(), 1usize << n_qubits);
         Self { n_qubits, amps }
-    }
-
-    /// Overwrites this state's amplitudes with `other`'s without
-    /// reallocating — the adjoint engine's per-gate scratch buffer reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two states have different qubit counts.
-    pub(crate) fn copy_amps_from(&mut self, other: &Self) {
-        assert_eq!(self.n_qubits, other.n_qubits, "qubit count mismatch");
-        self.amps.copy_from_slice(&other.amps);
-    }
-
-    /// The all-zero (unnormalised) vector on `n_qubits` qubits — the empty
-    /// accumulator [`crate::gradient::adjoint_vjp`] sums its seed into.
-    pub(crate) fn zeroed(n_qubits: usize) -> Self {
-        Self::from_raw(n_qubits, vec![C64::ZERO; 1 << n_qubits])
-    }
-
-    /// `self ← self + w·other`, amplitude by amplitude.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two states have different qubit counts.
-    pub(crate) fn add_scaled(&mut self, w: f64, other: &Self) {
-        assert_eq!(self.n_qubits, other.n_qubits, "qubit count mismatch");
-        for (a, b) in self.amps.iter_mut().zip(&other.amps) {
-            *a += b.scale(w);
-        }
     }
 
     /// Number of qubits.
@@ -669,6 +699,48 @@ mod tests {
                 want.expectation_z(1).to_bits(),
                 "row {r} expectation"
             );
+        }
+    }
+
+    #[test]
+    fn fused_inner_kernels_match_copy_apply_inner_bitwise() {
+        // ⟨λ|dU|ψ⟩ without the scratch state must reproduce the
+        // copy + apply + `inner` sequence bit for bit, on every wire
+        // combination and on both pair-walk shapes of the controlled kernel.
+        let n = 8;
+        let mk = |seed: f64| {
+            let mut s = StateVector::new(n);
+            for w in 0..n {
+                s.apply_single(&GateKind::RY.matrix(seed + 0.37 * w as f64), w);
+                s.apply_single(&GateKind::RZ.matrix(seed * 1.3 - 0.21 * w as f64), w);
+            }
+            for w in 0..n - 1 {
+                s.apply_controlled(&GateKind::X.matrix(0.0), w, w + 1);
+            }
+            s
+        };
+        let (psi, lambda) = (mk(0.4), mk(-1.1));
+        let dm = GateKind::RX.dmatrix(0.83).unwrap();
+        let bits = |z: C64| (z.re.to_bits(), z.im.to_bits());
+        for t in 0..n {
+            let mut mu = psi.clone();
+            mu.apply_single(&dm, t);
+            let want = lambda.inner(&mu);
+            let got = inner_single_amps(lambda.amplitudes(), psi.amplitudes(), &dm, t);
+            assert_eq!(bits(got), bits(want), "t={t}");
+            for c in (0..n).filter(|&c| c != t) {
+                let mut mu = psi.clone();
+                mu.apply_controlled_projected(&dm, c, t);
+                let want = lambda.inner(&mu);
+                let got = inner_controlled_projected_amps(
+                    lambda.amplitudes(),
+                    psi.amplitudes(),
+                    &dm,
+                    c,
+                    t,
+                );
+                assert_eq!(bits(got), bits(want), "c={c} t={t}");
+            }
         }
     }
 }

@@ -1,12 +1,16 @@
 //! The vector-Jacobian adjoint against its oracles on random circuits:
 //! the full-Jacobian [`adjoint`] contracted by the weights, and the
 //! parameter-shift rule. One-hot weights must reproduce an `adjoint` row
-//! bit for bit — both engines share one reverse sweep.
+//! bit for bit — both engines share one reverse sweep. A per-row
+//! reference sweep written here from public calls pins the gate-major
+//! batch sweep's bits to the textbook per-row formulation.
 
+use hqnn_qsim::gates::{dagger, Matrix2};
 use hqnn_qsim::{
-    adjoint, adjoint_vjp, parameter_shift, Circuit, GateKind, Observable, ParamSource, Pauli,
+    adjoint, adjoint_vjp, parameter_shift, vjp_batch, with_fusion_level, Circuit, EntanglerKind,
+    GateKind, Observable, ParamSource, Pauli, QnnTemplate, StateVector, Wires, C64,
 };
-use hqnn_tensor::SeededRng;
+use hqnn_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
 
 /// A random circuit over 2–4 wires mixing encoded inputs, trainable and
@@ -106,8 +110,229 @@ fn assert_close(got: &[f64], want: &[f64], tol: f64, what: &str) {
     }
 }
 
+/// `m` on every `(i, i | 2^target)` amplitude pair, restricted to indices
+/// with the `control` bit set when there is one — the scalar form of the
+/// simulator's gate kernels (same per-pair expressions).
+fn apply_2x2(amps: &mut [C64], m: &Matrix2, target: usize, control: Option<usize>) {
+    let t = 1usize << target;
+    for i in 0..amps.len() {
+        let controlled_off = control.is_some_and(|c| i & (1usize << c) == 0);
+        if i & t != 0 || controlled_off {
+            continue;
+        }
+        let (x, y) = (amps[i], amps[i | t]);
+        amps[i] = m[0][0] * x + m[0][1] * y;
+        amps[i | t] = m[1][0] * x + m[1][1] * y;
+    }
+}
+
+/// Un-applies one op: SWAP is self-inverse, everything else gets `U(θ)†`.
+fn un_apply(amps: &mut [C64], wires: Wires, kind: GateKind, theta: f64) {
+    match wires {
+        Wires::Two(a, b) if kind == GateKind::Swap => {
+            let (ma, mb) = (1usize << a, 1usize << b);
+            for i in 0..amps.len() {
+                if i & ma != 0 && i & mb == 0 {
+                    amps.swap(i, (i & !ma) | mb);
+                }
+            }
+        }
+        Wires::One(w) => apply_2x2(amps, &dagger(&kind.matrix(theta)), w, None),
+        Wires::Two(c, t) => apply_2x2(amps, &dagger(&kind.matrix(theta)), t, Some(c)),
+    }
+}
+
+/// `⟨l|r⟩`, folded left to right in index order.
+fn inner(l: &[C64], r: &[C64]) -> C64 {
+    let mut acc = C64::ZERO;
+    for (a, b) in l.iter().zip(r) {
+        acc += a.conj() * *b;
+    }
+    acc
+}
+
+/// The per-row adjoint reverse sweep: from the final state `psi` and the
+/// seed `lambda`, un-apply each op from `ψ`, add `2·Re⟨λ|μ⟩` with `μ` a
+/// fresh copy of `ψ` with `dU` applied (`|1⟩⟨1| ⊗ dU` for controlled
+/// rotations), then un-apply it from `λ`. Returns `(d_params, d_inputs)`.
+fn reference_sweep(
+    c: &Circuit,
+    inputs: &[f64],
+    params: &[f64],
+    mut psi: Vec<C64>,
+    mut lambda: Vec<C64>,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut d_params = vec![0.0; c.trainable_count()];
+    let mut d_inputs = vec![0.0; c.input_count()];
+    for op in c.ops().iter().rev() {
+        let theta = if op.kind.is_parametrized() {
+            op.param.resolve(inputs, params)
+        } else {
+            0.0
+        };
+        un_apply(&mut psi, op.wires, op.kind, theta);
+        if op.param.is_differentiable() {
+            let dm = op.kind.dmatrix(theta).expect("parametrized");
+            let mut mu = psi.clone();
+            match op.wires {
+                Wires::One(w) => apply_2x2(&mut mu, &dm, w, None),
+                Wires::Two(ctl, t) => {
+                    for (i, a) in mu.iter_mut().enumerate() {
+                        if i & (1usize << ctl) == 0 {
+                            *a = C64::ZERO;
+                        }
+                    }
+                    apply_2x2(&mut mu, &dm, t, Some(ctl));
+                }
+            }
+            let g = 2.0 * inner(&lambda, &mu).re;
+            match op.param {
+                ParamSource::Trainable(i) => d_params[i] += g,
+                ParamSource::Input(i) => d_inputs[i] += g,
+                _ => unreachable!(),
+            }
+        }
+        un_apply(&mut lambda, op.wires, op.kind, theta);
+    }
+    (d_params, d_inputs)
+}
+
+/// Reference VJP of one row: re-simulate, seed `λ = Σ_o w_o·O_o|ψ⟩` from
+/// zero (zero weights skipped), sweep.
+fn reference_vjp(
+    c: &Circuit,
+    inputs: &[f64],
+    params: &[f64],
+    obs: &[Observable],
+    weights: &[f64],
+) -> (Vec<f64>, Vec<f64>) {
+    let psi = c.run_unfused(inputs, params);
+    let mut lambda = vec![C64::ZERO; psi.amplitudes().len()];
+    for (o, &w) in obs.iter().zip(weights) {
+        if w == 0.0 {
+            continue;
+        }
+        let mut term = psi.clone();
+        o.apply_to(&mut term);
+        for (a, b) in lambda.iter_mut().zip(term.amplitudes()) {
+            *a += b.scale(w);
+        }
+    }
+    reference_sweep(c, inputs, params, psi.amplitudes().to_vec(), lambda)
+}
+
+/// Asserts `got` and `want` are the same floats bit for bit.
+fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs {w}");
+    }
+}
+
+/// `vjp_batch` at every thread budget and fusion level, and `adjoint` per
+/// row, against the per-row reference sweep — bit for bit.
+fn assert_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) {
+    let (obs, _) = random_readout(c.n_qubits(), seed);
+    let mut rng = SeededRng::new(seed ^ 0xb17);
+    let w = Matrix::from_vec(
+        x.rows(),
+        obs.len(),
+        (0..x.rows() * obs.len())
+            .map(|_| {
+                if rng.index(4) == 0 {
+                    0.0
+                } else {
+                    rng.uniform(-1.5, 1.5)
+                }
+            })
+            .collect(),
+    );
+    let want: Vec<_> = (0..x.rows())
+        .map(|r| reference_vjp(c, x.row(r), params, &obs, w.row(r)))
+        .collect();
+    for threads in [1, 2, 7] {
+        for level in [0u8, 1, 2] {
+            let got = hqnn_runtime::with_threads(threads, || {
+                with_fusion_level(level, || vjp_batch(c, x, params, &obs, &w))
+            });
+            assert_eq!(got.len(), x.rows());
+            for (r, (vjp, (d_params, d_inputs))) in got.iter().zip(&want).enumerate() {
+                let at = format!("threads={threads} level={level} row={r}");
+                assert_bits(&vjp.d_params, d_params, &format!("{at} d_params"));
+                assert_bits(&vjp.d_inputs, d_inputs, &format!("{at} d_inputs"));
+            }
+        }
+    }
+    for r in 0..x.rows() {
+        let jac = adjoint(c, x.row(r), params, &obs);
+        let psi: StateVector = c.run_unfused(x.row(r), params);
+        for (o, ob) in obs.iter().enumerate() {
+            assert_eq!(
+                jac.expectations[o].to_bits(),
+                ob.expectation(&psi).to_bits()
+            );
+            let mut lambda = psi.clone();
+            ob.apply_to(&mut lambda);
+            let (d_params, d_inputs) = reference_sweep(
+                c,
+                x.row(r),
+                params,
+                psi.amplitudes().to_vec(),
+                lambda.amplitudes().to_vec(),
+            );
+            assert_bits(
+                jac.d_params.row(o),
+                &d_params,
+                &format!("adjoint row={r} obs={o}"),
+            );
+            assert_bits(
+                jac.d_inputs.row(o),
+                &d_inputs,
+                &format!("adjoint row={r} obs={o}"),
+            );
+        }
+    }
+}
+
+/// `rows` input rows for `c`, drawn from `seed`.
+fn input_batch(c: &Circuit, rows: usize, seed: u64) -> Matrix {
+    let mut rng = SeededRng::new(seed ^ 0x1a9e);
+    let cols = c.input_count();
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|_| rng.uniform(-2.0, 2.0)).collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn batch_sweep_matches_per_row_reference_on_random_circuits(
+        seed in 0u64..1_000_000,
+        rows in 1usize..=9,
+    ) {
+        let (c, _, params) = random_case(seed);
+        let x = input_batch(&c, rows, seed);
+        assert_matches_reference(&c, &params, &x, seed);
+    }
+
+    #[test]
+    fn batch_sweep_matches_per_row_reference_on_templates(
+        seed in 0u64..1_000_000,
+        n in 2usize..=5,
+        depth in 1usize..=3,
+        strong in proptest::bool::ANY,
+        rows in 1usize..=9,
+    ) {
+        let kind = if strong { EntanglerKind::Strong } else { EntanglerKind::Basic };
+        let c = QnnTemplate::new(n, depth, kind).build();
+        let mut rng = SeededRng::new(seed);
+        let params: Vec<f64> = (0..c.trainable_count()).map(|_| rng.uniform(-3.0, 3.0)).collect();
+        let x = input_batch(&c, rows, seed);
+        assert_matches_reference(&c, &params, &x, seed);
+    }
 
     #[test]
     fn vjp_matches_contracted_adjoint_and_parameter_shift(seed in 0u64..1_000_000) {

@@ -174,6 +174,12 @@ pub struct StudyResult {
     /// studies saved before the stamp existed.
     #[serde(default)]
     pub numerics: u32,
+    /// The gate-fusion level ([`hqnn_qsim::fusion_level`]) the study was
+    /// created under. Levels 1 and 2 move forward expectations in the last
+    /// bits, so a cached study is current only at the level it was computed
+    /// at. 0 (the default level) in studies saved before the stamp existed.
+    #[serde(default)]
+    pub fusion_level: u8,
 }
 
 impl StudyResult {
@@ -186,6 +192,7 @@ impl StudyResult {
             hybrid_sel: Vec::new(),
             manifest: None,
             numerics: NUMERICS_VERSION,
+            fusion_level: hqnn_qsim::fusion_level(),
         }
     }
 

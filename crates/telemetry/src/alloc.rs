@@ -119,8 +119,10 @@ mod tests {
     fn measure_attributes_workload_allocations() {
         serial(|| {
             set_enabled(true);
+            // black_box keeps the optimiser from eliding the allocation
+            // when only the length is used.
             let (_, delta) = measure(|| {
-                let v = vec![0u8; 50_000];
+                let v = std::hint::black_box(vec![0u8; 50_000]);
                 v.len()
             });
             set_enabled(false);
@@ -136,10 +138,10 @@ mod tests {
         serial(|| {
             set_enabled(true);
             let (_, outer) = measure(|| {
-                let big = vec![0u8; 100_000];
+                let big = std::hint::black_box(vec![0u8; 100_000]);
                 drop(big);
                 let (_, inner) = measure(|| {
-                    let small = vec![0u8; 1_000];
+                    let small = std::hint::black_box(vec![0u8; 1_000]);
                     small.len()
                 });
                 inner.expect("enabled").peak_bytes
