@@ -106,7 +106,7 @@ impl NoisyQuantumLayer {
 }
 
 impl Layer for NoisyQuantumLayer {
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
         let n = self.template.n_qubits();
         assert_eq!(
             input.cols(),
@@ -114,7 +114,8 @@ impl Layer for NoisyQuantumLayer {
             "NoisyQuantumLayer expected {n} encoding angles, got {}",
             input.cols()
         );
-        self.cached_input = Some(input.clone());
+        // Only a training forward leaves a cache for `backward`.
+        self.cached_input = training.then(|| input.clone());
         // Density-matrix simulations are the most expensive per-sample work
         // in the workspace (O(4ⁿ) each), so rows fan out across the runtime.
         let rows = hqnn_runtime::par_map_range(input.rows(), |r| {
@@ -305,5 +306,15 @@ mod tests {
         let mut rng = SeededRng::new(1);
         let mut layer = NoisyQuantumLayer::new(template(), NoiseModel::noiseless(), &mut rng);
         let _ = layer.backward(&Matrix::zeros(1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn inference_forward_leaves_no_backward_cache() {
+        let mut rng = SeededRng::new(1);
+        let mut layer = NoisyQuantumLayer::new(template(), NoiseModel::noiseless(), &mut rng);
+        let _ = layer.forward(&Matrix::zeros(1, 2), true);
+        let _ = layer.forward(&Matrix::zeros(2, 2), false);
+        let _ = layer.backward(&Matrix::zeros(2, 2));
     }
 }

@@ -123,7 +123,7 @@ impl QuantumLayer {
 }
 
 impl Layer for QuantumLayer {
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
         let n = self.template.n_qubits();
         assert_eq!(
             input.cols(),
@@ -131,7 +131,8 @@ impl Layer for QuantumLayer {
             "QuantumLayer expected {n} encoding angles, got {}",
             input.cols()
         );
-        self.cached_input = Some(input.clone());
+        // Only a training forward leaves a cache for `backward`.
+        self.cached_input = training.then(|| input.clone());
         let _span = hqnn_telemetry::span("core.qlayer_forward");
         self.circuit
             .expectations_batch(input, self.params.as_slice(), &self.observables)
@@ -435,6 +436,15 @@ mod tests {
     fn backward_requires_forward() {
         let mut l = layer(EntanglerKind::Basic, 0);
         let _ = l.backward(&Matrix::zeros(1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn inference_forward_leaves_no_backward_cache() {
+        let mut l = layer(EntanglerKind::Basic, 0);
+        let _ = l.forward(&Matrix::zeros(1, 3), true);
+        let _ = l.forward(&Matrix::zeros(2, 3), false);
+        let _ = l.backward(&Matrix::zeros(2, 3));
     }
 
     #[test]

@@ -8,8 +8,9 @@ use hqnn_tensor::{Matrix, SeededRng};
 ///
 /// The contract mirrors classic layer-wise backprop:
 ///
-/// 1. [`Layer::forward`] maps a batch to its output and caches whatever the
-///    backward pass will need.
+/// 1. [`Layer::forward`] maps a batch to its output. A training forward
+///    (`training = true`) caches whatever the backward pass will need; an
+///    inference forward drops that cache.
 /// 2. [`Layer::backward`] receives `dL/d(output)`, **stores** `dL/d(params)`
 ///    internally (overwriting any previous gradients) and returns
 ///    `dL/d(input)`. It must be called after a matching `forward`.
@@ -20,9 +21,11 @@ use hqnn_tensor::{Matrix, SeededRng};
 /// simulated quantum layer, which is what lets hybrid and classical models
 /// share one training loop.
 pub trait Layer: fmt::Debug {
-    /// Computes the layer output for a batch. `training` distinguishes
-    /// train-time from inference-time behaviour (unused by the built-in
-    /// layers but part of the contract for e.g. dropout-style layers).
+    /// Computes the layer output for a batch. With `training` set the layer
+    /// keeps what [`Layer::backward`] needs; without it (inference, e.g.
+    /// [`Sequential::predict`](crate::Sequential::predict)) the built-in
+    /// layers drop their cache, so a following `backward` panics instead of
+    /// differentiating the evaluation batch.
     fn forward(&mut self, input: &Matrix, training: bool) -> Matrix;
 
     /// Consumes `dL/d(output)` and returns `dL/d(input)`, storing parameter
@@ -30,8 +33,9 @@ pub trait Layer: fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before `forward` or with a
-    /// gradient whose shape does not match the cached forward output.
+    /// Implementations may panic if called without a preceding training
+    /// `forward` or with a gradient whose shape does not match the cached
+    /// forward output.
     fn backward(&mut self, grad_output: &Matrix) -> Matrix;
 
     /// Visits every `(value, grad)` parameter pair in a stable order.
@@ -69,6 +73,8 @@ pub struct Dense {
     grad_weight: Matrix,
     grad_bias: Matrix,
     cached_input: Option<Matrix>,
+    /// Scratch for `Wᵀ` in the backward pass, reused across steps.
+    weight_t: Matrix,
 }
 
 impl Dense {
@@ -88,6 +94,7 @@ impl Dense {
             grad_weight: Matrix::zeros(in_dim, out_dim),
             grad_bias: Matrix::zeros(1, out_dim),
             cached_input: None,
+            weight_t: Matrix::zeros(out_dim, in_dim),
         }
     }
 
@@ -105,6 +112,7 @@ impl Dense {
             weight,
             bias,
             cached_input: None,
+            weight_t: Matrix::zeros(c, r),
         }
     }
 
@@ -130,7 +138,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
         assert_eq!(
             input.cols(),
             self.in_dim(),
@@ -138,8 +146,10 @@ impl Layer for Dense {
             self.in_dim(),
             input.cols()
         );
-        self.cached_input = Some(input.clone());
-        input.matmul(&self.weight).add_row_broadcast(&self.bias)
+        cache(&mut self.cached_input, input, training);
+        let mut out = input.matmul(&self.weight);
+        out.add_row_broadcast_assign(&self.bias);
+        out
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -153,9 +163,12 @@ impl Layer for Dense {
             (input.rows(), self.out_dim()),
             "gradient shape mismatch"
         );
-        self.grad_weight = input.transpose().matmul(grad_output);
-        self.grad_bias = grad_output.sum_rows();
-        grad_output.matmul(&self.weight.transpose())
+        input.matmul_tn(grad_output, &mut self.grad_weight);
+        grad_output.sum_rows_into(&mut self.grad_bias);
+        // A dot-product `g·Wᵀ` kernel over W's rows measured slower than
+        // this transpose-then-matmul at the study's widths.
+        self.weight.transpose_into(&mut self.weight_t);
+        grad_output.matmul(&self.weight_t)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &Matrix)) {
@@ -173,6 +186,17 @@ impl Layer for Dense {
 
     fn describe(&self) -> String {
         format!("Dense({}→{})", self.in_dim(), self.out_dim())
+    }
+}
+
+/// Keeps a copy of `value` in `slot` for the backward pass when `training`,
+/// reusing the slot's buffer across steps; an inference forward empties the
+/// slot instead.
+fn cache(slot: &mut Option<Matrix>, value: &Matrix, training: bool) {
+    match (training, slot.as_mut()) {
+        (false, _) => *slot = None,
+        (true, Some(buf)) => buf.clone_from(value),
+        (true, None) => *slot = Some(value.clone()),
     }
 }
 
@@ -263,9 +287,9 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, input: &Matrix, _training: bool) -> Matrix {
+    fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
         let out = input.map(|v| self.kind.apply(v));
-        self.cached_output = Some(out.clone());
+        cache(&mut self.cached_output, &out, training);
         out
     }
 
@@ -339,6 +363,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn dense_inference_forward_leaves_no_backward_cache() {
+        let mut d = Dense::new(2, 2, &mut rng());
+        let _ = d.forward(&Matrix::zeros(1, 2), true);
+        let _ = d.forward(&Matrix::zeros(3, 2), false);
+        let _ = d.backward(&Matrix::zeros(3, 2));
+    }
+
+    #[test]
     #[should_panic(expected = "expected 3 features")]
     fn dense_forward_validates_width() {
         let mut d = Dense::new(3, 2, &mut rng());
@@ -395,6 +428,15 @@ mod tests {
             }
             let _ = y;
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn activation_inference_forward_leaves_no_backward_cache() {
+        let mut a = Activation::tanh();
+        let _ = a.forward(&Matrix::zeros(1, 2), true);
+        let _ = a.forward(&Matrix::zeros(3, 2), false);
+        let _ = a.backward(&Matrix::zeros(3, 2));
     }
 
     #[test]

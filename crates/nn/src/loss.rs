@@ -14,31 +14,25 @@ use hqnn_tensor::Matrix;
 /// assert!((p[(0, 0)] - 0.5).abs() < 1e-12);
 /// ```
 pub fn softmax(logits: &Matrix) -> Matrix {
-    let row_of = |r: usize| -> Vec<f64> {
-        let row = logits.row(r);
-        let max = hqnn_tensor::fold::ordered_max_f64(row.iter().copied());
-        let exps: Vec<f64> = row.iter().map(|v| (v - max).exp()).collect();
-        let denom: f64 = hqnn_tensor::fold::ordered_sum_f64(exps.iter().copied());
-        exps.iter().map(|e| e / denom).collect()
-    };
-    // Rows are independent; big batches fan out across the runtime (the
-    // small-batch cutoff only avoids thread-spawn overhead — per-row math is
-    // identical on both paths, so results never depend on it).
-    let rows: Vec<Vec<f64>> = if logits.len() >= PAR_ROWS_MIN_ELEMS {
-        hqnn_runtime::par_map_range(logits.rows(), row_of)
-    } else {
-        (0..logits.rows()).map(row_of).collect()
-    };
     let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for (r, row) in rows.iter().enumerate() {
-        out.row_mut(r).copy_from_slice(row);
+    for (r, row) in logits.iter_rows().enumerate() {
+        softmax_row(row, out.row_mut(r));
     }
     out
 }
 
-/// Minimum element count before the row-parallel paths in this module spawn
-/// threads; below it the sequential loop wins on spawn overhead alone.
-const PAR_ROWS_MIN_ELEMS: usize = 4096;
+/// Writes the softmax of one logits row into `dst`: shift by the row max,
+/// exponentiate, then divide by the left-folded sum.
+fn softmax_row(row: &[f64], dst: &mut [f64]) {
+    let max = hqnn_tensor::fold::ordered_max_f64(row.iter().copied());
+    for (d, v) in dst.iter_mut().zip(row) {
+        *d = (v - max).exp();
+    }
+    let denom = hqnn_tensor::fold::ordered_sum_f64(dst.iter().copied());
+    for d in dst.iter_mut() {
+        *d /= denom;
+    }
+}
 
 /// One-hot encodes integer class labels into a `(batch, n_classes)` matrix.
 ///
@@ -47,11 +41,21 @@ const PAR_ROWS_MIN_ELEMS: usize = 4096;
 /// Panics if any label is `>= n_classes`.
 pub fn one_hot(labels: &[usize], n_classes: usize) -> Matrix {
     let mut out = Matrix::zeros(labels.len(), n_classes);
+    one_hot_into(labels, n_classes, &mut out);
+    out
+}
+
+/// Writes [`one_hot`] into `out`, reusing its allocation.
+///
+/// # Panics
+///
+/// Panics if any label is `>= n_classes`.
+pub fn one_hot_into(labels: &[usize], n_classes: usize, out: &mut Matrix) {
+    out.reset_zeros(labels.len(), n_classes);
     for (r, &label) in labels.iter().enumerate() {
         assert!(label < n_classes, "label {label} >= n_classes {n_classes}");
         out[(r, label)] = 1.0;
     }
-    out
 }
 
 /// Fraction of rows whose argmax matches the label — the paper's accuracy
@@ -65,25 +69,21 @@ pub fn accuracy(logits: &Matrix, labels: &[usize]) -> f64 {
     if labels.is_empty() {
         return 0.0;
     }
-    // Same argmax rule as `Matrix::argmax_rows`, fanned out per row; the
-    // cross-row reduction is an integer sum, so it is order-independent.
-    let hit = |r: usize| -> u64 {
-        let pred = logits
-            .row(r)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        u64::from(pred == labels[r])
-    };
-    let correct: u64 = if logits.len() >= PAR_ROWS_MIN_ELEMS {
-        hqnn_runtime::par_map_range(labels.len(), hit)
-            .into_iter()
-            .sum::<u64>()
-    } else {
-        (0..labels.len()).map(hit).sum::<u64>()
-    };
+    // Same argmax rule as `Matrix::argmax_rows`; the hit count is an
+    // integer sum.
+    let correct = logits
+        .iter_rows()
+        .zip(labels)
+        .filter(|(row, &label)| {
+            let pred = row
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, _)| i)
+                .unwrap_or(0);
+            pred == label
+        })
+        .count();
     correct as f64 / labels.len() as f64
 }
 
@@ -98,38 +98,49 @@ impl SoftmaxCrossEntropy {
         Self
     }
 
-    /// Returns `(mean loss, dL/d(logits))` for one-hot `targets`.
-    ///
-    /// The gradient is the classic fused form `(softmax − targets) / batch`.
+    /// Returns `(mean loss, dL/d(logits))` for one-hot `targets`; the
+    /// allocating form of [`SoftmaxCrossEntropy::loss_and_grad_into`].
     ///
     /// # Panics
     ///
     /// Panics if shapes disagree or the batch is empty.
     pub fn loss_and_grad(&self, logits: &Matrix, targets: &Matrix) -> (f64, Matrix) {
+        let mut grad = Matrix::zeros(0, 0);
+        let loss = self.loss_and_grad_into(logits, targets, &mut grad);
+        (loss, grad)
+    }
+
+    /// Returns the mean loss and writes `dL/d(logits)` into `grad`,
+    /// reshaping it and reusing its allocation.
+    ///
+    /// The gradient is the classic fused form `(softmax − targets) / batch`.
+    /// Row losses left-fold in row order, so every loss bit is fixed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes disagree or the batch is empty.
+    pub fn loss_and_grad_into(&self, logits: &Matrix, targets: &Matrix, grad: &mut Matrix) -> f64 {
         assert_eq!(logits.shape(), targets.shape(), "targets must match logits");
         assert!(logits.rows() > 0, "empty batch");
-        let probs = softmax(logits);
         let batch = logits.rows() as f64;
-        // Per-row loss partials fan out; the cross-row reduction left-folds
-        // in row order, so the f64 grouping — and hence every reported loss
-        // bit — is fixed at any thread count.
-        let row_loss = |r: usize| -> f64 {
+        let scale = 1.0 / batch;
+        grad.reset_zeros(logits.rows(), logits.cols());
+        let mut sum = 0.0;
+        for (r, (row, target)) in logits.iter_rows().zip(targets.iter_rows()).enumerate() {
+            let probs = grad.row_mut(r);
+            softmax_row(row, probs);
             let mut part = 0.0;
-            for c in 0..logits.cols() {
-                if targets[(r, c)] != 0.0 {
-                    part += targets[(r, c)] * probs[(r, c)].max(1e-300).ln();
+            for (&p, &t) in probs.iter().zip(target) {
+                if t != 0.0 {
+                    part += t * p.max(1e-300).ln();
                 }
             }
-            part
-        };
-        let partials: Vec<f64> = if logits.len() >= PAR_ROWS_MIN_ELEMS {
-            hqnn_runtime::par_map_range(logits.rows(), row_loss)
-        } else {
-            (0..logits.rows()).map(row_loss).collect()
-        };
-        let loss = -hqnn_tensor::fold::ordered_sum_f64(partials.iter().copied());
-        let grad = (&probs - targets).scale(1.0 / batch);
-        (loss / batch, grad)
+            sum += part;
+            for (p, &t) in probs.iter_mut().zip(target) {
+                *p = (*p - t) * scale;
+            }
+        }
+        -sum / batch
     }
 }
 
@@ -226,10 +237,9 @@ mod tests {
 
     #[test]
     fn loss_softmax_accuracy_bitwise_invariant_across_threads() {
-        // Batch large enough to clear PAR_ROWS_MIN_ELEMS so the parallel
-        // paths actually run.
+        // A batch as large as any full-set evaluation in the study.
         let mut rng = hqnn_tensor::SeededRng::new(9);
-        let rows = PAR_ROWS_MIN_ELEMS / 4;
+        let rows = 1024;
         let logits = Matrix::uniform(rows, 8, -4.0, 4.0, &mut rng);
         let labels: Vec<usize> = (0..rows).map(|r| r % 8).collect();
         let targets = one_hot(&labels, 8);

@@ -57,11 +57,15 @@ impl Sequential {
         &self.layers
     }
 
-    /// Runs the full forward pass, caching per-layer state for a subsequent
-    /// [`Sequential::backward`].
+    /// Runs the full forward pass. A training pass caches per-layer state
+    /// for a subsequent [`Sequential::backward`]; an inference pass drops it.
     pub fn forward(&mut self, input: &Matrix, training: bool) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, training);
+        for layer in layers {
             x = layer.forward(&x, training);
         }
         x
@@ -72,10 +76,15 @@ impl Sequential {
     ///
     /// # Panics
     ///
-    /// Panics (from the layers) when no matching forward pass preceded it.
+    /// Panics (from the layers) when no matching training forward pass
+    /// preceded it.
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = last.backward(grad_output);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g

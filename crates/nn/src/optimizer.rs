@@ -158,27 +158,23 @@ impl Optimizer for Adam {
             self.moments[slot].get_or_insert_with(|| (Matrix::zeros(r, c), Matrix::zeros(r, c)));
         assert_eq!(m.shape(), value.shape(), "optimizer slot shape changed");
 
-        // m ← β₁ m + (1-β₁) g ; v ← β₂ v + (1-β₂) g².
-        for ((mi, vi), &gi) in m
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let bc1 = 1.0 - beta1.powi(self.t as i32);
+        let bc2 = 1.0 - beta2.powi(self.t as i32);
+        // One pass per entry: m ← β₁ m + (1-β₁) g ; v ← β₂ v + (1-β₂) g²,
+        // then the bias-corrected step on the fresh moments.
+        for (((wi, mi), vi), &gi) in value
             .as_mut_slice()
             .iter_mut()
-            .zip(v.as_mut_slice().iter_mut())
+            .zip(m.as_mut_slice())
+            .zip(v.as_mut_slice())
             .zip(grad.as_slice())
         {
-            *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-            *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-        }
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((wi, mi), vi) in value
-            .as_mut_slice()
-            .iter_mut()
-            .zip(m.as_slice())
-            .zip(v.as_slice())
-        {
-            let m_hat = mi / bc1;
-            let v_hat = vi / bc2;
-            *wi -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            *mi = beta1 * *mi + (1.0 - beta1) * gi;
+            *vi = beta2 * *vi + (1.0 - beta2) * gi * gi;
+            let m_hat = *mi / bc1;
+            let v_hat = *vi / bc2;
+            *wi -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 

@@ -6,7 +6,7 @@ use hqnn_telemetry as telemetry;
 use hqnn_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
 
-use crate::loss::{accuracy, one_hot, SoftmaxCrossEntropy};
+use crate::loss::{accuracy, one_hot_into, SoftmaxCrossEntropy};
 use crate::model::Sequential;
 use crate::optimizer::Optimizer;
 
@@ -142,6 +142,11 @@ pub fn train(
     let n = x_train.rows();
     let mut order: Vec<usize> = (0..n).collect();
     let mut step = 0u64;
+    // Per-step buffers, reused across every mini-batch of the run.
+    let mut xb = Matrix::zeros(0, 0);
+    let mut labels = Vec::with_capacity(config.batch_size);
+    let mut targets = Matrix::zeros(0, 0);
+    let mut grad = Matrix::zeros(0, 0);
 
     let mut report = TrainReport {
         best_train_accuracy: 0.0,
@@ -161,11 +166,12 @@ pub fn train(
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(config.batch_size) {
-            let xb = x_train.select_rows(chunk);
-            let labels: Vec<usize> = chunk.iter().map(|&i| y_train[i]).collect();
-            let targets = one_hot(&labels, n_classes);
+            x_train.select_rows_into(chunk, &mut xb);
+            labels.clear();
+            labels.extend(chunk.iter().map(|&i| y_train[i]));
+            one_hot_into(&labels, n_classes, &mut targets);
             let logits = model.forward(&xb, true);
-            let (loss, grad) = loss_fn.loss_and_grad(&logits, &targets);
+            let loss = loss_fn.loss_and_grad_into(&logits, &targets, &mut grad);
             model.backward(&grad);
             // Health sentinels run between backward and the optimizer step:
             // read-only checks on the loss and the freshly-stored gradients

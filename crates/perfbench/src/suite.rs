@@ -153,6 +153,38 @@ pub fn default_suite() -> Vec<Benchmark> {
         });
     }
 
+    // -- tensor.dense_step_110x10: one dense layer's three products ------
+    // x·W, xᵀ·g and g·Wᵀ for a batch of 8 at 110→10, the shapes of the
+    // classical study's widest first layer; all three run the fixed-width
+    // register kernels (`tensor.matmul` above stays on the general loop).
+    {
+        const BATCH: usize = 8;
+        const IN: usize = 110;
+        const OUT: usize = 10;
+        let mut rng = SeededRng::new(13);
+        let x = Matrix::uniform(BATCH, IN, -1.0, 1.0, &mut rng);
+        let w = Matrix::glorot_uniform(IN, OUT, &mut rng);
+        let g = Matrix::uniform(BATCH, OUT, -1.0, 1.0, &mut rng);
+        let mut dw = Matrix::zeros(IN, OUT);
+        let mut wt = Matrix::zeros(OUT, IN);
+        suite.push(Benchmark {
+            id: "tensor.dense_step_110x10",
+            throughput_unit: "dense-steps",
+            ops_per_iter: 1,
+            analytic_flops_per_iter: Some(3 * 2 * (BATCH * IN * OUT) as u64),
+            heavy: false,
+            run: Box::new(move || {
+                hqnn_runtime::with_threads(1, || {
+                    black_box(black_box(&x).matmul(black_box(&w)));
+                    black_box(&x).matmul_tn(black_box(&g), &mut dw);
+                    black_box(&dw);
+                    black_box(&w).transpose_into(&mut wt);
+                    black_box(black_box(&g).matmul(&wt));
+                });
+            }),
+        });
+    }
+
     // -- qsim.gate_apply: raw single-qubit gate application ---------------
     {
         const QUBITS: usize = 10;

@@ -28,11 +28,29 @@ const PAR_MATMUL_MIN_WORK: usize = 32 * 1024;
 /// assert_eq!(m[(1, 2)], 6.0);
 /// assert_eq!(m.transpose().shape(), (3, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s allocation when it is
+    /// large enough — the layers' backward caches rely on this.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -51,6 +69,25 @@ impl Matrix {
             cols,
             data: vec![0.0; len],
         }
+    }
+
+    /// Reshapes `self` to `rows × cols` and fills it with zeros, reusing the
+    /// existing allocation when it is large enough.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.resize(rows, cols);
+        self.data.fill(0.0);
+    }
+
+    /// Reshapes `self` to `rows × cols` keeping whatever values the buffer
+    /// holds; for callers that overwrite every entry.
+    fn resize(&mut self, rows: usize, cols: usize) {
+        let len = rows
+            .checked_mul(cols)
+            // lint:allow(panic): allocation-size overflow is unrecoverable
+            .expect("matrix dimensions overflow usize");
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(len, 0.0);
     }
 
     /// Creates a `rows × cols` matrix filled with `value`.
@@ -221,15 +258,28 @@ impl Matrix {
     /// Matrix transpose.
     pub fn transpose(&self) -> Self {
         let mut t = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
+        self.transpose_into(&mut t);
         t
     }
 
+    /// Writes the transpose into `out`, reshaping it and reusing its
+    /// allocation.
+    pub fn transpose_into(&self, out: &mut Self) {
+        out.resize(self.cols, self.rows);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+            }
+        }
+    }
+
     /// Matrix product `self · other`.
+    ///
+    /// Every output entry is the same left fold at any width and thread
+    /// count: ascending `k` from `0.0`, skipping exact zeros of `self`, each
+    /// step `acc += a · b` (Rust never contracts it to an FMA). Right
+    /// operands up to 16 columns wide run a kernel that keeps the row's
+    /// accumulators in registers; the fold, and so every bit, is unchanged.
     ///
     /// # Panics
     ///
@@ -245,45 +295,62 @@ impl Matrix {
             "tensor.matmul_flops",
             2 * (self.rows * self.cols * other.cols) as u64,
         );
-        let mut out = Self::zeros(self.rows, other.cols);
+        let n = other.cols;
+        let mut out = Self::zeros(self.rows, n);
+        let kernel = row_kernel(n);
         // Output rows are independent, so large products fan rows out across
-        // the runtime; each row runs the identical inner loop either way, so
+        // the runtime; each row runs the identical kernel either way, so
         // the gate only changes wall-clock, never a single bit of the result.
         // Small products stay inline — thread spawn would dominate them.
-        let work = self.rows * self.cols * other.cols;
+        let work = self.rows * self.cols * n;
         if self.rows > 1 && work >= PAR_MATMUL_MIN_WORK && hqnn_runtime::threads() > 1 {
             let rows = hqnn_runtime::par_map_range(self.rows, |r| {
-                let mut dst = vec![0.0; other.cols];
-                self.matmul_row(other, r, &mut dst);
+                let mut dst = vec![0.0; n];
+                kernel(self.row(r).iter().copied(), &other.data, &mut dst);
                 dst
             });
             for (r, row) in rows.iter().enumerate() {
-                out.data[r * other.cols..(r + 1) * other.cols].copy_from_slice(row);
+                out.data[r * n..(r + 1) * n].copy_from_slice(row);
             }
         } else {
             for r in 0..self.rows {
-                self.matmul_row(
-                    other,
-                    r,
-                    &mut out.data[r * other.cols..(r + 1) * other.cols],
+                kernel(
+                    self.row(r).iter().copied(),
+                    &other.data,
+                    &mut out.data[r * n..(r + 1) * n],
                 );
             }
         }
         out
     }
 
-    /// Accumulates row `r` of `self · other` into the zeroed slice `dst`.
-    /// Both matmul paths share this loop so their results are identical.
-    fn matmul_row(&self, other: &Self, r: usize, dst: &mut [f64]) {
-        for k in 0..self.cols {
-            let a = self[(r, k)];
-            if a == 0.0 {
-                continue;
-            }
-            let src = &other.data[k * other.cols..(k + 1) * other.cols];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += a * s;
-            }
+    /// Writes `selfᵀ · other` into `out` without materialising the
+    /// transpose, bit-identical to `self.transpose().matmul(other)`: output
+    /// row `i` folds over the rows `r` of both operands in ascending order,
+    /// skipping exact zeros of `self[r, i]`. Runs sequentially and bills
+    /// the same `tensor.*` counters as the product it replaces. `out` is
+    /// reshaped to `self.cols() × other.cols()`, reusing its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != other.rows()`.
+    pub fn matmul_tn(&self, other: &Self, out: &mut Self) {
+        assert_eq!(
+            self.rows, other.rows,
+            "matmul_tn shape mismatch: ({}x{})ᵀ · {}x{}",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        hqnn_telemetry::counter("tensor.matmuls", 1);
+        hqnn_telemetry::counter(
+            "tensor.matmul_flops",
+            2 * (self.rows * self.cols * other.cols) as u64,
+        );
+        let n = other.cols;
+        out.resize(self.cols, n);
+        let kernel = row_kernel(n);
+        for i in 0..self.cols {
+            let column = self.data.iter().skip(i).step_by(self.cols).copied();
+            kernel(column, &other.data, &mut out.data[i * n..(i + 1) * n]);
         }
     }
 
@@ -361,27 +428,42 @@ impl Matrix {
     ///
     /// Panics if `bias` is not `1 × self.cols()`.
     pub fn add_row_broadcast(&self, bias: &Self) -> Self {
+        let mut out = self.clone();
+        out.add_row_broadcast_assign(bias);
+        out
+    }
+
+    /// In-place [`Matrix::add_row_broadcast`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias` is not `1 × self.cols()`.
+    pub fn add_row_broadcast_assign(&mut self, bias: &Self) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = &mut out.data[r * out.cols..(r + 1) * out.cols];
+        for r in 0..self.rows {
+            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             for (v, b) in row.iter_mut().zip(&bias.data) {
                 *v += b;
             }
         }
-        out
     }
 
     /// Sums each column into a `1 × cols` row vector (bias gradient reduction).
     pub fn sum_rows(&self) -> Self {
         let mut out = Self::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(0, c)] += self[(r, c)];
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// Writes [`Matrix::sum_rows`] into `out`, reusing its allocation.
+    pub fn sum_rows_into(&self, out: &mut Self) {
+        out.reset_zeros(1, self.cols);
+        for row in self.iter_rows() {
+            for (o, v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        out
     }
 
     /// Sum of all entries (strict left-to-right fold in storage order).
@@ -434,10 +516,20 @@ impl Matrix {
     /// Panics if any index is out of bounds.
     pub fn select_rows(&self, indices: &[usize]) -> Self {
         let mut out = Self::zeros(indices.len(), self.cols);
+        self.select_rows_into(indices, &mut out);
+        out
+    }
+
+    /// Writes [`Matrix::select_rows`] into `out`, reusing its allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Self) {
+        out.resize(indices.len(), self.cols);
         for (i, &r) in indices.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.row(r));
         }
-        out
     }
 
     /// `true` when every entry is finite (no NaN/inf), used as a training
@@ -455,6 +547,57 @@ impl Matrix {
                 .iter()
                 .zip(&other.data)
                 .all(|(&a, &b)| crate::approx_eq(a, b, tol))
+    }
+}
+
+/// A row kernel: overwrites `dst` with `Σ_k a_k · other[k, ..]` for the
+/// sequence `a`, where `other` is row-major with `dst.len()` columns.
+type RowKernel<I> = fn(I, &[f64], &mut [f64]);
+
+/// The row kernel for a right operand `width` columns wide: a
+/// register-resident one up to 16 columns, else the general loop.
+fn row_kernel<I: Iterator<Item = f64>>(width: usize) -> RowKernel<I> {
+    macro_rules! fixed {
+        ($($n:literal)+) => {
+            match width {
+                $($n => row_fixed::<$n, I>,)+
+                _ => row_any::<I>,
+            }
+        };
+    }
+    fixed!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+}
+
+/// `N`-wide row kernel: the `N` accumulators live in registers for the
+/// whole fold instead of being reloaded and stored on every `k`. Same sum,
+/// same order as [`row_any`].
+#[inline]
+fn row_fixed<const N: usize, I: Iterator<Item = f64>>(a: I, other: &[f64], dst: &mut [f64]) {
+    let mut acc = [0.0; N];
+    for (a, src) in a.zip(other.as_chunks::<N>().0) {
+        if a == 0.0 {
+            continue;
+        }
+        for (d, s) in acc.iter_mut().zip(src) {
+            *d += a * s;
+        }
+    }
+    dst.copy_from_slice(&acc);
+}
+
+/// Any-width row kernel, accumulating in `dst` itself.
+fn row_any<I: Iterator<Item = f64>>(a: I, other: &[f64], dst: &mut [f64]) {
+    dst.fill(0.0);
+    if dst.is_empty() {
+        return;
+    }
+    for (a, src) in a.zip(other.chunks_exact(dst.len())) {
+        if a == 0.0 {
+            continue;
+        }
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d += a * s;
+        }
     }
 }
 
@@ -733,20 +876,24 @@ mod tests {
 
     #[test]
     fn parallel_matmul_bitwise_matches_sequential() {
-        // Big enough to clear PAR_MATMUL_MIN_WORK (64³ = 262144), with a few
-        // exact zeros sprinkled in to exercise the skip branch on both paths.
+        // Both clear PAR_MATMUL_MIN_WORK: a 64-wide product (general loop)
+        // and a skinny 1200×110·110×10 one, the shape of a full-set
+        // evaluation through a 10-neuron dense layer (fixed-width kernel).
+        // A few exact zeros exercise the skip branch on both paths.
         let mut rng = SeededRng::new(42);
-        let mut a = Matrix::uniform(64, 64, -1.0, 1.0, &mut rng);
-        let b = Matrix::uniform(64, 64, -1.0, 1.0, &mut rng);
-        for i in 0..64 {
-            a[(i, (i * 7) % 64)] = 0.0;
-        }
-        let seq = hqnn_runtime::with_threads(1, || a.matmul(&b));
-        for threads in [2, 3, 7] {
-            let par = hqnn_runtime::with_threads(threads, || a.matmul(&b));
-            assert_eq!(par.shape(), seq.shape());
-            for (x, y) in par.as_slice().iter().zip(seq.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "threads={threads}");
+        for (rows, inner, cols) in [(64, 64, 64), (1200, 110, 10)] {
+            let mut a = Matrix::uniform(rows, inner, -1.0, 1.0, &mut rng);
+            let b = Matrix::uniform(inner, cols, -1.0, 1.0, &mut rng);
+            for i in 0..rows {
+                a[(i, (i * 7) % inner)] = 0.0;
+            }
+            let seq = hqnn_runtime::with_threads(1, || a.matmul(&b));
+            for threads in [2, 3, 7] {
+                let par = hqnn_runtime::with_threads(threads, || a.matmul(&b));
+                assert_eq!(par.shape(), seq.shape());
+                for (x, y) in par.as_slice().iter().zip(seq.as_slice()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{rows}x{cols}, threads={threads}");
+                }
             }
         }
     }
