@@ -239,7 +239,7 @@ impl Cli {
 
     /// Loads the cached study if compatible, otherwise starts a fresh one.
     /// A cache computed under another configuration, another
-    /// [`NUMERICS_VERSION`] or another gate-fusion level is stale: a
+    /// [`NUMERICS_VERSION`] or the retired gate-fusion path is stale: a
     /// warn-level `bench.cache_stale` event names the differing field
     /// (`config`, `numerics` or `fusion`) with its cached and current values.
     /// A cache file that exists but does not parse (truncated write,
@@ -323,9 +323,10 @@ fn stale_field(
             NUMERICS_VERSION.to_string(),
         ));
     }
-    let level = hqnn_qsim::fusion_level();
-    if study.fusion_level != level {
-        return Some(("fusion", study.fusion_level.to_string(), level.to_string()));
+    // Levels 1 and 2 ran the retired fused simulator, whose forward bits
+    // this build does not reproduce.
+    if study.fusion_level != 0 {
+        return Some(("fusion", study.fusion_level.to_string(), "0".to_string()));
     }
     None
 }
@@ -548,47 +549,45 @@ mod tests {
 
     #[test]
     fn load_study_treats_another_fusion_level_as_stale() {
-        let cli = smoke_cli_in_temp_dir("other-fusion-cache");
-        let mut cached = StudyResult::new(ExperimentConfig::smoke());
-        cached.fusion_level = 1;
-        cached.run_classical();
-        cached.save(cli.study_path()).expect("save cache");
-        let mem = telemetry::add_memory_sink();
-        let study = hqnn_qsim::with_fusion_level(2, || cli.load_study());
-        assert!(study.classical.is_empty(), "stale cache must not be reused");
-        assert_eq!(study.fusion_level, 2);
-        let stale = cache_events(&mem, &cli, "bench.cache_stale");
-        assert_eq!(stale.len(), 1, "one stale event");
-        assert_eq!(stale[0].level, telemetry::Level::Warn);
-        let s = |v: &str| telemetry::FieldValue::Str(v.to_string());
-        assert_eq!(field(&stale[0], "field"), Some(&s("fusion")));
-        assert_eq!(field(&stale[0], "old"), Some(&s("1")));
-        assert_eq!(field(&stale[0], "new"), Some(&s("2")));
-        assert!(cache_events(&mem, &cli, "bench.cache_hit").is_empty());
-        let _ = std::fs::remove_dir_all(&cli.cache_dir);
-    }
-
-    #[test]
-    fn load_study_reuses_a_cache_at_its_own_fusion_level() {
-        let cli = smoke_cli_in_temp_dir("same-fusion-cache");
-        let mut cached =
-            hqnn_qsim::with_fusion_level(2, || StudyResult::new(ExperimentConfig::smoke()));
-        assert_eq!(cached.fusion_level, 2);
-        cached.run_classical();
-        cached.save(cli.study_path()).expect("save cache");
-        let mem = telemetry::add_memory_sink();
-        let study = hqnn_qsim::with_fusion_level(2, || cli.load_study());
-        assert_eq!(study, cached, "a cache at the current level is a hit");
-        assert_eq!(cache_events(&mem, &cli, "bench.cache_hit").len(), 1);
-        assert!(cache_events(&mem, &cli, "bench.cache_stale").is_empty());
-        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+        // Studies cached under the retired fused path (levels 1 and 2)
+        // carry forward bits the gate-by-gate simulator does not reproduce.
+        for level in [1u64, 2] {
+            let cli = smoke_cli_in_temp_dir(&format!("fusion-{level}-cache"));
+            let mut cached = StudyResult::new(ExperimentConfig::smoke());
+            cached.run_classical();
+            let mut json = serde_json::to_value(&cached).expect("study serializes");
+            if let serde_json::Value::Map(fields) = &mut json {
+                let stamp = fields
+                    .iter_mut()
+                    .find(|(k, _)| k == "fusion_level")
+                    .expect("the stamp is serialized");
+                stamp.1 = serde_json::Value::U64(level);
+            }
+            std::fs::write(
+                cli.study_path(),
+                serde_json::to_string_pretty(&json).unwrap(),
+            )
+            .expect("write fused cache");
+            let mem = telemetry::add_memory_sink();
+            let study = cli.load_study();
+            assert!(study.classical.is_empty(), "stale cache must not be reused");
+            assert_eq!(study.fusion_level, 0);
+            let stale = cache_events(&mem, &cli, "bench.cache_stale");
+            assert_eq!(stale.len(), 1, "one stale event at level {level}");
+            assert_eq!(stale[0].level, telemetry::Level::Warn);
+            let s = |v: &str| telemetry::FieldValue::Str(v.to_string());
+            assert_eq!(field(&stale[0], "field"), Some(&s("fusion")));
+            assert_eq!(field(&stale[0], "old"), Some(&s(&level.to_string())));
+            assert_eq!(field(&stale[0], "new"), Some(&s("0")));
+            assert!(cache_events(&mem, &cli, "bench.cache_hit").is_empty());
+            let _ = std::fs::remove_dir_all(&cli.cache_dir);
+        }
     }
 
     #[test]
     fn a_cache_without_fusion_stamp_loads_as_level_zero() {
         let cli = smoke_cli_in_temp_dir("unstamped-fusion-cache");
-        let cached =
-            hqnn_qsim::with_fusion_level(0, || StudyResult::new(ExperimentConfig::smoke()));
+        let cached = StudyResult::new(ExperimentConfig::smoke());
         let mut json = serde_json::to_value(&cached).expect("study serializes");
         if let serde_json::Value::Map(fields) = &mut json {
             let before = fields.len();
@@ -604,8 +603,8 @@ mod tests {
         assert_eq!(loaded.fusion_level, 0);
         assert_eq!(loaded, cached);
         let mem = telemetry::add_memory_sink();
-        let study = hqnn_qsim::with_fusion_level(0, || cli.load_study());
-        assert_eq!(study, cached, "an unstamped cache is current at level 0");
+        let study = cli.load_study();
+        assert_eq!(study, cached, "an unstamped cache is current");
         assert_eq!(cache_events(&mem, &cli, "bench.cache_hit").len(), 1);
         let _ = std::fs::remove_dir_all(&cli.cache_dir);
     }

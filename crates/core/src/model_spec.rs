@@ -38,18 +38,36 @@ impl ClassicalSpec {
     /// Panics if `n_features == 0`, `n_classes == 0`, or any hidden width
     /// is zero.
     pub fn new(n_features: usize, hidden: Vec<usize>, n_classes: usize) -> Self {
-        assert!(n_features > 0, "need at least one feature");
-        assert!(n_classes > 0, "need at least one class");
-        assert!(
-            hidden.iter().all(|&h| h > 0),
-            "hidden widths must be positive"
-        );
-        Self {
+        let spec = Self {
             n_features,
             hidden,
             n_classes,
             activation: ActivationKind::Relu,
+        };
+        if let Err(rule) = spec.validate() {
+            // lint:allow(panic): documented constructor contract (see # Panics)
+            panic!("{rule}");
         }
+        spec
+    }
+
+    /// Checks the rules [`ClassicalSpec::new`] enforces, for specs that
+    /// were deserialized instead of constructed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.n_features == 0 {
+            return Err("need at least one feature");
+        }
+        if self.n_classes == 0 {
+            return Err("need at least one class");
+        }
+        if self.hidden.contains(&0) {
+            return Err("hidden widths must be positive");
+        }
+        Ok(())
     }
 
     /// Overrides the hidden activation.
@@ -126,14 +144,33 @@ impl HybridSpec {
     ///
     /// Panics if `n_features == 0` or `n_classes == 0`.
     pub fn new(n_features: usize, n_classes: usize, template: QnnTemplate) -> Self {
-        assert!(n_features > 0, "need at least one feature");
-        assert!(n_classes > 0, "need at least one class");
-        Self {
+        let spec = Self {
             n_features,
             n_classes,
             template,
             gradient_method: GradientMethod::Adjoint,
+        };
+        if let Err(rule) = spec.validate() {
+            // lint:allow(panic): documented constructor contract (see # Panics)
+            panic!("{rule}");
         }
+        spec
+    }
+
+    /// Checks the rules [`HybridSpec::new`] and [`QnnTemplate::new`]
+    /// enforce, for specs that were deserialized instead of constructed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.n_features == 0 {
+            return Err("need at least one feature");
+        }
+        if self.n_classes == 0 {
+            return Err("need at least one class");
+        }
+        self.template.validate()
     }
 
     /// Overrides the quantum differentiation engine.
@@ -198,6 +235,19 @@ impl ModelSpec {
         match self {
             ModelSpec::Classical(s) => s.build(rng),
             ModelSpec::Hybrid(s) => s.build(rng),
+        }
+    }
+
+    /// Checks the spec against its constructor's rules (see
+    /// [`ClassicalSpec::validate`], [`HybridSpec::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match self {
+            ModelSpec::Classical(s) => s.validate(),
+            ModelSpec::Hybrid(s) => s.validate(),
         }
     }
 

@@ -36,6 +36,33 @@ impl fmt::Display for LoadWeightsError {
 
 impl std::error::Error for LoadWeightsError {}
 
+/// Error rebuilding a [`SavedModel`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The stored spec breaks a rule its constructor enforces (e.g. zero
+    /// classes in a hand-edited file); carries the broken rule.
+    InvalidSpec(&'static str),
+    /// The stored weight vector does not match the spec.
+    Weights(LoadWeightsError),
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RestoreError::InvalidSpec(rule) => write!(f, "invalid model spec: {rule}"),
+            RestoreError::Weights(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
+impl From<LoadWeightsError> for RestoreError {
+    fn from(e: LoadWeightsError) -> Self {
+        RestoreError::Weights(e)
+    }
+}
+
 /// Flattens every trainable scalar of the model into one vector, in the
 /// model's stable parameter-visit order.
 pub fn extract_weights(model: &mut Sequential) -> Vec<f64> {
@@ -120,9 +147,13 @@ impl SavedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`LoadWeightsError`] when the stored weight vector does not
-    /// match the spec (e.g. a hand-edited file).
-    pub fn restore(&self) -> Result<Sequential, LoadWeightsError> {
+    /// Returns [`RestoreError::InvalidSpec`] when the stored spec breaks a
+    /// constructor rule and [`RestoreError::Weights`] when the stored weight
+    /// vector does not match the spec — both only happen to hand-edited or
+    /// corrupted files, since [`SavedModel::load`] deserializes the spec
+    /// without going through its constructor.
+    pub fn restore(&self) -> Result<Sequential, RestoreError> {
+        self.spec.validate().map_err(RestoreError::InvalidSpec)?;
         // lint:allow(unsalted-rng): seed is irrelevant — every weight the
         // builder draws is overwritten by the stored vector on the next line
         let mut model = self.spec.build(&mut SeededRng::new(0));
@@ -227,6 +258,37 @@ mod tests {
         let mut saved = SavedModel::capture(spec, &mut model);
         saved.weights.pop();
         assert!(saved.restore().is_err());
+    }
+
+    #[test]
+    fn restore_rejects_hand_edited_specs_instead_of_panicking() {
+        let hybrid = || HybridSpec::new(4, 2, QnnTemplate::new(3, 1, EntanglerKind::Basic)).into();
+        let cases: [(ModelSpec, &str, &str); 3] = [
+            (
+                ClassicalSpec::new(4, vec![3], 2).into(),
+                "\"n_classes\": 2",
+                "\"n_classes\": 0",
+            ),
+            (hybrid(), "\"n_qubits\": 3", "\"n_qubits\": 0"),
+            (hybrid(), "\"n_qubits\": 3", "\"n_qubits\": 25"),
+        ];
+        let dir = std::env::temp_dir().join(format!("hqnn-core-edited-{}", std::process::id()));
+        for (i, (spec, field, edited)) in cases.into_iter().enumerate() {
+            let mut model = spec.build(&mut SeededRng::new(2));
+            let path = dir.join(format!("model-{i}.json"));
+            SavedModel::capture(spec, &mut model)
+                .save(&path)
+                .expect("save");
+            let json = std::fs::read_to_string(&path).expect("read");
+            assert_eq!(json.matches(field).count(), 1, "{field} is stored once");
+            std::fs::write(&path, json.replace(field, edited)).expect("edit");
+            let loaded = SavedModel::load(&path).expect("edited JSON still parses");
+            let err = loaded
+                .restore()
+                .expect_err("an invalid spec must not restore");
+            assert!(err.to_string().contains("invalid model spec"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -359,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn backward_is_bitwise_identical_across_threads_and_fusion_levels() {
+    fn backward_is_bitwise_identical_across_threads() {
         let mut rng = SeededRng::new(5);
         let x = Matrix::uniform(9, 4, -1.5, 1.5, &mut rng);
         let mut g = Matrix::uniform(9, 4, -1.0, 1.0, &mut rng);
@@ -373,34 +373,26 @@ mod tests {
                 std::f64::consts::TAU,
                 &mut rng,
             );
-            let run = |threads: usize, level: u8| {
+            let run = |threads: usize| {
                 hqnn_runtime::with_threads(threads, || {
-                    hqnn_qsim::with_fusion_level(level, || {
-                        let mut l = QuantumLayer::from_parts(template, params.clone());
-                        let _ = l.forward(&x, true);
-                        let dx = l.backward(&g);
-                        let mut dtheta = Matrix::zeros(1, 0);
-                        l.visit_params(&mut |_v, gr| dtheta = gr.clone());
-                        (dx, dtheta)
-                    })
+                    let mut l = QuantumLayer::from_parts(template, params.clone());
+                    let _ = l.forward(&x, true);
+                    let dx = l.backward(&g);
+                    let mut dtheta = Matrix::zeros(1, 0);
+                    l.visit_params(&mut |_v, gr| dtheta = gr.clone());
+                    (dx, dtheta)
                 })
             };
             let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            let (dx_ref, dtheta_ref) = run(1, 0);
+            let (dx_ref, dtheta_ref) = run(1);
             for threads in [1, 2, 7] {
-                for level in [0u8, 1, 2] {
-                    let (dx, dtheta) = run(threads, level);
-                    assert_eq!(
-                        bits(&dx),
-                        bits(&dx_ref),
-                        "{kind:?} threads={threads} level={level}"
-                    );
-                    assert_eq!(
-                        bits(&dtheta),
-                        bits(&dtheta_ref),
-                        "{kind:?} threads={threads} level={level}"
-                    );
-                }
+                let (dx, dtheta) = run(threads);
+                assert_eq!(bits(&dx), bits(&dx_ref), "{kind:?} threads={threads}");
+                assert_eq!(
+                    bits(&dtheta),
+                    bits(&dtheta_ref),
+                    "{kind:?} threads={threads}"
+                );
             }
         }
     }

@@ -37,7 +37,6 @@ fn registry() -> Vec<String> {
     vec![
         "HQNN_LOG".to_string(),
         "HQNN_THREADS".to_string(),
-        "HQNN_FUSE".to_string(),
         "HQNN_BATCH".to_string(),
         "HQNN_HEALTH".to_string(),
         "HQNN_ALLOC".to_string(),

@@ -38,7 +38,7 @@ fn workspace_lints_clean() {
 #[test]
 fn registry_contains_the_known_vars() {
     let reg = load_registry(workspace_root()).expect("registry load");
-    for name in ["HQNN_LOG", "HQNN_THREADS", "HQNN_FUSE", "HQNN_ALLOC"] {
+    for name in ["HQNN_LOG", "HQNN_THREADS", "HQNN_HEALTH", "HQNN_ALLOC"] {
         assert!(
             reg.iter().any(|r| r == name),
             "{name} missing from registry {reg:?}"

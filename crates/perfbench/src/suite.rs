@@ -12,8 +12,8 @@ use hqnn_core::{ClassicalSpec, HybridSpec};
 use hqnn_flops::CostModel;
 use hqnn_nn::{one_hot, Adam, SoftmaxCrossEntropy};
 use hqnn_qsim::{
-    adjoint, parameter_shift, vjp_batch, with_fusion, with_fusion_level, EntanglerKind, GateKind,
-    Observable, QnnTemplate, StateVector,
+    adjoint, parameter_shift, vjp_batch, EntanglerKind, GateKind, Observable, QnnTemplate,
+    StateVector,
 };
 use hqnn_search::protocol::{evaluate_combo, evaluate_combo_wave, prepare_level_data};
 use hqnn_search::SearchConfig;
@@ -231,37 +231,6 @@ pub fn default_suite() -> Vec<Benchmark> {
         });
     }
 
-    // -- qsim.statevector_evolve_fused: same circuit, fused gate runs -----
-    // The opt-in `HQNN_FUSE` path over the identical workload: encoding RX +
-    // Rot runs collapse into one matrix apply per wire per layer. Has its
-    // own baseline entry because fused output is rounding-equal (not
-    // bitwise) to the scalar path.
-    {
-        let template = QnnTemplate::new(6, 4, EntanglerKind::Strong);
-        let circuit = template.build();
-        let inputs: Vec<f64> = (0..circuit.input_count())
-            .map(|i| 0.1 + i as f64 * 0.2)
-            .collect();
-        let params: Vec<f64> = (0..circuit.trainable_count())
-            .map(|i| (i as f64 * 0.37).sin())
-            .collect();
-        let flops = cost
-            .circuit_forward(&circuit.op_census(), circuit.n_qubits())
-            .total();
-        suite.push(Benchmark {
-            id: "qsim.statevector_evolve_fused",
-            throughput_unit: "circuit-runs",
-            ops_per_iter: 1,
-            analytic_flops_per_iter: Some(flops),
-            heavy: false,
-            run: Box::new(move || {
-                with_fusion(true, || {
-                    black_box(circuit.run(black_box(&inputs), black_box(&params)));
-                });
-            }),
-        });
-    }
-
     // -- qsim.run_batch: batched forward pass through the runtime ---------
     // The batch seam the thread-scaling gate watches: one iteration evolves
     // a whole batch of rows through the same circuit via `run_batch`, which
@@ -292,72 +261,9 @@ pub fn default_suite() -> Vec<Benchmark> {
         });
     }
 
-    // -- qsim.run_batch_fused: the same batch through the fused path ------
-    // One shared `FusePlan` serves every row (it is a pure function of the
-    // circuit), so this measures fusion's win on the batch seam itself.
-    {
-        const BATCH: usize = 16;
-        let template = QnnTemplate::new(6, 4, EntanglerKind::Strong);
-        let circuit = template.build();
-        let mut rng = SeededRng::new(31);
-        let inputs = Matrix::uniform(BATCH, circuit.input_count(), -1.0, 1.0, &mut rng);
-        let params: Vec<f64> = (0..circuit.trainable_count())
-            .map(|i| (i as f64 * 0.53).sin())
-            .collect();
-        let flops = BATCH as u64
-            * cost
-                .circuit_forward(&circuit.op_census(), circuit.n_qubits())
-                .total();
-        suite.push(Benchmark {
-            id: "qsim.run_batch_fused",
-            throughput_unit: "circuit-runs",
-            ops_per_iter: BATCH as u64,
-            analytic_flops_per_iter: Some(flops),
-            heavy: false,
-            run: Box::new(move || {
-                with_fusion(true, || {
-                    black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
-                });
-            }),
-        });
-    }
-
-    // -- qsim.run_batch_fused2q: pair fusion on the batch seam ------------
-    // `HQNN_FUSE=2` over the `qsim.run_batch_fused` workload: CNOT-adjacent
-    // single-qubit runs additionally collapse into 4×4 pair applies. The
-    // ratio against `qsim.run_batch_fused` is the two-qubit-fusion win.
-    {
-        const BATCH: usize = 16;
-        let template = QnnTemplate::new(6, 4, EntanglerKind::Strong);
-        let circuit = template.build();
-        let mut rng = SeededRng::new(31);
-        let inputs = Matrix::uniform(BATCH, circuit.input_count(), -1.0, 1.0, &mut rng);
-        let params: Vec<f64> = (0..circuit.trainable_count())
-            .map(|i| (i as f64 * 0.53).sin())
-            .collect();
-        let flops = BATCH as u64
-            * cost
-                .circuit_forward(&circuit.op_census(), circuit.n_qubits())
-                .total();
-        suite.push(Benchmark {
-            id: "qsim.run_batch_fused2q",
-            throughput_unit: "circuit-runs",
-            ops_per_iter: BATCH as u64,
-            analytic_flops_per_iter: Some(flops),
-            heavy: false,
-            run: Box::new(move || {
-                with_fusion_level(2, || {
-                    black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
-                });
-            }),
-        });
-    }
-
     // -- qsim.batch_sweep: the gate-major sweep engine under load ---------
-    // The sweep engine's showcase configuration — a larger batch than
-    // `qsim.run_batch` (several chunks' worth) at fusion level 2, where the
-    // per-row matrix-resolution cost the gate-major sweep hoists (fused matmul
-    // chains and 4×4 pair matrices, trig and all) is at its highest. Named
+    // A larger batch than `qsim.run_batch` — 16 chunks' worth — so the
+    // thread-scaling gate sees the sweep fan out across many chunks. Named
     // for the `qsim.batch_sweep` span each chunk opens.
     {
         const BATCH: usize = 64;
@@ -379,9 +285,7 @@ pub fn default_suite() -> Vec<Benchmark> {
             analytic_flops_per_iter: Some(flops),
             heavy: false,
             run: Box::new(move || {
-                with_fusion_level(2, || {
-                    black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
-                });
+                black_box(circuit.run_batch(black_box(&inputs), black_box(&params)));
             }),
         });
     }

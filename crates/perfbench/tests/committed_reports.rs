@@ -2,9 +2,10 @@
 //! `perfbench --check` and `perfbench --trend` use.
 //!
 //! `bench/baseline.json` and the `bench/history/BENCH_*.json` series were
-//! written by older builds, and most carry a manifest key the current
-//! `RunManifest` no longer has (the retired `"batch"` layout stamp). That
-//! key must be ignored, not rejected, and the baseline must name exactly
+//! written by older builds, and most carry manifest keys the current
+//! `RunManifest` no longer has (the retired `"batch"` layout stamp and the
+//! `"fuse"` stamp of the removed gate-fusion path). Those keys must be
+//! ignored, not rejected, and the baseline must name exactly
 //! the benchmarks the current suite runs so `--check` reports no missing
 //! ids.
 
@@ -20,10 +21,12 @@ fn repo_root() -> PathBuf {
 fn committed_baseline_loads_and_matches_the_suite() {
     let path = repo_root().join("bench/baseline.json");
     let raw = std::fs::read_to_string(&path).expect("read baseline");
-    assert!(
-        raw.contains("\"batch\""),
-        "baseline should still carry the retired key"
-    );
+    for key in ["\"batch\"", "\"fuse\""] {
+        assert!(
+            raw.contains(key),
+            "baseline should still carry the retired {key} key"
+        );
+    }
     let baseline = BenchReport::load(&path).expect("baseline loads through --check's loader");
     let mut baseline_ids: Vec<&str> = baseline.results.iter().map(|r| r.id.as_str()).collect();
     let mut suite_ids: Vec<&str> = default_suite().iter().map(|b| b.id).collect();

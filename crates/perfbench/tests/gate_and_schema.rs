@@ -172,9 +172,8 @@ fn schema_snapshot_stays_parseable() {
     assert_eq!(report.schema_version, SCHEMA_VERSION);
     assert_eq!(report.manifest.git_sha, "0123456789ab");
     assert_eq!(report.manifest.threads, 8);
-    // Snapshot predates the manifest's `fuse` and `alloc` fields; absent
-    // parses as false.
-    assert!(!report.manifest.fuse);
+    // Snapshot predates the manifest's `alloc` field; absent parses as
+    // false.
     assert!(!report.manifest.alloc);
     assert_eq!(report.results.len(), 2);
 

@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::circuit::{Circuit, ParamSource};
+use crate::MAX_QUBITS;
 
 /// Rotation axis used for single-qubit rotations in encodings and BEL.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -185,16 +186,39 @@ impl QnnTemplate {
     ///
     /// # Panics
     ///
-    /// Panics if `n_qubits == 0` or `depth == 0`.
+    /// Panics if `n_qubits == 0`, `n_qubits > MAX_QUBITS` or `depth == 0`.
     pub fn new(n_qubits: usize, depth: usize, kind: EntanglerKind) -> Self {
-        assert!(n_qubits > 0, "template needs at least one qubit");
-        assert!(depth > 0, "template needs at least one layer");
-        Self {
+        let template = Self {
             n_qubits,
             depth,
             kind,
             encoding_axis: RotationAxis::X,
+        };
+        if let Err(rule) = template.validate() {
+            // lint:allow(panic): documented constructor contract (see # Panics)
+            panic!("{rule}");
         }
+        template
+    }
+
+    /// Checks the rules [`QnnTemplate::new`] enforces. A deserialized
+    /// template (a saved model, a hand-edited file) never went through the
+    /// constructor, so loaders call this before building from it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the broken rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.n_qubits == 0 {
+            return Err("template needs at least one qubit");
+        }
+        if self.n_qubits > MAX_QUBITS {
+            return Err("template exceeds MAX_QUBITS");
+        }
+        if self.depth == 0 {
+            return Err("template needs at least one layer");
+        }
+        Ok(())
     }
 
     /// Overrides the encoding rotation axis.

@@ -7,41 +7,37 @@
 //! statevectors live in one contiguous [`BatchState`] buffer, and the driver
 //! walks a compiled op list *once*, sweeping each op across every row in
 //! the chunk while its matrix is hot. Row-independent matrices
-//! (fixed/trainable angles, fused runs and pairs) are resolved once per
-//! batch and applied with a single whole-buffer kernel call per chunk;
-//! input-dependent encoding gates are resolved per row inside the sweep.
-//! Chunks fan out across [`hqnn_runtime::par_map_range`].
+//! (fixed/trainable angles) are resolved once per batch and applied with a
+//! single whole-buffer kernel call per chunk; input-dependent encoding
+//! gates are resolved per row inside the sweep. Chunks fan out across
+//! [`hqnn_runtime::par_map_range`].
 //!
-//! The program is compiled from the [`FusePlan`] at the caller's fusion
-//! level; at level 0 that is the trivial plan (one `Direct` segment per
-//! op). Each row runs through *the same kernels in the same order with the
-//! same matrices* as [`Circuit::run`], so results are **bitwise identical**
-//! to the per-row sequential loop regardless of `HQNN_THREADS` (chunk
-//! boundaries depend only on the row count, never on the thread budget).
-//! The batch-equivalence proptests in `crates/qsim/tests/` pin that
+//! Each op compiles to exactly one sweep step, and each row runs through
+//! *the same kernels in the same order with the same matrices* as
+//! [`Circuit::run`], so results are **bitwise identical** to the per-row
+//! sequential loop regardless of `HQNN_THREADS` (chunk boundaries depend
+//! only on the row count, never on the thread budget). The
+//! batch-equivalence proptests in `crates/qsim/tests/` pin that
 //! equivalence.
 //!
 //! [`vjp_batch`], the adjoint training seam, is gate-major too: each chunk
-//! is re-simulated through the level-0 program (never fused, so gradients
-//! do not depend on the fusion level), seeded, and swept backwards with the
-//! row-independent `U†`/`dU` resolved once per batch. The shift-rule seam
-//! [`gradients_batch`] replays the original op stream per row, so it fans
-//! rows (not gate-major chunks) out across the pool and never fuses.
+//! is re-simulated through the same program, seeded, and swept backwards
+//! with the row-independent `U†`/`dU` resolved once per batch. The
+//! shift-rule seam [`gradients_batch`] replays the op stream per row, so it
+//! fans rows (not gate-major chunks) out across the pool.
 
 use hqnn_tensor::Matrix;
 
 use crate::batch_state::BatchState;
 use crate::circuit::{Circuit, Op, ParamSource, Wires};
 use crate::complex::C64;
-use crate::fuse::{self, FusePlan, Segment};
-use crate::gates::{matmul2, GateKind, Matrix2, Matrix4};
+use crate::gates::{GateKind, Matrix2};
 use crate::gradient::{self, Gradients, Vjp};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
 use crate::state::{
-    apply_pair_amps, apply_single_amps, apply_swap_amps, transform_control1_pairs_amps,
+    apply_single_amps, apply_swap_amps, transform_control1_pairs_amps, StateVector,
 };
-use crate::state::StateVector;
 
 /// Upper bound on rows per gate-major chunk. Fixed (never derived from the
 /// thread budget) so chunk boundaries — and with them span trees and causal
@@ -55,7 +51,7 @@ fn chunk_rows_for(n_qubits: usize) -> usize {
     ((1usize << 20) >> n_qubits).clamp(1, GATE_CHUNK_ROWS)
 }
 
-/// One step of a compiled gate-major program.
+/// One step of a compiled gate-major program: the sweep form of one op.
 enum SweepOp {
     /// Row-independent single-qubit matrix: one whole-buffer kernel sweep.
     SharedSingle { m: Matrix2, wire: usize },
@@ -65,20 +61,10 @@ enum SweepOp {
         control: usize,
         target: usize,
     },
-    /// Row-independent fused 4×4 pair matrix: one pair-quad kernel sweep.
-    SharedPair { m: Matrix4, low: usize, high: usize },
     /// SWAP (never parametrized): one whole-buffer sweep.
     Swap { a: usize, b: usize },
     /// Input-dependent op `k`, resolved and applied per row.
     RowOp(usize),
-    /// Input-dependent fused run, its matrix chain recomputed per row.
-    RowRun { wire: usize, ops: Vec<usize> },
-    /// Input-dependent fused pair, its 4×4 chain recomputed per row.
-    RowPair {
-        low: usize,
-        high: usize,
-        ops: Vec<usize>,
-    },
 }
 
 /// Whether the op's angle depends on the per-sample inputs — such ops stay
@@ -87,101 +73,49 @@ fn input_dependent(op: &Op) -> bool {
     matches!(op.param, ParamSource::Input(_))
 }
 
-/// A gate-major program compiled once per batch from a [`FusePlan`]: every
-/// row-independent matrix is hoisted out of the per-row loop, everything
-/// input-dependent stays a per-row step. The per-row kernel sequence — and
-/// therefore every amplitude — is bitwise identical to [`FusePlan::run`]
-/// (at level 0, to [`Circuit::run_unfused`]).
+/// The op's matrix with its angle resolved from the bindings (fixed gates
+/// take `θ = 0`), exactly as [`Circuit::run`] resolves it.
+fn resolved_matrix(op: &Op, inputs: &[f64], params: &[f64]) -> Matrix2 {
+    let theta = if op.kind.is_parametrized() {
+        op.param.resolve(inputs, params)
+    } else {
+        0.0
+    };
+    op.kind.matrix(theta)
+}
+
+/// A gate-major program compiled once per batch: one step per op, every
+/// row-independent matrix hoisted out of the per-row loop, everything
+/// input-dependent kept a per-row step. The per-row kernel sequence — and
+/// therefore every amplitude — is bitwise identical to [`Circuit::run`].
 pub(crate) struct BatchProgram {
     steps: Vec<SweepOp>,
-    /// Gate applications each row is billed for, matching what
-    /// [`Circuit::run`] bills per row (the plan's segment count, which is
-    /// the op count at level 0).
-    applies_per_row: u64,
-    /// Ops fusion eliminated per row (0 at level 0).
-    collapsed_per_row: u64,
 }
 
 impl BatchProgram {
-    /// Compiles `circuit` for one batch at the caller's fusion level. The
-    /// level is resolved here, on the caller thread, before the fan-out:
-    /// thread-local overrides like [`crate::fuse::with_fusion_level`] do not
-    /// propagate into pool workers, and the program is built exactly once
-    /// per batch either way.
-    fn for_batch(circuit: &Circuit, params: &[f64]) -> Self {
-        let plan = FusePlan::with_level(circuit, fuse::fusion_level());
-        Self::compile(circuit, &plan, params)
-    }
-
-    /// Compiles the level-0 program whatever the fusion level: bitwise
-    /// [`Circuit::run_unfused`] per row. The adjoint sweep re-simulates
-    /// through it, so gradients never depend on the fusion level.
-    pub(crate) fn unfused(circuit: &Circuit, params: &[f64]) -> Self {
-        Self::compile(circuit, &FusePlan::with_level(circuit, 0), params)
-    }
-
-    fn compile(circuit: &Circuit, plan: &FusePlan, params: &[f64]) -> Self {
-        let ops = circuit.ops();
-        let mut steps = Vec::new();
-        for segment in plan.segments() {
-            match segment {
-                Segment::Run { wire, ops: run } => {
-                    if run.iter().any(|&k| input_dependent(&ops[k])) {
-                        steps.push(SweepOp::RowRun {
-                            wire: *wire,
-                            ops: run.clone(),
-                        });
-                    } else {
-                        // Same left-multiplied chain as `FusePlan::run`,
-                        // hoisted because no angle reads the inputs.
-                        let mut m = fuse::resolved_matrix(&ops[run[0]], &[], params);
-                        for &k in &run[1..] {
-                            m = matmul2(&fuse::resolved_matrix(&ops[k], &[], params), &m);
-                        }
-                        steps.push(SweepOp::SharedSingle { m, wire: *wire });
-                    }
-                }
-                Segment::Pair { low, high, ops: pair } => {
-                    if pair.iter().any(|&k| input_dependent(&ops[k])) {
-                        steps.push(SweepOp::RowPair {
-                            low: *low,
-                            high: *high,
-                            ops: pair.clone(),
-                        });
-                    } else {
-                        let m = fuse::pair_matrix(circuit, *low, *high, pair, &[], params);
-                        steps.push(SweepOp::SharedPair {
-                            m,
-                            low: *low,
-                            high: *high,
-                        });
-                    }
-                }
-                Segment::Direct(k) => {
-                    let op = &ops[*k];
-                    match op.wires {
-                        Wires::Two(a, b) if op.kind == GateKind::Swap => {
-                            steps.push(SweepOp::Swap { a, b });
-                        }
-                        _ if input_dependent(op) => steps.push(SweepOp::RowOp(*k)),
-                        Wires::One(w) => steps.push(SweepOp::SharedSingle {
-                            m: fuse::resolved_matrix(op, &[], params),
-                            wire: w,
-                        }),
-                        Wires::Two(a, b) => steps.push(SweepOp::SharedControlled {
-                            m: fuse::resolved_matrix(op, &[], params),
-                            control: a,
-                            target: b,
-                        }),
-                    }
-                }
-            }
-        }
-        Self {
-            steps,
-            applies_per_row: plan.fused_ops() as u64,
-            collapsed_per_row: plan.collapsed_ops() as u64,
-        }
+    /// Compiles `circuit` for one batch with the trainable `params` bound.
+    /// Built once on the caller thread, before the fan-out; the forward
+    /// seams and the adjoint's re-simulation share it.
+    pub(crate) fn new(circuit: &Circuit, params: &[f64]) -> Self {
+        let steps = circuit
+            .ops()
+            .iter()
+            .enumerate()
+            .map(|(k, op)| match op.wires {
+                Wires::Two(a, b) if op.kind == GateKind::Swap => SweepOp::Swap { a, b },
+                _ if input_dependent(op) => SweepOp::RowOp(k),
+                Wires::One(wire) => SweepOp::SharedSingle {
+                    m: resolved_matrix(op, &[], params),
+                    wire,
+                },
+                Wires::Two(control, target) => SweepOp::SharedControlled {
+                    m: resolved_matrix(op, &[], params),
+                    control,
+                    target,
+                },
+            })
+            .collect();
+        Self { steps }
     }
 
     /// [`Self::run_chunk`] under a `qsim.batch_sweep` span.
@@ -210,10 +144,7 @@ impl BatchProgram {
         rows: usize,
     ) -> BatchState {
         hqnn_telemetry::counter("qsim.circuit_runs", rows as u64);
-        hqnn_telemetry::counter("qsim.gate_applies", self.applies_per_row * rows as u64);
-        if self.collapsed_per_row > 0 {
-            hqnn_telemetry::counter("qsim.fuse_collapsed", self.collapsed_per_row * rows as u64);
-        }
+        hqnn_telemetry::counter("qsim.gate_applies", (self.steps.len() * rows) as u64);
         hqnn_telemetry::gauge_max("qsim.statevector_len", (1u64 << circuit.n_qubits()) as f64);
         let ops = circuit.ops();
         let mut batch = BatchState::new(circuit.n_qubits(), rows);
@@ -223,35 +154,11 @@ impl BatchProgram {
                 SweepOp::SharedControlled { m, control, target } => {
                     batch.apply_controlled_all(m, *control, *target);
                 }
-                SweepOp::SharedPair { m, low, high } => batch.apply_pair_all(m, *low, *high),
                 SweepOp::Swap { a, b } => batch.apply_swap_all(*a, *b),
                 SweepOp::RowOp(k) => {
                     let op = &ops[*k];
                     for j in 0..rows {
                         apply_op_amps(op, batch.row_mut(j), inputs.row(row0 + j), params);
-                    }
-                }
-                SweepOp::RowRun { wire, ops: run } => {
-                    for j in 0..rows {
-                        let x = inputs.row(row0 + j);
-                        let mut m = fuse::resolved_matrix(&ops[run[0]], x, params);
-                        for &k in &run[1..] {
-                            m = matmul2(&fuse::resolved_matrix(&ops[k], x, params), &m);
-                        }
-                        apply_single_amps(batch.row_mut(j), &m, *wire);
-                    }
-                }
-                SweepOp::RowPair { low, high, ops: pair } => {
-                    for j in 0..rows {
-                        let m = fuse::pair_matrix(
-                            circuit,
-                            *low,
-                            *high,
-                            pair,
-                            inputs.row(row0 + j),
-                            params,
-                        );
-                        apply_pair_amps(batch.row_mut(j), &m, *low, *high);
                     }
                 }
             }
@@ -263,17 +170,13 @@ impl BatchProgram {
 /// Mirror of [`Circuit::apply_op`] over one row's amplitude slice: same
 /// angle resolution, same matrices, same kernels — bitwise identical.
 fn apply_op_amps(op: &Op, row: &mut [C64], inputs: &[f64], params: &[f64]) {
-    let theta = if op.kind.is_parametrized() {
-        op.param.resolve(inputs, params)
-    } else {
-        0.0
-    };
     match op.wires {
-        Wires::One(w) => apply_single_amps(row, &op.kind.matrix(theta), w),
-        Wires::Two(a, b) => match op.kind {
-            GateKind::Swap => apply_swap_amps(row, a, b),
-            _ => transform_control1_pairs_amps(row, &op.kind.matrix(theta), 1usize << a, 1usize << b),
-        },
+        Wires::Two(a, b) if op.kind == GateKind::Swap => apply_swap_amps(row, a, b),
+        Wires::One(w) => apply_single_amps(row, &resolved_matrix(op, inputs, params), w),
+        Wires::Two(a, b) => {
+            let m = resolved_matrix(op, inputs, params);
+            transform_control1_pairs_amps(row, &m, 1usize << a, 1usize << b);
+        }
     }
 }
 
@@ -300,7 +203,7 @@ impl Circuit {
     pub fn run_batch(&self, inputs: &Matrix, params: &[f64]) -> Vec<StateVector> {
         self.check_batch(inputs, params);
         let _span = hqnn_telemetry::span("qsim.run_batch");
-        let program = BatchProgram::for_batch(self, params);
+        let program = BatchProgram::new(self, params);
         let chunk = chunk_rows_for(self.n_qubits());
         let n_chunks = inputs.rows().div_ceil(chunk);
         let chunks = hqnn_runtime::par_map_range(n_chunks, |c| {
@@ -341,7 +244,7 @@ impl Circuit {
         if n_rows == 0 || n_obs == 0 {
             return out;
         }
-        let program = BatchProgram::for_batch(self, params);
+        let program = BatchProgram::new(self, params);
         let chunk = chunk_rows_for(self.n_qubits());
         hqnn_runtime::par_chunks_mut(out.as_mut_slice(), chunk * n_obs, |c, dst| {
             let row0 = c * chunk;
@@ -375,8 +278,8 @@ impl Circuit {
 
 /// Computes [`Gradients`] for every row of `inputs` with the chosen engine,
 /// returned in row order (bitwise identical to calling the engine per row).
-/// Gradient engines replay the original op stream per row, so this seam
-/// fans rows (not gate-major chunks) out across the pool and never fuses.
+/// Gradient engines replay the op stream per row, so this seam fans rows
+/// (not gate-major chunks) out across the pool.
 ///
 /// # Panics
 ///
@@ -495,21 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_and_row_layouts_agree_bitwise_fused() {
-        // Gate-major sweeps at fusion levels 1 and 2 against the per-row
-        // loop through the same `FusePlan`.
-        let c = encoder_circuit();
-        let x = sample_batch();
-        let params = [0.5, -0.3];
-        for level in [1u8, 2] {
-            crate::fuse::with_fusion_level(level, || {
-                let gate = c.run_batch(&x, &params);
-                assert_matches_per_row(&c, &x, &params, &gate);
-            });
-        }
-    }
-
-    #[test]
     fn expectations_batch_shape_and_bitwise_rows() {
         let c = encoder_circuit();
         let x = sample_batch();
@@ -609,23 +497,6 @@ mod tests {
         }
         let w = Matrix::zeros(0, 2);
         assert!(vjp_batch(&c, &x, &[0.0, 0.0], &z_all(2), &w).is_empty());
-    }
-
-    #[test]
-    fn empty_batch_is_fine_fused_and_threaded() {
-        // Zero rows through the fused path still builds the shared plan on
-        // the caller, then fans out nothing — under any thread budget.
-        let c = encoder_circuit();
-        let x = Matrix::zeros(0, 2);
-        for threads in [1, 4] {
-            hqnn_runtime::with_threads(threads, || {
-                crate::fuse::with_fusion(true, || {
-                    assert!(c.run_batch(&x, &[0.0, 0.0]).is_empty());
-                    let e = c.expectations_batch(&x, &[0.0, 0.0], &z_all(2));
-                    assert_eq!(e.shape(), (0, 2));
-                });
-            });
-        }
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! therefore the result — is bitwise identical to running each row alone.
 
 use crate::complex::C64;
-use crate::gates::{Matrix2, Matrix4};
-use crate::state::{
-    apply_pair_amps, apply_single_amps, apply_swap_amps, transform_control1_pairs_amps,
-};
+use crate::gates::Matrix2;
+use crate::state::{apply_single_amps, apply_swap_amps, transform_control1_pairs_amps};
 use crate::{StateVector, MAX_QUBITS};
 
 /// A chunk of batch rows stored as one contiguous amplitude buffer, each
@@ -119,13 +117,6 @@ impl BatchState {
         apply_swap_amps(&mut self.amps, a, b);
     }
 
-    /// Applies a fused 4×4 pair unitary on `(low, high)` to every row in
-    /// one pair-quad kernel sweep.
-    pub fn apply_pair_all(&mut self, m: &Matrix4, low: usize, high: usize) {
-        debug_assert!(low < high && high < self.n_qubits);
-        apply_pair_amps(&mut self.amps, m, low, high);
-    }
-
     /// Splits the chunk into per-row [`StateVector`]s, preserving row order.
     pub fn into_states(mut self) -> Vec<StateVector> {
         let dim = self.row_dim();
@@ -143,7 +134,7 @@ impl BatchState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gates::{embed_controlled, GateKind};
+    use crate::gates::GateKind;
 
     #[test]
     fn rows_start_in_ground_state() {
@@ -161,21 +152,18 @@ mod tests {
         let h = GateKind::H.matrix(0.0);
         let ry = GateKind::RY.matrix(0.81);
         let x = GateKind::X.matrix(0.0);
-        let m4 = embed_controlled(&x, 0, 1);
 
         let mut batch = BatchState::new(n, rows);
         batch.apply_single_all(&h, 0);
         batch.apply_single_all(&ry, 3);
         batch.apply_controlled_all(&x, 0, 2);
         batch.apply_swap_all(1, 3);
-        batch.apply_pair_all(&m4, 1, 2);
 
         let mut want = StateVector::new(n);
         want.apply_single(&h, 0);
         want.apply_single(&ry, 3);
         want.apply_controlled(&x, 0, 2);
         want.apply_swap(1, 3);
-        want.apply_two(&m4, 1, 2);
 
         let states = batch.into_states();
         assert_eq!(states.len(), rows);

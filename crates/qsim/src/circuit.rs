@@ -325,38 +325,18 @@ impl Circuit {
         );
     }
 
-    /// Runs the circuit on `|0…0⟩` with the given bindings and returns the
-    /// final state.
+    /// Runs the circuit on `|0…0⟩` with the given bindings, one gate at a
+    /// time, and returns the final state.
     ///
-    /// When gate fusion is enabled (see [`crate::fuse`]) this builds a
-    /// [`crate::FusePlan`] and executes through it; otherwise it applies ops
-    /// one by one. The fused result matches the scalar one to rounding but
-    /// is **not** bitwise identical — fusion is opt-in for exactly that
-    /// reason. Gradient engines always use [`Circuit::run_unfused`].
+    /// This is the bitwise reference every other execution path matches:
+    /// the gate-major batch seams, and the forward re-simulation the
+    /// adjoint and parameter-shift engines replay.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len() < input_count()` or
     /// `params.len() < trainable_count()`.
     pub fn run(&self, inputs: &[f64], params: &[f64]) -> StateVector {
-        let level = crate::fuse::fusion_level();
-        if level >= 1 {
-            return crate::fuse::FusePlan::with_level(self, level).run(self, inputs, params);
-        }
-        self.run_unfused(inputs, params)
-    }
-
-    /// Runs the circuit gate-by-gate, ignoring the fusion flag.
-    ///
-    /// This is the bitwise-reference execution path: its output is what the
-    /// determinism suites pin across thread counts, and what the adjoint and
-    /// parameter-shift engines replay so gradients never depend on whether
-    /// fusion is on.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Circuit::run`].
-    pub fn run_unfused(&self, inputs: &[f64], params: &[f64]) -> StateVector {
         self.check_bindings(inputs, params);
         hqnn_telemetry::counter("qsim.circuit_runs", 1);
         hqnn_telemetry::counter("qsim.gate_applies", self.ops.len() as u64);

@@ -216,107 +216,6 @@ pub fn is_unitary(m: &Matrix2, tol: f64) -> bool {
         && p[1][0].approx_eq(C64::ZERO, tol)
 }
 
-/// A 4×4 complex matrix (row-major), the unitary of a fused two-qubit op.
-///
-/// Basis convention: index `b = 2·b_hi + b_lo` where `b_lo` is the state of
-/// the pair's **lower-numbered** wire and `b_hi` the higher-numbered one —
-/// the same little-endian order the state vector uses globally.
-pub type Matrix4 = [[C64; 4]; 4];
-
-/// The 4×4 identity.
-pub fn identity4() -> Matrix4 {
-    let z = C64::ZERO;
-    let o = C64::ONE;
-    [
-        [o, z, z, z],
-        [z, o, z, z],
-        [z, z, o, z],
-        [z, z, z, o],
-    ]
-}
-
-/// Embeds a single-qubit matrix on one bit of the pair basis: `bit = 0`
-/// acts on the low wire (`M ⊗ I` in little-endian order), `bit = 1` on the
-/// high wire (`I ⊗ M`).
-pub fn embed_single(m: &Matrix2, bit: usize) -> Matrix4 {
-    assert!(bit < 2, "pair basis has bits 0 and 1, got {bit}");
-    let mut out = [[C64::ZERO; 4]; 4];
-    // Row/column index b = 2·b_hi + b_lo; the embedded matrix couples the
-    // chosen bit while the other bit is diagonal.
-    for (r, out_row) in out.iter_mut().enumerate() {
-        for (c, out_rc) in out_row.iter_mut().enumerate() {
-            let (r_act, r_idle) = ((r >> bit) & 1, (r >> (1 - bit)) & 1);
-            let (c_act, c_idle) = ((c >> bit) & 1, (c >> (1 - bit)) & 1);
-            if r_idle == c_idle {
-                *out_rc = m[r_act][c_act];
-            }
-        }
-    }
-    out
-}
-
-/// Embeds a controlled single-qubit matrix in the pair basis:
-/// `|1⟩⟨1|_control ⊗ M_target + |0⟩⟨0|_control ⊗ I`, with `control_bit` and
-/// `target_bit` naming pair-basis bits (0 = low wire, 1 = high wire).
-pub fn embed_controlled(m: &Matrix2, control_bit: usize, target_bit: usize) -> Matrix4 {
-    assert!(control_bit < 2 && target_bit < 2 && control_bit != target_bit);
-    let mut out = [[C64::ZERO; 4]; 4];
-    for (r, out_row) in out.iter_mut().enumerate() {
-        for (c, out_rc) in out_row.iter_mut().enumerate() {
-            let (rc, rt) = ((r >> control_bit) & 1, (r >> target_bit) & 1);
-            let (cc, ct) = ((c >> control_bit) & 1, (c >> target_bit) & 1);
-            if rc != cc {
-                continue;
-            }
-            *out_rc = if rc == 1 {
-                m[rt][ct]
-            } else if rt == ct {
-                C64::ONE
-            } else {
-                C64::ZERO
-            };
-        }
-    }
-    out
-}
-
-/// Conjugate transpose of a 4×4 matrix.
-pub fn dagger4(m: &Matrix4) -> Matrix4 {
-    let mut out = [[C64::ZERO; 4]; 4];
-    for (r, out_row) in out.iter_mut().enumerate() {
-        for (c, out_rc) in out_row.iter_mut().enumerate() {
-            *out_rc = m[c][r].conj();
-        }
-    }
-    out
-}
-
-/// Product `a · b` of two 4×4 complex matrices.
-pub fn matmul4(a: &Matrix4, b: &Matrix4) -> Matrix4 {
-    let mut out = [[C64::ZERO; 4]; 4];
-    for (r, out_row) in out.iter_mut().enumerate() {
-        for (c, out_rc) in out_row.iter_mut().enumerate() {
-            let mut acc = C64::ZERO;
-            for k in 0..4 {
-                acc += a[r][k] * b[k][c];
-            }
-            *out_rc = acc;
-        }
-    }
-    out
-}
-
-/// `true` when the 4×4 matrix is unitary to within `tol` (`m·m† ≈ I`).
-pub fn is_unitary4(m: &Matrix4, tol: f64) -> bool {
-    let p = matmul4(m, &dagger4(m));
-    (0..4).all(|r| {
-        (0..4).all(|c| {
-            let want = if r == c { C64::ONE } else { C64::ZERO };
-            p[r][c].approx_eq(want, tol)
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,69 +346,5 @@ mod tests {
     #[should_panic(expected = "SWAP")]
     fn swap_matrix_panics() {
         let _ = GateKind::Swap.matrix(0.0);
-    }
-
-    #[test]
-    fn embed_single_commutes_across_bits() {
-        // M on bit 0 then N on bit 1 equals N on bit 1 then M on bit 0.
-        let m = GateKind::RX.matrix(0.8);
-        let n = GateKind::RY.matrix(-1.1);
-        let a = matmul4(&embed_single(&n, 1), &embed_single(&m, 0));
-        let b = matmul4(&embed_single(&m, 0), &embed_single(&n, 1));
-        for r in 0..4 {
-            for c in 0..4 {
-                assert!(a[r][c].approx_eq(b[r][c], 1e-12));
-            }
-        }
-    }
-
-    #[test]
-    fn embedded_matrices_are_unitary() {
-        let m = GateKind::RZ.matrix(0.37);
-        assert!(is_unitary4(&embed_single(&m, 0), 1e-12));
-        assert!(is_unitary4(&embed_single(&m, 1), 1e-12));
-        let x = GateKind::X.matrix(0.0);
-        assert!(is_unitary4(&embed_controlled(&x, 0, 1), 1e-12));
-        assert!(is_unitary4(&embed_controlled(&x, 1, 0), 1e-12));
-        assert!(is_unitary4(&identity4(), 1e-12));
-    }
-
-    #[test]
-    fn embed_controlled_cnot_permutes_basis() {
-        // CNOT with control = low bit, target = high bit maps |01⟩↔|11⟩
-        // (indices 1 and 3 in b = 2·b_hi + b_lo order) and fixes |00⟩, |10⟩.
-        let cnot = embed_controlled(&GateKind::X.matrix(0.0), 0, 1);
-        assert!(cnot[0][0].approx_eq(C64::ONE, 1e-12));
-        assert!(cnot[2][2].approx_eq(C64::ONE, 1e-12));
-        assert!(cnot[3][1].approx_eq(C64::ONE, 1e-12));
-        assert!(cnot[1][3].approx_eq(C64::ONE, 1e-12));
-        assert!(cnot[1][1].approx_eq(C64::ZERO, 1e-12));
-    }
-
-    #[test]
-    fn cz_embedding_is_symmetric_in_control_choice() {
-        let z = GateKind::Z.matrix(0.0);
-        let a = embed_controlled(&z, 0, 1);
-        let b = embed_controlled(&z, 1, 0);
-        for r in 0..4 {
-            for c in 0..4 {
-                assert!(a[r][c].approx_eq(b[r][c], 1e-12), "[{r}][{c}]");
-            }
-        }
-    }
-
-    #[test]
-    fn dagger4_inverts_unitaries() {
-        let m = matmul4(
-            &embed_controlled(&GateKind::X.matrix(0.0), 1, 0),
-            &embed_single(&GateKind::H.matrix(0.0), 0),
-        );
-        let p = matmul4(&m, &dagger4(&m));
-        let id = identity4();
-        for r in 0..4 {
-            for c in 0..4 {
-                assert!(p[r][c].approx_eq(id[r][c], 1e-12));
-            }
-        }
     }
 }

@@ -179,7 +179,7 @@ enum ReverseStep {
     Row(usize),
 }
 
-/// Both halves of the adjoint method compiled once per batch: the level-0
+/// Both halves of the adjoint method compiled once per batch: the
 /// forward program for the re-simulation and the reverse sweep's steps.
 ///
 /// The one reverse-sweep routine, [`AdjointProgram::reverse_sweep`], runs
@@ -219,7 +219,7 @@ impl<'a> AdjointProgram<'a> {
         Self {
             circuit,
             params,
-            forward: BatchProgram::unfused(circuit, params),
+            forward: BatchProgram::new(circuit, params),
             steps,
         }
     }
@@ -387,9 +387,7 @@ pub fn parameter_shift(
     let _span = hqnn_telemetry::span("qsim.parameter_shift");
     hqnn_telemetry::counter("qsim.parameter_shift_passes", 1);
     let n_obs = observables.len();
-    // Unshifted expectations go through the unfused stream, like the shifted
-    // evaluations below — the whole engine ignores the fusion flag.
-    let base_state = circuit.run_unfused(inputs, params);
+    let base_state = circuit.run(inputs, params);
     let mut grads = Gradients {
         expectations: observables
             .iter()

@@ -44,7 +44,6 @@ pub mod batch_state;
 pub mod circuit;
 pub mod complex;
 pub mod density;
-pub mod fuse;
 pub mod gates;
 pub mod gradient;
 pub mod measurement;
@@ -61,13 +60,12 @@ pub use batch_state::BatchState;
 pub use circuit::{Circuit, Op, ParamSource, Wires};
 pub use complex::C64;
 pub use density::DensityMatrix;
-pub use fuse::{fusion_enabled, fusion_level, with_fusion, with_fusion_level, FusePlan};
 pub use gates::GateKind;
 pub use gradient::{adjoint, adjoint_vjp, finite_diff, parameter_shift, Gradients, Vjp};
 pub use noise::{NoiseChannel, NoiseModel};
 pub use observable::{Observable, Pauli};
 pub use state::StateVector;
-pub use verify::{unitarity_deviation, unitarity_deviation4, VerifyError, UNITARITY_TOL};
+pub use verify::{unitarity_deviation, VerifyError, UNITARITY_TOL};
 
 /// Maximum supported qubit count. A 2²⁴-amplitude state is ~256 MiB of
 /// complex doubles — beyond that a dense simulator stops being the right

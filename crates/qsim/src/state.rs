@@ -12,7 +12,7 @@
 use std::fmt;
 
 use crate::complex::C64;
-use crate::gates::{Matrix2, Matrix4};
+use crate::gates::Matrix2;
 use crate::MAX_QUBITS;
 
 /// Applies a single-qubit unitary on wire `target` to every `2^n`-row of
@@ -174,72 +174,6 @@ pub(crate) fn inner_controlled_projected_amps(
     )
 }
 
-/// Applies a 4×4 unitary on the wire pair `(low, high)` (`low < high`) to
-/// every row of `amps` — the dedicated pair-quad kernel behind fused
-/// two-qubit ops.
-///
-/// Two enumeration shapes, picked by the high-wire stride (the same policy
-/// as [`transform_control1_pairs_amps`]). Adjacent low wires — the
-/// ring-entangler common case — make the nested block walk degenerate into
-/// per-quad loop setup over one-element slices, so a flat loop reconstructs
-/// each quad's base index by depositing zero bits at both wire positions.
-/// Large strides get the nested walk: `2·high_stride` super-blocks split
-/// into high-0/high-1 halves, whose aligned `2·low_stride` sub-blocks split
-/// again into low-0/low-1 quarters, giving four zipped branch-free slices.
-/// Both shapes visit the same quads with the same expressions — quad basis
-/// `(b_hi b_lo) = 00, 01, 10, 11` matching the [`Matrix4`] layout — so the
-/// choice never affects results.
-pub(crate) fn apply_pair_amps(amps: &mut [C64], m: &Matrix4, low: usize, high: usize) {
-    debug_assert!(low < high);
-    let sl = 1usize << low;
-    let sh = 1usize << high;
-    let len = amps.len();
-    debug_assert_eq!(len % (sh << 1), 0);
-    let [r0, r1, r2, r3] = *m;
-    if sh <= 64 {
-        // Flat walk: quad q's base index is q's bits with a 0 deposited at
-        // each of the two wire bit positions.
-        let a_bit = low as u32;
-        let b_bit = high as u32;
-        let low_mask = sl - 1;
-        let mid_mask = (sh >> 1) - 1;
-        for q in 0..len >> 2 {
-            let lo = q & low_mask;
-            let mid = (q & mid_mask) >> a_bit;
-            let hi = q >> (b_bit - 1);
-            let i = lo | (mid << (a_bit + 1)) | (hi << (b_bit + 1));
-            let (x0, x1, x2, x3) = (amps[i], amps[i + sl], amps[i + sh], amps[i + sl + sh]);
-            amps[i] = r0[0] * x0 + r0[1] * x1 + r0[2] * x2 + r0[3] * x3;
-            amps[i + sl] = r1[0] * x0 + r1[1] * x1 + r1[2] * x2 + r1[3] * x3;
-            amps[i + sh] = r2[0] * x0 + r2[1] * x1 + r2[2] * x2 + r2[3] * x3;
-            amps[i + sl + sh] = r3[0] * x0 + r3[1] * x1 + r3[2] * x2 + r3[3] * x3;
-        }
-        return;
-    }
-    for super_block in amps.chunks_exact_mut(sh << 1) {
-        let (h0, h1) = super_block.split_at_mut(sh);
-        for (b0, b1) in h0
-            .chunks_exact_mut(sl << 1)
-            .zip(h1.chunks_exact_mut(sl << 1))
-        {
-            let (q00, q01) = b0.split_at_mut(sl);
-            let (q10, q11) = b1.split_at_mut(sl);
-            for (((a00, a01), a10), a11) in q00
-                .iter_mut()
-                .zip(q01.iter_mut())
-                .zip(q10.iter_mut())
-                .zip(q11.iter_mut())
-            {
-                let (x0, x1, x2, x3) = (*a00, *a01, *a10, *a11);
-                *a00 = r0[0] * x0 + r0[1] * x1 + r0[2] * x2 + r0[3] * x3;
-                *a01 = r1[0] * x0 + r1[1] * x1 + r1[2] * x2 + r1[3] * x3;
-                *a10 = r2[0] * x0 + r2[1] * x1 + r2[2] * x2 + r2[3] * x3;
-                *a11 = r3[0] * x0 + r3[1] * x1 + r3[2] * x2 + r3[3] * x3;
-            }
-        }
-    }
-}
-
 /// Expectation value `⟨ψ|Z_wire|ψ⟩` over one row's amplitudes.
 pub(crate) fn expectation_z_amps(amps: &[C64], wire: usize) -> f64 {
     let mask = 1usize << wire;
@@ -395,19 +329,6 @@ impl StateVector {
         assert!(target < self.n_qubits, "target wire out of range");
         assert_ne!(control, target, "control and target must differ");
         transform_control1_pairs_amps(&mut self.amps, m, 1usize << control, 1usize << target);
-    }
-
-    /// Applies a 4×4 unitary to the wire pair `(low, high)`, with the
-    /// [`Matrix4`] basis convention `b = 2·b_high + b_low` (little-endian,
-    /// matching the global amplitude order). Used by fused two-qubit ops.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `low < high < n_qubits`.
-    pub fn apply_two(&mut self, m: &Matrix4, low: usize, high: usize) {
-        assert!(high < self.n_qubits, "wire {high} out of range");
-        assert!(low < high, "pair wires must satisfy low < high");
-        apply_pair_amps(&mut self.amps, m, low, high);
     }
 
     /// Applies `(|1⟩⟨1| on control) ⊗ M` — the controlled *derivative*
@@ -626,39 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_two_matches_embedded_singles() {
-        use crate::gates::{embed_controlled, embed_single, matmul4};
-        // RX on low wire, RY on high wire, then CNOT(high→low), fused into
-        // one Matrix4, must match the sequential applications exactly.
-        let rx = GateKind::RX.matrix(0.9);
-        let ry = GateKind::RY.matrix(-0.4);
-        let x = GateKind::X.matrix(0.0);
-        for (low, high, n) in [(0usize, 1usize, 2usize), (0, 2, 3), (1, 2, 4)] {
-            let mut a = StateVector::new(n);
-            a.apply_single(&GateKind::H.matrix(0.0), 0);
-            let mut b = a.clone();
-
-            a.apply_single(&rx, low);
-            a.apply_single(&ry, high);
-            a.apply_controlled(&x, high, low);
-
-            let mut m = embed_single(&rx, 0);
-            m = matmul4(&embed_single(&ry, 1), &m);
-            m = matmul4(&embed_controlled(&x, 1, 0), &m);
-            b.apply_two(&m, low, high);
-
-            assert!(a.approx_eq(&b, 1e-12), "pair ({low},{high}) on {n} qubits");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "low < high")]
-    fn apply_two_rejects_unsorted_wires() {
-        let mut s = StateVector::new(2);
-        s.apply_two(&crate::gates::identity4(), 1, 0);
-    }
-
-    #[test]
     fn kernels_treat_batch_buffer_as_independent_rows() {
         // Applying a kernel to a concatenation of rows must equal applying
         // it to each row individually, bitwise.
@@ -677,19 +565,16 @@ mod tests {
             batch.extend_from_slice(mk_row(r).amplitudes());
         }
         let m = GateKind::RZ.matrix(0.77);
-        let m4 = crate::gates::embed_controlled(&GateKind::X.matrix(0.0), 0, 1);
 
         let mut per_row: Vec<StateVector> = (0..rows).map(mk_row).collect();
         for s in &mut per_row {
             s.apply_single(&m, 1);
             s.apply_controlled(&m, 0, 2);
             s.apply_swap(0, 1);
-            s.apply_two(&m4, 1, 2);
         }
         apply_single_amps(&mut batch, &m, 1);
         transform_control1_pairs_amps(&mut batch, &m, 1 << 0, 1 << 2);
         apply_swap_amps(&mut batch, 0, 1);
-        apply_pair_amps(&mut batch, &m4, 1, 2);
 
         for (r, want) in per_row.iter().enumerate() {
             let got = &batch[r * dim..(r + 1) * dim];

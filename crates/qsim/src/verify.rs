@@ -16,10 +16,7 @@
 //!   in through JSON is rejected before it poisons a statevector);
 //! * the gradient engines can handle the circuit: differentiable parameters
 //!   only appear on gates with an analytic `dU/dθ` (the adjoint engine's
-//!   requirement), and nonunitary ops are rejected outright;
-//! * the fusion pass is legal for this circuit: every [`crate::FusePlan`]
-//!   run is a same-wire single-qubit chain covering each op exactly once
-//!   (see [`crate::FusePlan::audit`]).
+//!   requirement), and nonunitary ops are rejected outright.
 //!
 //! Ansatz constructors run `verify` in debug builds, and `hqnn-lint`'s CI
 //! gate runs the qsim verifier suite, so malformed IR is caught at build
@@ -29,7 +26,7 @@ use std::fmt;
 
 use crate::circuit::{Circuit, ParamSource, Wires};
 use crate::complex::C64;
-use crate::gates::{dagger, dagger4, matmul2, matmul4, GateKind, Matrix2, Matrix4};
+use crate::gates::{dagger, matmul2, GateKind, Matrix2};
 
 /// Maximum tolerated deviation of `U·U†` from the identity.
 pub const UNITARITY_TOL: f64 = 1e-12;
@@ -125,12 +122,6 @@ pub enum VerifyError {
         /// Gate kind of the offending op.
         kind: GateKind,
     },
-    /// The fusion pass would mis-handle this circuit (see
-    /// [`crate::FusePlan::audit`]).
-    FusionIllegal {
-        /// Audit failure description.
-        detail: String,
-    },
 }
 
 impl fmt::Display for VerifyError {
@@ -177,9 +168,6 @@ impl fmt::Display for VerifyError {
                 "op {op} ({kind:?}): differentiable parameter on a gate with no analytic dU/dθ; \
                  the adjoint engine cannot differentiate it"
             ),
-            VerifyError::FusionIllegal { detail } => {
-                write!(f, "fusion-legality audit failed: {detail}")
-            }
         }
     }
 }
@@ -196,24 +184,6 @@ pub fn unitarity_deviation(m: &Matrix2) -> f64 {
             let expected = if r == c { C64::ONE } else { C64::ZERO };
             let mag = (*entry - expected).norm();
             // A NaN deviation propagates as +∞ (definitely non-unitary).
-            if mag.is_nan() {
-                return f64::INFINITY;
-            }
-            worst = worst.max(mag);
-        }
-    }
-    worst
-}
-
-/// Max elementwise deviation of `m·m†` from the identity for a fused 4×4
-/// pair matrix — `0.0` for an exactly unitary matrix.
-pub fn unitarity_deviation4(m: &Matrix4) -> f64 {
-    let p = matmul4(m, &dagger4(m));
-    let mut worst = 0.0f64;
-    for (r, row) in p.iter().enumerate() {
-        for (c, entry) in row.iter().enumerate() {
-            let expected = if r == c { C64::ONE } else { C64::ZERO };
-            let mag = (*entry - expected).norm();
             if mag.is_nan() {
                 return f64::INFINITY;
             }
@@ -345,15 +315,6 @@ impl Circuit {
             if op.param.is_differentiable() && kind.dmatrix(0.731).is_none() {
                 return Err(VerifyError::AdjointIncompatible { op: i, kind });
             }
-        }
-        // Fusion legality: the structural pass at every level must cover
-        // each op exactly once — level 0 with one direct segment per op,
-        // level 1 with same-wire single-qubit runs, level 2 additionally
-        // with legal CNOT/CZ pair segments.
-        for level in [0u8, 1, 2] {
-            crate::fuse::FusePlan::with_level(self, level)
-                .audit(self)
-                .map_err(|detail| VerifyError::FusionIllegal { detail })?;
         }
         Ok(())
     }

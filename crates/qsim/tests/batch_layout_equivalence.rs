@@ -1,13 +1,13 @@
 //! Property tests: the gate-major batch sweep is bitwise identical to the
 //! per-row sequential loop — across random circuits up to 10 qubits, batch
-//! sizes, thread budgets, and fusion levels 0/1/2.
+//! sizes and thread budgets.
 //!
 //! The sweep changes *when* each gate touches each row's amplitudes, never
 //! the FP operation sequence inside a row, so study JSON and training
 //! curves are byte-identical to running every row through
 //! [`Circuit::run`] on its own.
 
-use hqnn_qsim::{with_fusion_level, Circuit, GateKind, Observable, ParamSource, StateVector};
+use hqnn_qsim::{Circuit, GateKind, Observable, ParamSource, StateVector};
 use hqnn_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -15,12 +15,9 @@ use proptest::prelude::*;
 /// that never divides chunk counts cleanly.
 const THREADS: [usize; 3] = [1, 2, 7];
 
-/// Fusion levels: off, single-qubit runs, two-qubit pairs.
-const LEVELS: [u8; 3] = [0, 1, 2];
-
 /// A random scenario that exercises every compiled sweep-step kind:
 /// input-dependent encoding rotations (per-row steps), trainable rotations
-/// and CNOT rings (shared steps, fusable into runs and pairs), plus
+/// and CNOT rings (shared steps), plus
 /// optionally SWAPs and an input-driven controlled rotation.
 fn scenario() -> impl Strategy<Value = (Circuit, Vec<f64>, Matrix)> {
     (
@@ -86,25 +83,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn layouts_match_per_row_bitwise_at_every_fusion_level(
-        (c, params, x) in scenario()
-    ) {
-        for level in LEVELS {
-            // Per-row reference at this fusion level — the sequential loop
-            // the gate-major sweep must reproduce bit for bit.
-            let reference: Vec<StateVector> = with_fusion_level(level, || {
-                (0..x.rows()).map(|r| c.run(x.row(r), &params)).collect()
-            });
-            let want = amp_bits(&reference);
-            for threads in THREADS {
-                let got = with_fusion_level(level, || {
-                    hqnn_runtime::with_threads(threads, || c.run_batch(&x, &params))
-                });
-                prop_assert_eq!(
-                    &amp_bits(&got), &want,
-                    "level={} threads={}", level, threads
-                );
-            }
+    fn layouts_match_per_row_bitwise((c, params, x) in scenario()) {
+        // Per-row reference: the sequential loop the gate-major sweep must
+        // reproduce bit for bit.
+        let reference: Vec<StateVector> =
+            (0..x.rows()).map(|r| c.run(x.row(r), &params)).collect();
+        let want = amp_bits(&reference);
+        for threads in THREADS {
+            let got = hqnn_runtime::with_threads(threads, || c.run_batch(&x, &params));
+            prop_assert_eq!(&amp_bits(&got), &want, "threads={}", threads);
         }
     }
 
@@ -113,26 +100,19 @@ proptest! {
         (c, params, x) in scenario()
     ) {
         let obs: Vec<Observable> = (0..c.n_qubits()).map(Observable::z).collect();
-        for level in LEVELS {
-            // Per-row reference: `Circuit::expectations` row by row, which
-            // evaluates through the same `Observable::expectation_amps`.
-            let want: Vec<u64> = with_fusion_level(level, || {
-                (0..x.rows())
-                    .flat_map(|r| c.expectations(x.row(r), &params, &obs))
-                    .map(f64::to_bits)
-                    .collect()
+        // Per-row reference: `Circuit::expectations` row by row, which
+        // evaluates through the same `Observable::expectation_amps`.
+        let want: Vec<u64> = (0..x.rows())
+            .flat_map(|r| c.expectations(x.row(r), &params, &obs))
+            .map(f64::to_bits)
+            .collect();
+        for threads in THREADS {
+            let got = hqnn_runtime::with_threads(threads, || {
+                c.expectations_batch(&x, &params, &obs)
             });
-            for threads in THREADS {
-                let got = with_fusion_level(level, || {
-                    hqnn_runtime::with_threads(threads, || {
-                        c.expectations_batch(&x, &params, &obs)
-                    })
-                });
-                prop_assert_eq!((got.rows(), got.cols()), (x.rows(), obs.len()));
-                let got_bits: Vec<u64> =
-                    got.as_slice().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&got_bits, &want, "level={} threads={}", level, threads);
-            }
+            prop_assert_eq!((got.rows(), got.cols()), (x.rows(), obs.len()));
+            let got_bits: Vec<u64> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got_bits, &want, "threads={}", threads);
         }
     }
 }

@@ -217,100 +217,9 @@ fn second_op_defect_is_reported_at_its_index() {
 }
 
 #[test]
-fn fusion_audit_accepts_all_templates() {
-    for kind in [EntanglerKind::Basic, EntanglerKind::Strong] {
-        for n_qubits in 1..=5 {
-            for depth in 1..=3 {
-                let c = QnnTemplate::new(n_qubits, depth, kind).build();
-                let plan = hqnn_qsim::FusePlan::new(&c);
-                assert_eq!(plan.audit(&c), Ok(()), "{kind:?}({n_qubits}q,{depth}l)");
-            }
-        }
-    }
-}
-
-#[test]
-fn pair_fusion_audit_accepts_all_templates() {
-    // `Circuit::verify` audits both fusion levels; this pins the level-2
-    // plan directly across the whole template family, including circuits
-    // where pair fusion actually fires.
-    for kind in [EntanglerKind::Basic, EntanglerKind::Strong] {
-        for n_qubits in 1..=5 {
-            for depth in 1..=3 {
-                let c = QnnTemplate::new(n_qubits, depth, kind).build();
-                let plan = hqnn_qsim::FusePlan::with_level(&c, 2);
-                assert_eq!(plan.audit(&c), Ok(()), "{kind:?}({n_qubits}q,{depth}l)");
-                assert!(
-                    plan.collapsed_ops() >= hqnn_qsim::FusePlan::new(&c).collapsed_ops(),
-                    "level 2 never collapses less than level 1: {kind:?}({n_qubits}q,{depth}l)"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn pair_embeddings_are_unitary_and_deviation_detects_skew() {
-    use hqnn_qsim::gates::{embed_controlled, embed_single};
-    let tol = hqnn_qsim::UNITARITY_TOL;
-    for theta in [0.0, 0.3, -1.2] {
-        for kind in [
-            hqnn_qsim::GateKind::RX,
-            hqnn_qsim::GateKind::RY,
-            hqnn_qsim::GateKind::RZ,
-            hqnn_qsim::GateKind::H,
-        ] {
-            let m = kind.matrix(theta);
-            for bit in [0, 1] {
-                assert!(
-                    hqnn_qsim::unitarity_deviation4(&embed_single(&m, bit)) < tol,
-                    "{kind:?} θ={theta} bit={bit}"
-                );
-            }
-            assert!(
-                hqnn_qsim::unitarity_deviation4(&embed_controlled(&m, 0, 1)) < tol,
-                "controlled {kind:?} θ={theta}"
-            );
-        }
-    }
-    // A skewed 4×4 is flagged well above the tolerance.
-    let mut skewed = embed_single(&hqnn_qsim::GateKind::H.matrix(0.0), 0);
-    skewed[0][0] = skewed[0][0].scale(1.0 + 1e-6);
-    assert!(hqnn_qsim::unitarity_deviation4(&skewed) > tol);
-}
-
-#[test]
-fn verify_audits_the_pair_fusion_level_too() {
-    // A circuit whose level-2 plan contains a genuine Pair segment still
-    // verifies — i.e. verify() exercises the pair-audit arm, not just the
-    // run audit.
-    let mut c = Circuit::new(2);
-    c.rx(0, hqnn_qsim::ParamSource::Fixed(0.4));
-    c.ry(1, hqnn_qsim::ParamSource::Fixed(-0.2));
-    c.cnot(0, 1);
-    c.rz(0, hqnn_qsim::ParamSource::Fixed(0.9));
-    c.ry(1, hqnn_qsim::ParamSource::Fixed(1.1));
-    let plan = hqnn_qsim::FusePlan::with_level(&c, 2);
-    assert_eq!(plan.fused_ops(), 1, "all five ops collapse into one pair");
-    assert_eq!(c.verify(), Ok(()));
-}
-
-#[test]
-fn fusion_audit_rejects_plan_for_different_circuit() {
-    let mut a = Circuit::new(2);
-    a.h(0);
-    a.h(1);
-    let plan = hqnn_qsim::FusePlan::new(&a);
-    let mut b = Circuit::new(2);
-    b.h(0);
-    let err = plan.audit(&b).expect_err("op-count mismatch");
-    assert!(err.contains("2 ops") && err.contains("1"), "{err}");
-}
-
-#[test]
 fn verify_is_cheap_enough_for_debug_constructors() {
     // Not a benchmark — just a sanity check that a deep template verifies
-    // without pathological cost (the audit is linear in ops).
+    // without pathological cost (verification is linear in ops).
     let c = QnnTemplate::new(6, 8, EntanglerKind::Strong).build();
     for _ in 0..100 {
         assert_eq!(c.verify(), Ok(()));

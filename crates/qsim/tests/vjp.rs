@@ -7,8 +7,8 @@
 
 use hqnn_qsim::gates::{dagger, Matrix2};
 use hqnn_qsim::{
-    adjoint, adjoint_vjp, parameter_shift, vjp_batch, with_fusion_level, Circuit, EntanglerKind,
-    GateKind, Observable, ParamSource, Pauli, QnnTemplate, StateVector, Wires, C64,
+    adjoint, adjoint_vjp, parameter_shift, vjp_batch, Circuit, EntanglerKind, GateKind, Observable,
+    ParamSource, Pauli, QnnTemplate, StateVector, Wires, C64,
 };
 use hqnn_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
@@ -206,7 +206,7 @@ fn reference_vjp(
     obs: &[Observable],
     weights: &[f64],
 ) -> (Vec<f64>, Vec<f64>) {
-    let psi = c.run_unfused(inputs, params);
+    let psi = c.run(inputs, params);
     let mut lambda = vec![C64::ZERO; psi.amplitudes().len()];
     for (o, &w) in obs.iter().zip(weights) {
         if w == 0.0 {
@@ -229,7 +229,7 @@ fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     }
 }
 
-/// `vjp_batch` at every thread budget and fusion level, and `adjoint` per
+/// `vjp_batch` at every thread budget, and `adjoint` per
 /// row, against the per-row reference sweep — bit for bit.
 fn assert_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) {
     let (obs, _) = random_readout(c.n_qubits(), seed);
@@ -251,21 +251,17 @@ fn assert_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) 
         .map(|r| reference_vjp(c, x.row(r), params, &obs, w.row(r)))
         .collect();
     for threads in [1, 2, 7] {
-        for level in [0u8, 1, 2] {
-            let got = hqnn_runtime::with_threads(threads, || {
-                with_fusion_level(level, || vjp_batch(c, x, params, &obs, &w))
-            });
-            assert_eq!(got.len(), x.rows());
-            for (r, (vjp, (d_params, d_inputs))) in got.iter().zip(&want).enumerate() {
-                let at = format!("threads={threads} level={level} row={r}");
-                assert_bits(&vjp.d_params, d_params, &format!("{at} d_params"));
-                assert_bits(&vjp.d_inputs, d_inputs, &format!("{at} d_inputs"));
-            }
+        let got = hqnn_runtime::with_threads(threads, || vjp_batch(c, x, params, &obs, &w));
+        assert_eq!(got.len(), x.rows());
+        for (r, (vjp, (d_params, d_inputs))) in got.iter().zip(&want).enumerate() {
+            let at = format!("threads={threads} row={r}");
+            assert_bits(&vjp.d_params, d_params, &format!("{at} d_params"));
+            assert_bits(&vjp.d_inputs, d_inputs, &format!("{at} d_inputs"));
         }
     }
     for r in 0..x.rows() {
         let jac = adjoint(c, x.row(r), params, &obs);
-        let psi: StateVector = c.run_unfused(x.row(r), params);
+        let psi: StateVector = c.run(x.row(r), params);
         for (o, ob) in obs.iter().enumerate() {
             assert_eq!(
                 jac.expectations[o].to_bits(),

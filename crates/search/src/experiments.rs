@@ -174,10 +174,11 @@ pub struct StudyResult {
     /// studies saved before the stamp existed.
     #[serde(default)]
     pub numerics: u32,
-    /// The gate-fusion level ([`hqnn_qsim::fusion_level`]) the study was
-    /// created under. Levels 1 and 2 move forward expectations in the last
-    /// bits, so a cached study is current only at the level it was computed
-    /// at. 0 (the default level) in studies saved before the stamp existed.
+    /// Legacy stamp of the retired gate-fusion path: always 0 now. A study
+    /// cached under fusion level 1 or 2 carries different forward bits, and
+    /// the cache loader rejects it as stale; the field stays because
+    /// unknown JSON keys are ignored, so dropping it would let such a study
+    /// load as fresh. 0 in studies saved before the stamp existed.
     #[serde(default)]
     pub fusion_level: u8,
 }
@@ -192,7 +193,7 @@ impl StudyResult {
             hybrid_sel: Vec::new(),
             manifest: None,
             numerics: NUMERICS_VERSION,
-            fusion_level: hqnn_qsim::fusion_level(),
+            fusion_level: 0,
         }
     }
 

@@ -51,11 +51,6 @@ pub const REGISTRY: &[EnvVar] = &[
         accepted: "positive integer",
     },
     EnvVar {
-        name: "HQNN_FUSE",
-        purpose: "opt-in gate fusion for forward circuit execution",
-        accepted: "1|true|on for single-qubit run fusion; 2 adds two-qubit pair fusion; anything else (or unset) disables",
-    },
-    EnvVar {
         name: "HQNN_HEALTH",
         purpose: "training-health sentinel action on NaN/Inf loss or exploding gradients",
         accepted: "off|warn|abort (default warn)",
@@ -88,19 +83,6 @@ pub fn parse_health(raw: &str) -> Option<HealthAction> {
         "warn" => Some(HealthAction::Warn),
         "abort" => Some(HealthAction::Abort),
         _ => None,
-    }
-}
-
-/// Parses an `HQNN_FUSE` value into a fusion level: `0` disabled,
-/// `1` single-qubit run fusion (`1`/`true`/`on`), `2` adds two-qubit pair
-/// fusion. Unknown values disable, matching [`parse_flag`] semantics.
-pub fn parse_fuse_level(raw: &str) -> u8 {
-    if raw.trim() == "2" {
-        2
-    } else if parse_flag(raw) {
-        1
-    } else {
-        0
     }
 }
 
@@ -237,11 +219,10 @@ mod tests {
     fn registry_declares_the_known_knobs() {
         assert!(is_registered("HQNN_LOG"));
         assert!(is_registered("HQNN_THREADS"));
-        assert!(is_registered("HQNN_FUSE"));
         assert!(is_registered("HQNN_HEALTH"));
         assert!(is_registered("HQNN_ALLOC"));
         assert!(!is_registered("HQNN_THREAD"));
-        assert_eq!(REGISTRY.len(), 5, "a new knob must earn its place");
+        assert_eq!(REGISTRY.len(), 4, "a new knob must earn its place");
         assert!(REGISTRY.iter().all(|v| v.name.starts_with("HQNN_")));
     }
 
@@ -279,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn fuse_level_parsing_covers_all_tiers() {
-        assert_eq!(parse_fuse_level("1"), 1);
-        assert_eq!(parse_fuse_level("true"), 1);
-        assert_eq!(parse_fuse_level(" ON "), 1);
-        assert_eq!(parse_fuse_level("2"), 2);
-        assert_eq!(parse_fuse_level(" 2 "), 2);
-        assert_eq!(parse_fuse_level("0"), 0);
-        assert_eq!(parse_fuse_level("3"), 0);
-        assert_eq!(parse_fuse_level(""), 0);
-    }
-
-    #[test]
     fn thread_parsing_requires_positive_integer() {
         assert_eq!(parse_threads("4"), Some(4));
         assert_eq!(parse_threads(" 12 "), Some(12));
@@ -303,7 +272,6 @@ mod tests {
     #[test]
     fn typo_suggestions_find_the_nearest_name() {
         assert_eq!(closest_registered("HQNN_THREAD"), Some("HQNN_THREADS"));
-        assert_eq!(closest_registered("HQNN_FUS"), Some("HQNN_FUSE"));
         assert_eq!(closest_registered("HQNN_LGO"), Some("HQNN_LOG"));
         // The satellite case from the issue: a dropped letter still maps home.
         assert_eq!(closest_registered("HQNN_HEALT"), Some("HQNN_HEALTH"));
@@ -324,7 +292,7 @@ mod tests {
     fn registered_reads_do_not_panic() {
         // Whatever the ambient environment, reading registered names is fine.
         let _ = var("HQNN_LOG");
-        let _ = is_set("HQNN_FUSE");
+        let _ = is_set("HQNN_ALLOC");
         let _ = var("HQNN_THREADS");
     }
 }

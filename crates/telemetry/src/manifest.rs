@@ -32,13 +32,6 @@ pub struct RunManifest {
     /// available to the process. Published numbers are only comparable
     /// between runs with equal `threads`.
     pub threads: usize,
-    /// Whether the run's environment enabled the qsim gate-fusion path
-    /// (`HQNN_FUSE=1`/`true`/`on` for level 1, `2` for two-qubit pair
-    /// fusion). Fused and unfused runs agree only to rounding, so published
-    /// numbers are comparable only between runs with equal `fuse`. Defaults
-    /// to `false` when absent (pre-fusion manifests).
-    #[serde(default)]
-    pub fuse: bool,
     /// Whether the run counted allocations (`HQNN_ALLOC=1`/`true`/`on`).
     /// Counting never changes numerics, but it adds allocator bookkeeping
     /// that can perturb timings, so timed comparisons should match on
@@ -79,7 +72,6 @@ impl RunManifest {
             host_arch: std::env::consts::ARCH.to_string(),
             hostname: hostname(),
             threads: configured_threads(),
-            fuse: configured_fuse(),
             alloc: configured_alloc(),
             shard_plan: String::new(),
             config_hash: "-".to_string(),
@@ -116,7 +108,6 @@ impl RunManifest {
             ("host_arch", self.host_arch.clone().into()),
             ("hostname", self.hostname.clone().into()),
             ("threads", self.threads.into()),
-            ("fuse", self.fuse.into()),
             ("alloc", self.alloc.into()),
             ("shard_plan", self.shard_plan.clone().into()),
             ("config_hash", self.config_hash.clone().into()),
@@ -136,18 +127,6 @@ pub fn config_hash<T: Serialize + ?Sized>(config: &T) -> String {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{hash:016x}")
-}
-
-/// Whether the environment enables qsim's gate-fusion path. Shares the
-/// central [`crate::env`] parser with `hqnn-qsim` (which depends on this
-/// crate, not the other way round); scoped `with_fusion` overrides are
-/// per-thread test/bench tooling and intentionally not reflected here.
-fn configured_fuse() -> bool {
-    // `parse_fuse_level`, not `parse_flag`: `HQNN_FUSE=2` (pair fusion)
-    // must stamp as fused too.
-    crate::env::var("HQNN_FUSE")
-        .map(|raw| crate::env::parse_fuse_level(&raw) >= 1)
-        .unwrap_or(false)
 }
 
 /// Whether the environment enables allocation counting (`HQNN_ALLOC`).
@@ -223,37 +202,41 @@ mod tests {
         let m = RunManifest::capture("f");
         let fields = m.fields();
         let names: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
-        for key in ["git_sha", "profile", "threads", "fuse", "config_hash"] {
+        for key in ["git_sha", "profile", "threads", "alloc", "config_hash"] {
             assert!(names.contains(&key), "missing {key}");
         }
     }
 
     #[test]
-    fn pre_fusion_manifests_parse_with_fuse_false() {
-        // Baselines written before the `fuse` field existed must keep
-        // loading — absent means the run could not have fused. The retired
-        // `batch` layout key (still present in committed bench history) is
-        // ignored as an unknown field.
-        let json = r#"{
-            "git_sha": "abc123",
-            "git_dirty": false,
-            "profile": "perfbench-full",
-            "cargo_profile": "release",
-            "host_os": "linux",
-            "host_arch": "x86_64",
-            "hostname": "vm",
-            "threads": 1,
-            "batch": "row",
-            "config_hash": "-",
-            "timestamp_unix": 1700000000
-        }"#;
-        let m: RunManifest = serde_json::from_str(json).expect("parse");
-        assert!(!m.fuse);
-        assert_eq!(m.threads, 1);
-        assert_eq!(m.config_hash, "-");
-        // Pre-sharding manifests default to "" — those studies ran
-        // sequentially.
-        assert_eq!(m.shard_plan, "");
+    fn older_manifests_parse_with_retired_keys_ignored() {
+        // Committed bench baselines and history carry keys this struct no
+        // longer has — the retired `batch` layout key and the `fuse` stamp
+        // of the removed gate-fusion path — and may lack later fields.
+        // Unknown keys are ignored and missing ones default.
+        for extra in [r#""batch": "row","#, r#""fuse": true,"#] {
+            let json = format!(
+                r#"{{
+                "git_sha": "abc123",
+                "git_dirty": false,
+                "profile": "perfbench-full",
+                "cargo_profile": "release",
+                "host_os": "linux",
+                "host_arch": "x86_64",
+                "hostname": "vm",
+                "threads": 1,
+                {extra}
+                "config_hash": "-",
+                "timestamp_unix": 1700000000
+            }}"#
+            );
+            let m: RunManifest = serde_json::from_str(&json).expect("parse");
+            assert_eq!(m.threads, 1, "{extra}");
+            assert_eq!(m.config_hash, "-");
+            assert!(!m.alloc);
+            // Pre-sharding manifests default to "" — those studies ran
+            // sequentially.
+            assert_eq!(m.shard_plan, "");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn unknown_hqnn_variable_warns_once_with_suggestion() {
 #[test]
 fn registry_is_the_single_source_of_truth() {
     let names = telemetry::env::registered_names();
-    for expected in ["HQNN_LOG", "HQNN_THREADS", "HQNN_FUSE", "HQNN_ALLOC"] {
+    for expected in ["HQNN_LOG", "HQNN_THREADS", "HQNN_HEALTH", "HQNN_ALLOC"] {
         assert!(names.contains(&expected), "{expected} must be registered");
     }
     for var in telemetry::env::REGISTRY {
