@@ -242,9 +242,10 @@ impl Cli {
     /// [`NUMERICS_VERSION`] or the retired gate-fusion path is stale: a
     /// warn-level `bench.cache_stale` event names the differing field
     /// (`config`, `numerics` or `fusion`) with its cached and current values.
-    /// A cache file that exists but does not parse (truncated write,
-    /// hand edit) also starts fresh, after a `bench.cache_unreadable`
-    /// error event naming the path and the parse error.
+    /// A cache file that exists but does not load (truncated write, hand
+    /// edit, a `winner` that is not a passing combo) also starts fresh,
+    /// after a `bench.cache_unreadable` error event naming the path and the
+    /// error.
     pub fn load_study(&self) -> StudyResult {
         let config = self.profile.experiment_config();
         let path = self.study_path();
@@ -483,6 +484,22 @@ mod tests {
         assert_eq!(events.len(), 1, "one event for the corrupt cache");
         assert_eq!(events[0].level, telemetry::Level::Error);
         assert!(field(&events[0], "error").is_some());
+        let _ = std::fs::remove_dir_all(&cli.cache_dir);
+    }
+
+    #[test]
+    fn load_study_reports_an_out_of_range_winner_and_starts_fresh() {
+        let cli = smoke_cli_in_temp_dir("bad-winner-cache");
+        let mut cached = StudyResult::new(ExperimentConfig::smoke());
+        cached.run_classical();
+        cached.classical[0].repetitions[0].winner = Some(999);
+        cached.save(cli.study_path()).expect("save cache");
+        let mem = telemetry::add_memory_sink();
+        let study = cli.load_study();
+        assert!(study.classical.is_empty(), "the bad cache is not reused");
+        let events = cache_events(&mem, &cli, "bench.cache_unreadable");
+        assert_eq!(events.len(), 1, "one event for the bad winner");
+        assert!(cache_events(&mem, &cli, "bench.cache_hit").is_empty());
         let _ = std::fs::remove_dir_all(&cli.cache_dir);
     }
 

@@ -1,7 +1,7 @@
 //! The simulated quantum layer — a [`hqnn_nn::Layer`] backed by `hqnn-qsim`.
 
 use hqnn_nn::Layer;
-use hqnn_qsim::{gradients_batch, vjp_batch, Circuit, GradEngine, Observable, QnnTemplate};
+use hqnn_qsim::{gradients_batch, BatchTape, Circuit, GradEngine, Observable, QnnTemplate};
 use hqnn_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
 
@@ -14,7 +14,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GradientMethod {
     /// Adjoint (reverse-pass) differentiation — exact, O(gates · 2ⁿ): one
-    /// vector-Jacobian sweep per sample, seeded with the upstream gradient.
+    /// vector-Jacobian sweep per sample, seeded with the upstream gradient
+    /// and started from the final states the training forward kept.
     #[default]
     Adjoint,
     /// Two-term parameter-shift rule — exact, hardware-compatible,
@@ -33,6 +34,15 @@ pub enum GradientMethod {
 ///
 /// Weights are initialised uniformly in `[0, 2π)`, PennyLane's convention
 /// for both templates.
+///
+/// Under [`GradientMethod::Adjoint`] a training `forward` keeps its final
+/// statevectors and weights on a [`BatchTape`], and `backward` sweeps back
+/// from a copy of them instead of re-simulating the batch. So `backward`
+/// returns the gradient at the weights of the training forward it follows,
+/// even if they were changed through [`Layer::visit_params`] in between,
+/// and repeated `backward` calls return identical bits. The
+/// parameter-shift method keeps no tape and differentiates at the current
+/// weights. An inference forward drops both the tape and the cached input.
 ///
 /// # Example
 ///
@@ -57,6 +67,7 @@ pub struct QuantumLayer {
     params: Matrix,
     grad_params: Matrix,
     cached_input: Option<Matrix>,
+    tape: Option<BatchTape>,
     method: GradientMethod,
 }
 
@@ -91,6 +102,7 @@ impl QuantumLayer {
             params,
             grad_params,
             cached_input: None,
+            tape: None,
             method: GradientMethod::Adjoint,
         }
     }
@@ -131,11 +143,20 @@ impl Layer for QuantumLayer {
             "QuantumLayer expected {n} encoding angles, got {}",
             input.cols()
         );
-        // Only a training forward leaves a cache for `backward`.
+        // Only a training forward leaves a cache for `backward`: the input,
+        // and under the adjoint method the states to sweep back from.
         self.cached_input = training.then(|| input.clone());
         let _span = hqnn_telemetry::span("core.qlayer_forward");
-        self.circuit
-            .expectations_batch(input, self.params.as_slice(), &self.observables)
+        let params = self.params.as_slice();
+        if training && self.method == GradientMethod::Adjoint {
+            let (out, tape) = self.circuit.record_batch(input, params, &self.observables);
+            self.tape = Some(tape);
+            out
+        } else {
+            self.tape = None;
+            self.circuit
+                .expectations_batch(input, params, &self.observables)
+        }
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -158,13 +179,17 @@ impl Layer for QuantumLayer {
         // Per-sample gradients fan out in parallel; the reduction below stays
         // sequential in row order so the shared `grad_params` accumulator
         // sums in the same order at every thread count.
-        let params = self.params.as_slice();
         match self.method {
             GradientMethod::Adjoint => {
-                // One reverse sweep per row, seeded with the upstream
-                // gradient: the contraction over observables happens inside
-                // the sweep instead of after it.
-                let batch = vjp_batch(&self.circuit, input, params, &self.observables, grad_output);
+                // One reverse sweep per row from the forward's final state,
+                // seeded with the upstream gradient: the contraction over
+                // observables happens inside the sweep instead of after it.
+                let tape = self
+                    .tape
+                    .as_ref()
+                    // lint:allow(panic): documented Layer API contract
+                    .expect("backward called before forward");
+                let batch = tape.vjp(&self.circuit, input, &self.observables, grad_output);
                 for (r, vjp) in batch.iter().enumerate() {
                     for (acc, g) in grad_params.as_mut_slice().iter_mut().zip(&vjp.d_params) {
                         *acc += g;
@@ -179,7 +204,7 @@ impl Layer for QuantumLayer {
                     &self.circuit,
                     GradEngine::ParameterShift,
                     input,
-                    params,
+                    self.params.as_slice(),
                     &self.observables,
                 );
                 for (r, grads) in batch.iter().enumerate() {
@@ -435,8 +460,64 @@ mod tests {
     fn inference_forward_leaves_no_backward_cache() {
         let mut l = layer(EntanglerKind::Basic, 0);
         let _ = l.forward(&Matrix::zeros(1, 3), true);
+        assert!(
+            l.tape.is_some(),
+            "a training adjoint forward records a tape"
+        );
         let _ = l.forward(&Matrix::zeros(2, 3), false);
+        assert!(l.cached_input.is_none() && l.tape.is_none());
         let _ = l.backward(&Matrix::zeros(2, 3));
+    }
+
+    /// `(dL/dx, dL/dθ)` as bits after one `backward(g)`.
+    fn backward_bits(l: &mut QuantumLayer, g: &Matrix) -> (Vec<u64>, Vec<u64>) {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        let dx = l.backward(g);
+        let mut dtheta = Matrix::zeros(1, 0);
+        l.visit_params(&mut |_v, gr| dtheta = gr.clone());
+        (bits(&dx), bits(&dtheta))
+    }
+
+    #[test]
+    fn repeated_backward_after_one_forward_is_bitwise_identical() {
+        let mut rng = SeededRng::new(6);
+        let x = Matrix::uniform(6, 3, -1.5, 1.5, &mut rng);
+        let g = Matrix::uniform(6, 3, -1.0, 1.0, &mut rng);
+        let mut l = layer(EntanglerKind::Strong, 12);
+        let _ = l.forward(&x, true);
+        let first = backward_bits(&mut l, &g);
+        assert_eq!(backward_bits(&mut l, &g), first, "the tape is not consumed");
+    }
+
+    #[test]
+    fn backward_differentiates_at_the_forward_params() {
+        let mut rng = SeededRng::new(8);
+        let x = Matrix::uniform(5, 3, -1.5, 1.5, &mut rng);
+        let g = Matrix::uniform(5, 3, -1.0, 1.0, &mut rng);
+        let template = QnnTemplate::new(3, 2, EntanglerKind::Strong);
+        let params = Matrix::uniform(1, template.param_count(), 0.0, 6.0, &mut rng);
+
+        let mut reference = QuantumLayer::from_parts(template, params.clone());
+        let _ = reference.forward(&x, true);
+        let want = backward_bits(&mut reference, &g);
+
+        let mut moved = QuantumLayer::from_parts(template, params);
+        let _ = moved.forward(&x, true);
+        moved.visit_params(&mut |v, _g| {
+            for p in v.as_mut_slice() {
+                *p += 0.5;
+            }
+        });
+        assert_eq!(backward_bits(&mut moved, &g), want);
+    }
+
+    #[test]
+    fn parameter_shift_layer_keeps_no_tape() {
+        let mut l =
+            layer(EntanglerKind::Basic, 0).with_gradient_method(GradientMethod::ParameterShift);
+        let _ = l.forward(&Matrix::zeros(2, 3), true);
+        assert!(l.cached_input.is_some());
+        assert!(l.tape.is_none());
     }
 
     #[test]

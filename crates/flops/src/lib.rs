@@ -101,11 +101,11 @@ pub enum QuantumBackwardCost {
     #[default]
     MirrorForward,
     /// The vector-Jacobian adjoint backward `hqnn-qsim` actually executes
-    /// in training: one forward re-simulation, one seeding Pauli
-    /// application and accumulation per observable, then a single reverse
-    /// sweep that un-applies every gate twice and costs each differentiated
-    /// gate an extra `dU` application plus a state inner product (see
-    /// [`CostModel::circuit_backward_adjoint`]).
+    /// in training, starting from the states the forward recorded: one
+    /// seeding Pauli application and accumulation per observable, then a
+    /// single reverse sweep that un-applies every gate twice and costs each
+    /// differentiated gate an extra `dU` application plus a state inner
+    /// product (see [`CostModel::circuit_backward_adjoint`]).
     Adjoint,
 }
 
@@ -314,15 +314,17 @@ impl CostModel {
     }
 
     /// The adjoint backward cost of one sample, as `hqnn-qsim`'s training
-    /// path (`vjp_batch`; `adjoint_vjp` on one row) executes it,
-    /// independent of the configured convention: one forward
-    /// re-simulation; per observable, one Pauli application to seed
-    /// `λ = Σ_o w_o·O_o|ψ⟩` plus accumulating it into the sum; then a
-    /// single reverse sweep in which every gate is un-applied twice (`ψ`
-    /// and `λ`) and every differentiated gate adds a `dU` application plus
-    /// a state inner product — computed as one fused `⟨λ|dU|ψ⟩` pass with
-    /// the same multiply-adds. Encoding gates' share is attributed to
-    /// encoding; the rest to the quantum layer.
+    /// path (`BatchTape::vjp`) executes it, independent of the configured
+    /// convention. It starts from the final state the training forward
+    /// recorded, so there is no forward term: per observable, one Pauli
+    /// application to seed `λ = Σ_o w_o·O_o|ψ⟩` plus accumulating it into
+    /// the sum; then a single reverse sweep in which every gate is
+    /// un-applied twice (`ψ` and `λ`) and every differentiated gate adds a
+    /// `dU` application plus a state inner product — computed as one fused
+    /// `⟨λ|dU|ψ⟩` pass with the same multiply-adds. Encoding gates' share
+    /// is attributed to encoding; the rest to the quantum layer. Entry
+    /// points that simulate their own forward first (`vjp_batch`,
+    /// `adjoint_vjp`) cost [`CostModel::circuit_forward`] on top.
     pub fn circuit_backward_adjoint(
         &self,
         census: &OpCensus,
@@ -334,9 +336,9 @@ impl CostModel {
         let inner = self.state_inner_product(n_qubits);
         let forward = self.circuit_forward(census, n_qubits);
 
-        // One re-simulation plus two un-apply sweeps, same split as forward.
-        let sweep_encoding = 3 * forward.encoding;
-        let sweep_quantum = 3 * forward.quantum_layer;
+        // Two un-apply sweeps (ψ and λ), same split as forward.
+        let sweep_encoding = 2 * forward.encoding;
+        let sweep_quantum = 2 * forward.quantum_layer;
 
         // dU application + inner product per differentiated gate.
         let enc_diff = census.encoding_rotations as u64 * (single + inner);

@@ -262,8 +262,9 @@ pub fn default_suite() -> Vec<Benchmark> {
     }
 
     // -- qsim.batch_sweep: the gate-major sweep engine under load ---------
-    // A larger batch than `qsim.run_batch` — 16 chunks' worth — so the
-    // thread-scaling gate sees the sweep fan out across many chunks. Named
+    // A larger batch than `qsim.run_batch` — 8 chunks of this 6-qubit
+    // circuit — so the thread-scaling gate sees the sweep fan out across
+    // many chunks. Named
     // for the `qsim.batch_sweep` span each chunk opens.
     {
         const BATCH: usize = 64;
@@ -318,10 +319,11 @@ pub fn default_suite() -> Vec<Benchmark> {
     }
 
     // -- qsim.vjp_batch: the adjoint training seam ------------------------
-    // What `QuantumLayer::backward` runs per batch: the gate-major
-    // vector-Jacobian sweep over an 8-row batch (the training batch size) on
-    // a wide SEL and a small BEL circuit, at one thread so the number is the
-    // sweep's own cost, not the pool's.
+    // What `QuantumLayer` runs per training step under the adjoint method:
+    // the gate-major forward recording its states, then the vector-Jacobian
+    // sweep from them, over an 8-row batch (the training batch size) on a
+    // wide SEL and a small BEL circuit, at one thread so the number is the
+    // seam's own cost, not the pool's. Priced as forward + backward.
     {
         const BATCH: usize = 8;
         let mut rng = SeededRng::new(41);
@@ -345,14 +347,13 @@ pub fn default_suite() -> Vec<Benchmark> {
         let flops = cases
             .iter()
             .map(|(circuit, _, _, observables, _)| {
+                let census = circuit.op_census();
+                let n = circuit.n_qubits();
                 BATCH as u64
-                    * cost
-                        .circuit_backward_adjoint(
-                            &circuit.op_census(),
-                            circuit.n_qubits(),
-                            observables.len(),
-                        )
-                        .total()
+                    * (cost.circuit_forward(&census, n).total()
+                        + cost
+                            .circuit_backward_adjoint(&census, n, observables.len())
+                            .total())
             })
             .sum::<u64>();
         suite.push(Benchmark {

@@ -3,28 +3,34 @@
 //! The hybrid layers upstream (hqnn-core) process inputs a *batch* at a time
 //! — one circuit evaluation per matrix row, all rows independent. These
 //! entry points are the simulator's parallel seam, and they execute
-//! **gate-major**: rows are grouped into fixed-size chunks, each chunk's
-//! statevectors live in one contiguous [`BatchState`] buffer, and the driver
-//! walks a compiled op list *once*, sweeping each op across every row in
-//! the chunk while its matrix is hot. Row-independent matrices
-//! (fixed/trainable angles) are resolved once per batch and applied with a
-//! single whole-buffer kernel call per chunk; input-dependent encoding
-//! gates are resolved per row inside the sweep. Chunks fan out across
-//! [`hqnn_runtime::par_map_range`].
+//! **gate-major**: rows are grouped into chunks of a fixed amplitude budget
+//! (`chunk_rows_for`), each chunk's statevectors live in one contiguous
+//! [`BatchState`] buffer, and the driver walks a compiled op list *once*,
+//! sweeping each op across every row in the chunk while its matrix is hot.
+//! Row-independent matrices (fixed/trainable angles) are resolved once per
+//! batch and applied with a single whole-buffer kernel call per chunk;
+//! input-dependent encoding gates are resolved per row inside the sweep.
+//! Chunks fan out across [`hqnn_runtime::par_map_range`].
 //!
 //! Each op compiles to exactly one sweep step, and each row runs through
 //! *the same kernels in the same order with the same matrices* as
 //! [`Circuit::run`], so results are **bitwise identical** to the per-row
 //! sequential loop regardless of `HQNN_THREADS` (chunk boundaries depend
-//! only on the row count, never on the thread budget). The
+//! only on the row and qubit counts, never on the thread budget). The
 //! batch-equivalence proptests in `crates/qsim/tests/` pin that
 //! equivalence.
 //!
-//! [`vjp_batch`], the adjoint training seam, is gate-major too: each chunk
-//! is re-simulated through the same program, seeded, and swept backwards
-//! with the row-independent `U†`/`dU` resolved once per batch. The
-//! shift-rule seam [`gradients_batch`] replays the op stream per row, so it
-//! fans rows (not gate-major chunks) out across the pool.
+//! One chunk loop serves every forward seam: [`Circuit::run_batch`] keeps
+//! the final states, [`Circuit::expectations_batch`] reads the observables
+//! and drops them, and [`Circuit::record_batch`] does both, keeping the
+//! states on a [`BatchTape`]. The adjoint training backward,
+//! [`BatchTape::vjp`], starts each chunk's reverse sweep from a copy of the
+//! recorded states — the forward is never re-simulated — seeds it and
+//! sweeps backwards with the row-independent `U†`/`dU` resolved once per
+//! batch. [`vjp_batch`] is that pair, record then VJP, for callers without
+//! a forward of their own. The shift-rule seam [`gradients_batch`] replays
+//! the op stream per row, so it fans rows (not gate-major chunks) out
+//! across the pool.
 
 use hqnn_tensor::Matrix;
 
@@ -39,16 +45,19 @@ use crate::state::{
     apply_single_amps, apply_swap_amps, transform_control1_pairs_amps, StateVector,
 };
 
-/// Upper bound on rows per gate-major chunk. Fixed (never derived from the
-/// thread budget) so chunk boundaries — and with them span trees and causal
-/// IDs — are identical at every `HQNN_THREADS`.
-const GATE_CHUNK_ROWS: usize = 4;
+/// Amplitudes per gate-major chunk. At 2⁹ an 8-row training batch of a
+/// 3–5-qubit circuit is one chunk, so each row-independent matrix is swept
+/// across the whole batch in one kernel call. Larger budgets measured
+/// within noise on training, and would leave a 16-row 6-qubit batch one
+/// chunk with nothing for the pool to fan out.
+const CHUNK_AMPS: usize = 1 << 9;
 
-/// Rows per gate-major chunk for an `n_qubits`-wire circuit: up to
-/// [`GATE_CHUNK_ROWS`], shrinking for very wide circuits so a chunk's
-/// contiguous buffer stays within ~2²⁰ amplitudes (16 MiB).
+/// Rows per gate-major chunk for an `n_qubits`-wire circuit: as many as fit
+/// in [`CHUNK_AMPS`] amplitudes, and at least one. It depends only on the
+/// qubit count — never on the thread budget — so chunk boundaries, and with
+/// them span trees and causal IDs, are identical at every `HQNN_THREADS`.
 fn chunk_rows_for(n_qubits: usize) -> usize {
-    ((1usize << 20) >> n_qubits).clamp(1, GATE_CHUNK_ROWS)
+    (CHUNK_AMPS >> n_qubits).max(1)
 }
 
 /// One step of a compiled gate-major program: the sweep form of one op.
@@ -94,8 +103,8 @@ pub(crate) struct BatchProgram {
 
 impl BatchProgram {
     /// Compiles `circuit` for one batch with the trainable `params` bound.
-    /// Built once on the caller thread, before the fan-out; the forward
-    /// seams and the adjoint's re-simulation share it.
+    /// Built once on the caller thread, before the fan-out; every forward
+    /// seam and the single-row adjoint engines share it.
     pub(crate) fn new(circuit: &Circuit, params: &[f64]) -> Self {
         let steps = circuit
             .ops()
@@ -203,28 +212,15 @@ impl Circuit {
     pub fn run_batch(&self, inputs: &Matrix, params: &[f64]) -> Vec<StateVector> {
         self.check_batch(inputs, params);
         let _span = hqnn_telemetry::span("qsim.run_batch");
-        let program = BatchProgram::new(self, params);
-        let chunk = chunk_rows_for(self.n_qubits());
-        let n_chunks = inputs.rows().div_ceil(chunk);
-        let chunks = hqnn_runtime::par_map_range(n_chunks, |c| {
-            let row0 = c * chunk;
-            let rows = chunk.min(inputs.rows() - row0);
-            program.sweep_chunk(self, inputs, params, row0, rows)
-        });
-        let mut out = Vec::with_capacity(inputs.rows());
-        for batch in chunks {
-            out.extend(batch.into_states());
-        }
-        out
+        let (_, chunks) = self.forward_chunks(inputs, params, &[], true);
+        chunks
+            .into_iter()
+            .flat_map(BatchState::into_states)
+            .collect()
     }
 
     /// Runs the circuit once per row of `inputs` and evaluates every
     /// observable, returning a `(inputs.rows(), observables.len())` matrix.
-    ///
-    /// Expectations are written directly into the preallocated output
-    /// matrix — workers receive disjoint row blocks via
-    /// [`hqnn_runtime::par_chunks_mut`] — so no per-row `Vec`s are
-    /// collected and re-flattened.
     ///
     /// # Panics
     ///
@@ -238,26 +234,75 @@ impl Circuit {
     ) -> Matrix {
         self.check_batch(inputs, params);
         let _span = hqnn_telemetry::span("qsim.expectations_batch");
-        let n_rows = inputs.rows();
-        let n_obs = observables.len();
+        self.forward_chunks(inputs, params, observables, false).0
+    }
+
+    /// [`Circuit::expectations_batch`] that also keeps the final states on
+    /// a [`BatchTape`], for an adjoint backward ([`BatchTape::vjp`]) that
+    /// starts from them instead of re-simulating the batch. The
+    /// expectations are bitwise those of `expectations_batch`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Circuit::expectations_batch`].
+    pub fn record_batch(
+        &self,
+        inputs: &Matrix,
+        params: &[f64],
+        observables: &[Observable],
+    ) -> (Matrix, BatchTape) {
+        self.check_batch(inputs, params);
+        let _span = hqnn_telemetry::span("qsim.expectations_batch");
+        let (out, chunks) = self.forward_chunks(inputs, params, observables, true);
+        let tape = BatchTape {
+            chunks,
+            rows: inputs.rows(),
+            params: params.to_vec(),
+        };
+        (out, tape)
+    }
+
+    /// The one forward chunk loop behind every batch seam: sweeps each
+    /// chunk, reads each row's `observables` into the returned
+    /// `(rows, observables.len())` matrix, and returns the chunks' final
+    /// states in row order when `keep` is set (none otherwise). With no
+    /// observables and nothing to keep, nothing is simulated.
+    fn forward_chunks(
+        &self,
+        inputs: &Matrix,
+        params: &[f64],
+        observables: &[Observable],
+        keep: bool,
+    ) -> (Matrix, Vec<BatchState>) {
+        let (n_rows, n_obs) = (inputs.rows(), observables.len());
         let mut out = Matrix::zeros(n_rows, n_obs);
-        if n_rows == 0 || n_obs == 0 {
-            return out;
+        if n_rows == 0 || (n_obs == 0 && !keep) {
+            return (out, Vec::new());
         }
         let program = BatchProgram::new(self, params);
         let chunk = chunk_rows_for(self.n_qubits());
-        hqnn_runtime::par_chunks_mut(out.as_mut_slice(), chunk * n_obs, |c, dst| {
+        let parts = hqnn_runtime::par_map_range(n_rows.div_ceil(chunk), |c| {
             let row0 = c * chunk;
-            let rows = dst.len() / n_obs;
+            let rows = chunk.min(n_rows - row0);
             let batch = program.sweep_chunk(self, inputs, params, row0, rows);
+            let mut values = Vec::with_capacity(rows * n_obs);
             for j in 0..rows {
-                let row = batch.row(j);
-                for (i, o) in observables.iter().enumerate() {
-                    dst[j * n_obs + i] = o.expectation_amps(self.n_qubits(), row);
-                }
+                let amps = batch.row(j);
+                values.extend(
+                    observables
+                        .iter()
+                        .map(|o| o.expectation_amps(self.n_qubits(), amps)),
+                );
             }
+            (values, keep.then_some(batch))
         });
-        out
+        let mut states = Vec::with_capacity(if keep { parts.len() } else { 0 });
+        for (c, (values, batch)) in parts.into_iter().enumerate() {
+            let at = c * chunk * n_obs;
+            out.as_mut_slice()[at..at + values.len()].copy_from_slice(&values);
+            states.extend(batch);
+        }
+        (out, states)
     }
 
     pub(crate) fn check_batch(&self, inputs: &Matrix, params: &[f64]) {
@@ -306,20 +351,88 @@ pub fn gradients_batch(
     })
 }
 
-/// Computes the adjoint vector-Jacobian product ([`gradient::adjoint_vjp`])
-/// for every row of `inputs`, weighting observable `o` of row `r` by
-/// `weights[(r, o)]`; returned in row order, bitwise identical to calling
-/// the engine per row at any `HQNN_THREADS`. This is the training seam.
+/// The final statevectors of one batched forward pass, kept for the
+/// adjoint backward that follows it.
 ///
-/// It runs gate-major like [`Circuit::run_batch`]: the row-independent
-/// `U†`/`dU` matrices are resolved once per batch, and each chunk of rows
-/// is re-simulated, seeded and swept backwards in contiguous
-/// [`BatchState`]s, chunks fanned out across the pool.
+/// [`Circuit::record_batch`] fills it with the gate-major chunks its sweep
+/// produced and the trainable `params` they were simulated at.
+/// [`BatchTape::vjp`] reads it without consuming it, so one forward can
+/// feed any number of backward passes, each differentiating at the
+/// recorded `params`.
+#[derive(Clone, Debug)]
+pub struct BatchTape {
+    chunks: Vec<BatchState>,
+    rows: usize,
+    params: Vec<f64>,
+}
+
+impl BatchTape {
+    /// Computes the adjoint vector-Jacobian product
+    /// ([`gradient::adjoint_vjp`]) for every recorded row, weighting
+    /// observable `o` of row `r` by `weights[(r, o)]`; returned in row
+    /// order, bitwise identical to calling the engine per row at any
+    /// `HQNN_THREADS`. This is the training seam.
+    ///
+    /// `circuit` and `inputs` must be the ones the tape was recorded with.
+    /// Each chunk's reverse sweep starts from a copy of its recorded states
+    /// — nothing is re-simulated — and the row-independent `U†`/`dU` are
+    /// resolved once, at the recorded `params`; chunks fan out across the
+    /// pool.
+    ///
+    /// # Panics
+    ///
+    /// As for [`gradient::adjoint_vjp`]; additionally if `inputs` does not
+    /// have the recorded row count, `weights` is not
+    /// `(rows, observables.len())`, or `circuit` is not as wide as the
+    /// recorded states.
+    pub fn vjp(
+        &self,
+        circuit: &Circuit,
+        inputs: &Matrix,
+        observables: &[Observable],
+        weights: &Matrix,
+    ) -> Vec<Vjp> {
+        assert_eq!(
+            inputs.rows(),
+            self.rows,
+            "tape recorded {} rows, got {} inputs",
+            self.rows,
+            inputs.rows()
+        );
+        assert_eq!(
+            weights.shape(),
+            (self.rows, observables.len()),
+            "one weight per row and observable"
+        );
+        circuit.check_batch(inputs, &self.params);
+        if let Some(first) = self.chunks.first() {
+            assert_eq!(
+                first.n_qubits(),
+                circuit.n_qubits(),
+                "tape recorded a different circuit width"
+            );
+        }
+        let _span = hqnn_telemetry::span("qsim.vjp_batch");
+        let program = gradient::AdjointProgram::compile(circuit, &self.params);
+        let chunk = chunk_rows_for(circuit.n_qubits());
+        let chunks = hqnn_runtime::par_map_range(self.chunks.len(), |c| {
+            let psi = self.chunks[c].clone();
+            let rows = psi.rows();
+            program.vjp_chunk(psi, inputs, observables, weights, c * chunk, rows)
+        });
+        chunks.into_iter().flatten().collect()
+    }
+}
+
+/// Computes the adjoint vector-Jacobian product ([`gradient::adjoint_vjp`])
+/// for every row of `inputs`: [`Circuit::record_batch`] (reading no
+/// observables), then [`BatchTape::vjp`]. For callers with no forward pass
+/// of their own to reuse — the oracles, tests and benchmarks; training
+/// records its forward once and differentiates from that tape.
 ///
 /// # Panics
 ///
-/// As for [`Circuit::run_batch`] and [`gradient::adjoint_vjp`];
-/// additionally if `weights` is not `(inputs.rows(), observables.len())`.
+/// As for [`Circuit::run_batch`] and [`BatchTape::vjp`].
 pub fn vjp_batch(
     circuit: &Circuit,
     inputs: &Matrix,
@@ -327,22 +440,8 @@ pub fn vjp_batch(
     observables: &[Observable],
     weights: &Matrix,
 ) -> Vec<Vjp> {
-    assert_eq!(
-        weights.shape(),
-        (inputs.rows(), observables.len()),
-        "one weight per row and observable"
-    );
-    circuit.check_batch(inputs, params);
-    let _span = hqnn_telemetry::span("qsim.vjp_batch");
-    let program = gradient::AdjointProgram::compile(circuit, params);
-    let chunk = chunk_rows_for(circuit.n_qubits());
-    let n_chunks = inputs.rows().div_ceil(chunk);
-    let chunks = hqnn_runtime::par_map_range(n_chunks, |c| {
-        let row0 = c * chunk;
-        let rows = chunk.min(inputs.rows() - row0);
-        program.vjp_chunk(inputs, observables, weights, row0, rows)
-    });
-    chunks.into_iter().flatten().collect()
+    let (_, tape) = circuit.record_batch(inputs, params, &[]);
+    tape.vjp(circuit, inputs, observables, weights)
 }
 
 #[cfg(test)]

@@ -329,8 +329,9 @@ impl Circuit {
     /// time, and returns the final state.
     ///
     /// This is the bitwise reference every other execution path matches:
-    /// the gate-major batch seams, and the forward re-simulation the
-    /// adjoint and parameter-shift engines replay.
+    /// the gate-major batch seams (whose recorded states the training
+    /// backward starts from), and the forward passes of the single-row
+    /// adjoint and parameter-shift engines.
     ///
     /// # Panics
     ///

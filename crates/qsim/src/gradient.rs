@@ -10,9 +10,10 @@
 //! * [`adjoint_vjp`] — the same reverse pass seeded with the weighted sum
 //!   `λ = Σ_o w_o·O_o|ψ⟩`, returning the vector-Jacobian product
 //!   `Σ_o w_o·d⟨O_o⟩/dθ` from **one** sweep instead of one per observable.
-//!   This is what hybrid training uses (batched as [`crate::vjp_batch`]):
-//!   the loss is scalar, so the upstream gradient can be contracted before
-//!   the sweep rather than after it.
+//!   This is what hybrid training uses (batched as [`crate::BatchTape::vjp`],
+//!   from the states its forward recorded): the loss is scalar, so the
+//!   upstream gradient can be contracted before the sweep rather than after
+//!   it.
 //! * [`parameter_shift`] — the hardware-compatible two-term shift rule,
 //!   `dE/dθ = (E(θ+π/2) − E(θ−π/2))/2`, costing two circuit executions per
 //!   parametrized gate. Used to cross-check the adjoint engines and for the
@@ -20,14 +21,16 @@
 //! * [`finite_diff`] — central differences; a test oracle only.
 //!
 //! There is one reverse-sweep routine, and it runs gate-major over a chunk
-//! of rows held in [`BatchState`]s: row-independent `U†`/`dU` are resolved
-//! once per batch and swept across the chunk in one kernel call, and each
-//! `⟨λ|dU|ψ⟩` comes from a fused read-only kernel. [`crate::vjp_batch`]
-//! drives it per chunk, [`adjoint_vjp`] is its 1-row case, and [`adjoint`]
-//! is a loop of one-hot seeds over it — every row gets the bits of the
-//! textbook per-row sweep. All engines agree to numerical precision on
-//! every supported circuit, which the test-suite and the workspace's
-//! property tests enforce.
+//! of rows held in [`BatchState`]s, starting from their final states: the
+//! forward chunks a training pass recorded ([`crate::BatchTape`]), or one
+//! freshly simulated row for the single-row engines. Row-independent
+//! `U†`/`dU` are resolved once per batch and swept across the chunk in one
+//! kernel call, and each `⟨λ|dU|ψ⟩` comes from a fused read-only kernel.
+//! [`crate::BatchTape::vjp`] drives it per chunk, [`adjoint_vjp`] is its
+//! 1-row case, and [`adjoint`] is a loop of one-hot seeds over it — every
+//! row gets the bits of the textbook per-row sweep. All engines agree to
+//! numerical precision on every supported circuit, which the test-suite
+//! and the workspace's property tests enforce.
 
 use hqnn_tensor::Matrix;
 
@@ -98,8 +101,8 @@ pub fn adjoint(
         d_inputs: Matrix::zeros(n_obs, circuit.input_count()),
     };
     let x = Matrix::row_vector(inputs);
+    let final_state = BatchProgram::new(circuit, params).run_chunk(circuit, &x, params, 0, 1);
     let program = AdjointProgram::compile(circuit, params);
-    let final_state = program.forward.run_chunk(circuit, &x, params, 0, 1);
 
     for (o, obs) in observables.iter().enumerate() {
         grads
@@ -126,14 +129,15 @@ pub fn adjoint(
 ///
 /// The adjoint gradient `2·Re⟨λ|dU|ψ⟩` is linear in the seed `λ`, so seeding
 /// the sweep with `λ = Σ_o w_o·O_o|ψ⟩` yields the contracted gradient
-/// directly: one forward re-simulation, one Pauli application per nonzero
+/// directly: one forward simulation, one Pauli application per nonzero
 /// weight, and one reverse sweep — independent of the observable count.
 /// Observables whose weight is exactly `0` are skipped. Agrees with the
 /// [`adjoint`] Jacobian contracted by `weights` to rounding (the observable
 /// sum is re-associated), and bit for bit when `weights` is one-hot.
 ///
-/// This is the 1-row case of [`crate::vjp_batch`]: both run the same chunk
-/// routine, so a row's result does not depend on which entry computed it.
+/// This is the 1-row case of [`crate::vjp_batch`]: both run the same
+/// forward and chunk routines, so a row's result does not depend on which
+/// entry computed it.
 ///
 /// # Panics
 ///
@@ -151,14 +155,10 @@ pub fn adjoint_vjp(
         "one weight per observable"
     );
     circuit.check_bindings(inputs, params);
+    let x = Matrix::row_vector(inputs);
+    let psi = BatchProgram::new(circuit, params).run_chunk(circuit, &x, params, 0, 1);
     let program = AdjointProgram::compile(circuit, params);
-    let mut vjps = program.vjp_chunk(
-        &Matrix::row_vector(inputs),
-        observables,
-        &Matrix::row_vector(weights),
-        0,
-        1,
-    );
+    let mut vjps = program.vjp_chunk(psi, &x, observables, &Matrix::row_vector(weights), 0, 1);
     // lint:allow(panic): a 1-row chunk yields exactly one product
     vjps.pop().expect("one row in, one product out")
 }
@@ -179,19 +179,17 @@ enum ReverseStep {
     Row(usize),
 }
 
-/// Both halves of the adjoint method compiled once per batch: the
-/// forward program for the re-simulation and the reverse sweep's steps.
+/// The reverse sweep of the adjoint method compiled once per batch.
 ///
 /// The one reverse-sweep routine, [`AdjointProgram::reverse_sweep`], runs
-/// over a chunk of rows; [`adjoint`] drives it once per observable on one
-/// row, [`adjoint_vjp`] once on one row and [`crate::vjp_batch`] once per
-/// chunk. Each row sees the kernels, matrices and accumulation order of the
+/// over a chunk of rows from their final states; [`adjoint`] drives it once
+/// per observable on one row, [`adjoint_vjp`] once on one row and
+/// [`crate::BatchTape::vjp`] once per recorded chunk. Each row sees the kernels, matrices and accumulation order of the
 /// textbook per-row sweep, so results are bitwise independent of the chunk
 /// a row lands in.
 pub(crate) struct AdjointProgram<'a> {
     circuit: &'a Circuit,
     params: &'a [f64],
-    forward: BatchProgram,
     steps: Vec<ReverseStep>,
 }
 
@@ -219,7 +217,6 @@ impl<'a> AdjointProgram<'a> {
         Self {
             circuit,
             params,
-            forward: BatchProgram::new(circuit, params),
             steps,
         }
     }
@@ -232,11 +229,12 @@ impl<'a> AdjointProgram<'a> {
     }
 
     /// Vector-Jacobian products of rows `row0 .. row0 + rows`, weighting
-    /// observable `o` of row `r` by `weights[(r, o)]`: re-simulates the
-    /// chunk, sums each row's seed `λ = Σ_o w_o·O_o|ψ⟩` (zero weights
-    /// skipped) and runs one reverse sweep over the chunk.
+    /// observable `o` of row `r` by `weights[(r, o)]`: from the chunk's
+    /// final states `psi`, sums each row's seed `λ = Σ_o w_o·O_o|ψ⟩` (zero
+    /// weights skipped) and runs one reverse sweep over the chunk.
     pub(crate) fn vjp_chunk(
         &self,
+        psi: BatchState,
         inputs: &Matrix,
         observables: &[Observable],
         weights: &Matrix,
@@ -245,10 +243,6 @@ impl<'a> AdjointProgram<'a> {
     ) -> Vec<Vjp> {
         let _span = hqnn_telemetry::span("qsim.adjoint");
         hqnn_telemetry::counter("qsim.adjoint_passes", rows as u64);
-        let psi = self
-            .forward
-            .run_chunk(self.circuit, inputs, self.params, row0, rows);
-
         let mut lambda = BatchState::zeroed(self.circuit.n_qubits(), rows);
         let mut term = psi.clone();
         for (o, obs) in observables.iter().enumerate() {

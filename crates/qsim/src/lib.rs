@@ -10,9 +10,9 @@
 //!
 //! * [`gradient::adjoint_vjp`] — O(gates · 2ⁿ) reverse-pass differentiation
 //!   of the loss-weighted observable sum, one sweep per sample. This is the
-//!   training path ([`batch::vjp_batch`], which sweeps chunks of samples
-//!   gate-major), and what makes hybrid backprop
-//!   tractable; [`gradient::adjoint`] runs the same sweep once per
+//!   training path ([`batch::BatchTape::vjp`], which sweeps chunks of
+//!   samples gate-major from the states the forward recorded), and what
+//!   makes hybrid backprop tractable; [`gradient::adjoint`] runs the same sweep once per
 //!   observable to return the full Jacobian, the oracle the examples,
 //!   benchmarks and property tests use, and
 //! * [`gradient::parameter_shift`] — the textbook two-term shift rule, used to
@@ -55,7 +55,7 @@ pub mod state;
 pub mod verify;
 
 pub use ansatz::{EntanglerKind, QnnTemplate, RotationAxis};
-pub use batch::{gradients_batch, vjp_batch, GradEngine};
+pub use batch::{gradients_batch, vjp_batch, BatchTape, GradEngine};
 pub use batch_state::BatchState;
 pub use circuit::{Circuit, Op, ParamSource, Wires};
 pub use complex::C64;

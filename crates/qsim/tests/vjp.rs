@@ -3,7 +3,9 @@
 //! parameter-shift rule. One-hot weights must reproduce an `adjoint` row
 //! bit for bit — both engines share one reverse sweep. A per-row
 //! reference sweep written here from public calls pins the gate-major
-//! batch sweep's bits to the textbook per-row formulation.
+//! batch sweep's bits to the textbook per-row formulation, including when
+//! it starts from the states a recorded forward kept (`BatchTape`) and
+//! the batch spans several chunks.
 
 use hqnn_qsim::gates::{dagger, Matrix2};
 use hqnn_qsim::{
@@ -229,15 +231,15 @@ fn assert_bits(got: &[f64], want: &[f64], what: &str) {
     }
 }
 
-/// `vjp_batch` at every thread budget, and `adjoint` per
-/// row, against the per-row reference sweep — bit for bit.
-fn assert_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) {
+/// A random readout for `c` and a `(rows, observables)` weight matrix for
+/// it, about a quarter of the weights exactly 0.
+fn random_weights(c: &Circuit, rows: usize, seed: u64) -> (Vec<Observable>, Matrix) {
     let (obs, _) = random_readout(c.n_qubits(), seed);
     let mut rng = SeededRng::new(seed ^ 0xb17);
     let w = Matrix::from_vec(
-        x.rows(),
+        rows,
         obs.len(),
-        (0..x.rows() * obs.len())
+        (0..rows * obs.len())
             .map(|_| {
                 if rng.index(4) == 0 {
                     0.0
@@ -247,17 +249,39 @@ fn assert_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) 
             })
             .collect(),
     );
-    let want: Vec<_> = (0..x.rows())
-        .map(|r| reference_vjp(c, x.row(r), params, &obs, w.row(r)))
-        .collect();
+    (obs, w)
+}
+
+/// The per-row reference VJP of every row of `x`.
+fn reference_rows(
+    c: &Circuit,
+    params: &[f64],
+    x: &Matrix,
+    obs: &[Observable],
+    w: &Matrix,
+) -> Vec<(Vec<f64>, Vec<f64>)> {
+    (0..x.rows())
+        .map(|r| reference_vjp(c, x.row(r), params, obs, w.row(r)))
+        .collect()
+}
+
+/// Asserts each row's VJP equals the reference bit for bit.
+fn assert_rows(got: &[hqnn_qsim::Vjp], want: &[(Vec<f64>, Vec<f64>)], at: &str) {
+    assert_eq!(got.len(), want.len(), "{at}: rows");
+    for (r, (vjp, (d_params, d_inputs))) in got.iter().zip(want).enumerate() {
+        assert_bits(&vjp.d_params, d_params, &format!("{at} row={r} d_params"));
+        assert_bits(&vjp.d_inputs, d_inputs, &format!("{at} row={r} d_inputs"));
+    }
+}
+
+/// `vjp_batch` at every thread budget, and `adjoint` per
+/// row, against the per-row reference sweep — bit for bit.
+fn assert_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) {
+    let (obs, w) = random_weights(c, x.rows(), seed);
+    let want = reference_rows(c, params, x, &obs, &w);
     for threads in [1, 2, 7] {
         let got = hqnn_runtime::with_threads(threads, || vjp_batch(c, x, params, &obs, &w));
-        assert_eq!(got.len(), x.rows());
-        for (r, (vjp, (d_params, d_inputs))) in got.iter().zip(&want).enumerate() {
-            let at = format!("threads={threads} row={r}");
-            assert_bits(&vjp.d_params, d_params, &format!("{at} d_params"));
-            assert_bits(&vjp.d_inputs, d_inputs, &format!("{at} d_inputs"));
-        }
+        assert_rows(&got, &want, &format!("threads={threads}"));
     }
     for r in 0..x.rows() {
         let jac = adjoint(c, x.row(r), params, &obs);
@@ -288,6 +312,36 @@ fn assert_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) 
             );
         }
     }
+}
+
+/// The recorded-forward path at every thread budget: `record_batch`'s
+/// expectations equal `expectations_batch`'s, and the tape's VJP — taken
+/// twice, since a backward must not consume the tape — equals the per-row
+/// reference sweep, bit for bit.
+fn assert_tape_matches_reference(c: &Circuit, params: &[f64], x: &Matrix, seed: u64) {
+    let (obs, w) = random_weights(c, x.rows(), seed);
+    let want = reference_rows(c, params, x, &obs, &w);
+    let want_exp = hqnn_runtime::with_threads(1, || c.expectations_batch(x, params, &obs));
+    for threads in [1, 2, 7] {
+        let at = format!("threads={threads}");
+        let (exp, tape) = hqnn_runtime::with_threads(threads, || c.record_batch(x, params, &obs));
+        assert_bits(
+            exp.as_slice(),
+            want_exp.as_slice(),
+            &format!("{at} expectations"),
+        );
+        for pass in 0..2 {
+            let got = hqnn_runtime::with_threads(threads, || tape.vjp(c, x, &obs, &w));
+            assert_rows(&got, &want, &format!("{at} pass={pass}"));
+        }
+    }
+}
+
+/// Rows per gate-major chunk of an `n`-qubit circuit: the simulator's
+/// 2⁹-amplitude chunk rule, mirrored so batches can be sized to straddle
+/// chunk boundaries.
+fn chunk_rows(n: usize) -> usize {
+    (512 >> n).max(1)
 }
 
 /// `rows` input rows for `c`, drawn from `seed`.
@@ -365,6 +419,40 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn tape_matches_per_row_reference_across_chunks(
+        seed in 0u64..1_000_000,
+        full in 0usize..=3,
+        tail in 0usize..512,
+    ) {
+        // Up to three full chunks plus a ragged tail.
+        let (c, _, params) = random_case(seed);
+        let chunk = chunk_rows(c.n_qubits());
+        let rows = (full * chunk + tail % chunk).max(1);
+        let x = input_batch(&c, rows, seed);
+        assert_tape_matches_reference(&c, &params, &x, seed);
+    }
+
+    #[test]
+    fn tape_matches_per_row_reference_on_one_row_chunks(
+        seed in 0u64..1_000_000,
+        n in 9usize..=10,
+        strong in proptest::bool::ANY,
+        rows in 1usize..=4,
+    ) {
+        // Wide enough that every chunk holds a single row.
+        let kind = if strong { EntanglerKind::Strong } else { EntanglerKind::Basic };
+        let c = QnnTemplate::new(n, 1, kind).build();
+        let mut rng = SeededRng::new(seed);
+        let params: Vec<f64> = (0..c.trainable_count()).map(|_| rng.uniform(-3.0, 3.0)).collect();
+        let x = input_batch(&c, rows, seed);
+        assert_tape_matches_reference(&c, &params, &x, seed);
     }
 }
 

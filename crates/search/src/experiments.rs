@@ -367,10 +367,41 @@ impl StudyResult {
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the file is missing or not valid study JSON.
+    /// Returns an I/O error if the file is missing or not valid study JSON,
+    /// including a repetition whose `winner` does not index a passing
+    /// combination of its `evaluated` list.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let json = fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(io::Error::other)
+        let study: Self = serde_json::from_str(&json).map_err(io::Error::other)?;
+        study.check_winners()?;
+        Ok(study)
+    }
+
+    /// Rejects a repetition whose `winner` is out of range or names a combo
+    /// that did not pass — either would make [`RepetitionOutcome::winning_combo`]
+    /// panic or report a failed model as the level's winner.
+    fn check_winners(&self) -> io::Result<()> {
+        for family in Family::ALL {
+            for level in self.family(family) {
+                for rep in &level.repetitions {
+                    let Some(w) = rep.winner else { continue };
+                    if !rep.evaluated.get(w).is_some_and(|c| c.passed) {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "{} level {} repetition {}: winner {w} is not a passing \
+                                 combo of the {} evaluated",
+                                family.name(),
+                                level.n_features,
+                                rep.repetition,
+                                rep.evaluated.len()
+                            ),
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -549,6 +580,31 @@ mod tests {
         study.save(&path).expect("save study");
         let loaded = StudyResult::load(&path).expect("load study");
         assert_eq!(study, loaded);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn load_rejects_a_winner_that_is_not_a_passing_combo() {
+        let mut study = StudyResult::new(ExperimentConfig::smoke());
+        study.run_classical();
+        let path = std::env::temp_dir().join(format!(
+            "hqnn-search-bad-winner-{}.json",
+            std::process::id()
+        ));
+        // Out of range: the loaded study would panic in `winning_combo`.
+        let mut out_of_range = study.clone();
+        out_of_range.classical[0].repetitions[0].winner = Some(999);
+        out_of_range.save(&path).expect("save study");
+        let err = StudyResult::load(&path).expect_err("winner 999 is out of range");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("winner 999"), "{err}");
+        // In range but failed: it would be reported as the level's winner.
+        let mut failed = study;
+        let rep = &mut failed.classical[0].repetitions[0];
+        rep.evaluated[0].passed = false;
+        rep.winner = Some(0);
+        failed.save(&path).expect("save study");
+        assert!(StudyResult::load(&path).is_err());
         let _ = std::fs::remove_file(path);
     }
 
