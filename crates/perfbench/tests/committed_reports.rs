@@ -5,9 +5,9 @@
 //! written by older builds, and most carry manifest keys the current
 //! `RunManifest` no longer has (the retired `"batch"` layout stamp and the
 //! `"fuse"` stamp of the removed gate-fusion path). Those keys must be
-//! ignored, not rejected, and the baseline must name exactly
-//! the benchmarks the current suite runs so `--check` reports no missing
-//! ids.
+//! ignored, not rejected. The baseline must name exactly the benchmarks
+//! the current suite runs, so `--check` reports no missing ids, and carry
+//! the analytic FLOPs the suite computes.
 
 use std::path::PathBuf;
 
@@ -28,14 +28,29 @@ fn committed_baseline_loads_and_matches_the_suite() {
         );
     }
     let baseline = BenchReport::load(&path).expect("baseline loads through --check's loader");
+    let suite = default_suite();
     let mut baseline_ids: Vec<&str> = baseline.results.iter().map(|r| r.id.as_str()).collect();
-    let mut suite_ids: Vec<&str> = default_suite().iter().map(|b| b.id).collect();
+    let mut suite_ids: Vec<&str> = suite.iter().map(|b| b.id).collect();
     baseline_ids.sort_unstable();
     suite_ids.sort_unstable();
     assert_eq!(
         baseline_ids, suite_ids,
         "baseline and suite disagree on benchmark ids"
     );
+    // The baseline's efficiency ratios are priced by its analytic FLOPs, so
+    // they must be the ones the current cost model computes.
+    for bench in &suite {
+        let committed = baseline
+            .results
+            .iter()
+            .find(|r| r.id == bench.id)
+            .expect("ids matched above");
+        assert_eq!(
+            committed.analytic_flops_per_iter, bench.analytic_flops_per_iter,
+            "{}: baseline analytic FLOPs differ from the suite's",
+            bench.id
+        );
+    }
 }
 
 #[test]

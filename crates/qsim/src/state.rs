@@ -8,6 +8,12 @@
 //! `2^n`-amplitude rows always satisfies for in-row wires; applied to such a
 //! buffer, a kernel transforms every row exactly as it would transform each
 //! row individually, pair for pair, in the same in-row order.
+//!
+//! The 2×2 kernels pick their per-pair arithmetic from the matrix values
+//! they are given ([`Shape`]): a diagonal, real, or imaginary-off-diagonal
+//! matrix skips the products its zero entries would contribute. Callers
+//! never choose, so a gate takes the same path in [`crate::Circuit::run`],
+//! the batched sweeps, the observables and the adjoint reverse pass.
 
 use std::fmt;
 
@@ -15,22 +21,104 @@ use crate::complex::C64;
 use crate::gates::Matrix2;
 use crate::MAX_QUBITS;
 
+/// Which of `m`'s products are structurally zero, read from its entry
+/// values. Each shape's per-pair transform (see [`with_pair_transform`])
+/// drops exactly the products with a zero matrix factor; the general
+/// shape keeps every product.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// `m01 == m10 == 0`: RZ, Z, S, T, PhaseShift, `dRZ/dθ`, I.
+    Diagonal,
+    /// Every imaginary part is 0: RY, H, X, `dRY/dθ`.
+    Real,
+    /// Real diagonal, purely imaginary off-diagonal: RX, Y, `dRX/dθ`.
+    ImagOffDiagonal,
+    /// Anything else, including any matrix with a NaN entry.
+    General,
+}
+
+impl Shape {
+    /// The shape of `m`. Signed zeros of either sign count as zero.
+    pub(crate) fn of(m: &Matrix2) -> Self {
+        let [[m00, m01], [m10, m11]] = *m;
+        let entries = [m00, m01, m10, m11];
+        if entries.iter().any(|z| z.re.is_nan() || z.im.is_nan()) {
+            Shape::General
+        } else if m01 == C64::ZERO && m10 == C64::ZERO {
+            Shape::Diagonal
+        } else if entries.iter().all(|z| z.im == 0.0) {
+            Shape::Real
+        } else if m00.im == 0.0 && m11.im == 0.0 && m01.re == 0.0 && m10.re == 0.0 {
+            Shape::ImagOffDiagonal
+        } else {
+            Shape::General
+        }
+    }
+}
+
+/// Binds `$pair` to the transform `(x, y) ↦ (m00·x + m01·y, m10·x + m11·y)`
+/// specialised to `$m`'s [`Shape`], then evaluates `$walk`, so every pair
+/// walk is written once and monomorphised per shape.
+///
+/// A specialised expression is the general one minus products with a zero
+/// matrix factor. For finite amplitudes such a product is `±0`, and adding
+/// `±0` leaves every nonzero value unchanged, so each nonzero component is
+/// bitwise the general loop's; only an exactly-zero component may carry
+/// the other sign (DESIGN.md §9 shows why no returned value can see it).
+macro_rules! with_pair_transform {
+    ($m:expr, |$pair:ident| $walk:expr) => {{
+        let m: &Matrix2 = $m;
+        let [[m00, m01], [m10, m11]] = *m;
+        match Shape::of(m) {
+            Shape::Diagonal => {
+                let $pair = move |x: C64, y: C64| (m00 * x, m11 * y);
+                $walk
+            }
+            Shape::Real => {
+                let (r00, r01, r10, r11) = (m00.re, m01.re, m10.re, m11.re);
+                let $pair = move |x: C64, y: C64| {
+                    (
+                        C64::new(r00 * x.re + r01 * y.re, r00 * x.im + r01 * y.im),
+                        C64::new(r10 * x.re + r11 * y.re, r10 * x.im + r11 * y.im),
+                    )
+                };
+                $walk
+            }
+            Shape::ImagOffDiagonal => {
+                let (r00, s01, s10, r11) = (m00.re, m01.im, m10.im, m11.re);
+                let $pair = move |x: C64, y: C64| {
+                    (
+                        C64::new(r00 * x.re - s01 * y.im, r00 * x.im + s01 * y.re),
+                        C64::new(r11 * y.re - s10 * x.im, s10 * x.re + r11 * y.im),
+                    )
+                };
+                $walk
+            }
+            Shape::General => {
+                let $pair = move |x: C64, y: C64| (m00 * x + m01 * y, m10 * x + m11 * y);
+                $walk
+            }
+        }
+    }};
+}
+
 /// Applies a single-qubit unitary on wire `target` to every `2^n`-row of
-/// `amps` (see module docs). Walks `2·stride` blocks, splitting each into
-/// its target-0 / target-1 halves so the inner pair loop runs over two
-/// contiguous slices with no per-iteration bounds checks — shaped for
-/// autovectorisation. Arithmetic is the exact `m·(a, b)ᵀ` expression per
-/// pair, bitwise identical to a scalar reference loop.
+/// `amps` (see module docs), with the per-pair arithmetic of `m`'s
+/// [`Shape`].
 pub(crate) fn apply_single_amps(amps: &mut [C64], m: &Matrix2, target: usize) {
+    with_pair_transform!(m, |pair| single_walk(amps, target, pair))
+}
+
+/// Walks `2·stride` blocks, splitting each into its target-0 / target-1
+/// halves so the inner pair loop runs over two contiguous slices with no
+/// per-iteration bounds checks — shaped for autovectorisation.
+fn single_walk(amps: &mut [C64], target: usize, pair: impl Fn(C64, C64) -> (C64, C64)) {
     let stride = 1usize << target;
     debug_assert_eq!(amps.len() % (stride << 1), 0);
-    let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
     for block in amps.chunks_exact_mut(stride << 1) {
         let (lo, hi) = block.split_at_mut(stride);
         for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            let (x, y) = (*a, *b);
-            *a = m00 * x + m01 * y;
-            *b = m10 * x + m11 * y;
+            (*a, *b) = pair(*a, *b);
         }
     }
 }
@@ -40,7 +128,15 @@ pub(crate) fn apply_single_amps(amps: &mut [C64], m: &Matrix2, target: usize) {
 /// [`StateVector::apply_controlled`] and
 /// [`StateVector::apply_controlled_projected`]. Only control-1 pairs (a
 /// quarter of the buffer) are enumerated, never the control-0 subspace.
-///
+pub(crate) fn transform_control1_pairs_amps(
+    amps: &mut [C64],
+    m: &Matrix2,
+    c_stride: usize,
+    t_stride: usize,
+) {
+    with_pair_transform!(m, |pair| control1_walk(amps, c_stride, t_stride, pair))
+}
+
 /// Two enumeration shapes, picked by the larger pinned-bit stride. When it
 /// is small (adjacent low wires — the ring-entangler common case) a nested
 /// block walk degenerates into per-pair loop setup, so a single flat loop
@@ -48,17 +144,16 @@ pub(crate) fn apply_single_amps(amps: &mut [C64], m: &Matrix2, target: usize) {
 /// is large, blocks are long and a nested walk with contiguous branch-free
 /// inner runs wins. Both shapes visit the same pairs with the same
 /// expressions, so the choice never affects results.
-pub(crate) fn transform_control1_pairs_amps(
+fn control1_walk(
     amps: &mut [C64],
-    m: &Matrix2,
     c_stride: usize,
     t_stride: usize,
+    pair: impl Fn(C64, C64) -> (C64, C64),
 ) {
     let run = t_stride.min(c_stride);
     let big = t_stride.max(c_stride);
     let len = amps.len();
     debug_assert_eq!(len % (big << 1), 0);
-    let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
     if big <= 64 {
         // Flat walk: pair p's index is p's bits with a 0 deposited at
         // the target bit position and a 1 at the control bit position.
@@ -71,9 +166,7 @@ pub(crate) fn transform_control1_pairs_amps(
             let mid = (p & mid_mask) >> a_bit;
             let hi = p >> (b_bit - 1);
             let i = lo | (mid << (a_bit + 1)) | (hi << (b_bit + 1)) | c_stride;
-            let (x, y) = (amps[i], amps[i + t_stride]);
-            amps[i] = m00 * x + m01 * y;
-            amps[i + t_stride] = m10 * x + m11 * y;
+            (amps[i], amps[i + t_stride]) = pair(amps[i], amps[i + t_stride]);
         }
         return;
     }
@@ -85,9 +178,7 @@ pub(crate) fn transform_control1_pairs_amps(
             let block = &mut amps[base..base + t_stride + run];
             let (lo_half, hi_half) = block.split_at_mut(t_stride);
             for (a, b) in lo_half[..run].iter_mut().zip(hi_half.iter_mut()) {
-                let (x, y) = (*a, *b);
-                *a = m00 * x + m01 * y;
-                *b = m10 * x + m11 * y;
+                (*a, *b) = pair(*a, *b);
             }
             mid += run << 1;
         }
@@ -117,16 +208,26 @@ pub(crate) fn apply_swap_amps(amps: &mut [C64], a: usize, b: usize) {
 
 /// `⟨λ|M_target|ψ⟩` over one row, without materialising `M·ψ` — the fused
 /// read-only kernel behind the adjoint sweep's per-gate derivative term.
-/// Each `(M·ψ)_k` is the exact expression [`apply_single_amps`] writes, and
-/// the products fold left to right in index order (each `2·stride` block's
-/// target-0 half, then its target-1 half) like [`StateVector::inner`], so
-/// the result is bitwise `λ.inner(&mu)` for `mu = ψ` with `M` applied,
-/// minus the scratch copy and its write pass. The block walk avoids a
-/// per-amplitude branch and bounds check.
+/// Each `(M·ψ)_k` is the exact expression [`apply_single_amps`] writes for
+/// `m`'s [`Shape`], and the products fold left to right in index order
+/// (each `2·stride` block's target-0 half, then its target-1 half) like
+/// [`StateVector::inner`], so the result is bitwise `λ.inner(&mu)` for
+/// `mu = ψ` with `M` applied, minus the scratch copy and its write pass.
 pub(crate) fn inner_single_amps(lambda: &[C64], psi: &[C64], m: &Matrix2, target: usize) -> C64 {
+    with_pair_transform!(m, |pair| inner_single_walk(lambda, psi, target, pair))
+}
+
+/// The block walk of [`inner_single_amps`]: no per-amplitude branch or
+/// bounds check. Each half uses one output of `pair`; the other is dead
+/// code once the transform is inlined.
+fn inner_single_walk(
+    lambda: &[C64],
+    psi: &[C64],
+    target: usize,
+    pair: impl Fn(C64, C64) -> (C64, C64),
+) -> C64 {
     debug_assert_eq!(lambda.len(), psi.len());
     let stride = 1usize << target;
-    let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
     let mut acc = C64::ZERO;
     for (lb, pb) in lambda
         .chunks_exact(stride << 1)
@@ -135,10 +236,10 @@ pub(crate) fn inner_single_amps(lambda: &[C64], psi: &[C64], m: &Matrix2, target
         let (p0, p1) = pb.split_at(stride);
         let (l0, l1) = lb.split_at(stride);
         for ((l, x), y) in l0.iter().zip(p0).zip(p1) {
-            acc += l.conj() * (m00 * *x + m01 * *y);
+            acc += l.conj() * pair(*x, *y).0;
         }
         for ((l, x), y) in l1.iter().zip(p0).zip(p1) {
-            acc += l.conj() * (m10 * *x + m11 * *y);
+            acc += l.conj() * pair(*x, *y).1;
         }
     }
     acc
@@ -158,20 +259,19 @@ pub(crate) fn inner_controlled_projected_amps(
 ) -> C64 {
     debug_assert_eq!(lambda.len(), psi.len());
     let (c_mask, t_stride) = (1usize << control, 1usize << target);
-    let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
-    hqnn_tensor::fold::ordered_sum(
+    with_pair_transform!(m, |pair| hqnn_tensor::fold::ordered_sum(
         C64::ZERO,
         lambda.iter().enumerate().map(|(k, l)| {
             let mu = if k & c_mask == 0 {
                 C64::ZERO
             } else if k & t_stride == 0 {
-                m00 * psi[k] + m01 * psi[k | t_stride]
+                pair(psi[k], psi[k | t_stride]).0
             } else {
-                m10 * psi[k ^ t_stride] + m11 * psi[k]
+                pair(psi[k ^ t_stride], psi[k]).1
             };
             l.conj() * mu
         }),
-    )
+    ))
 }
 
 /// Expectation value `⟨ψ|Z_wire|ψ⟩` over one row's amplitudes.
@@ -304,8 +404,10 @@ impl StateVector {
     /// into its target-0 / target-1 halves, so the inner amplitude-pair loop
     /// runs over two contiguous slices with no per-iteration bounds checks
     /// or index arithmetic — shaped for autovectorisation. The arithmetic is
-    /// the exact expression `m·(a, b)ᵀ` per pair, so results are bitwise
-    /// identical to the scalar reference loop.
+    /// `m·(a, b)ᵀ` per pair, minus the products with a zero entry of `m`, so
+    /// for finite amplitudes every nonzero component is bitwise the scalar
+    /// reference loop's and an exactly-zero one may differ only in sign. A
+    /// dense matrix, or one with a NaN entry, runs the full expression.
     ///
     /// # Panics
     ///
@@ -625,6 +727,160 @@ mod tests {
                     t,
                 );
                 assert_eq!(bits(got), bits(want), "c={c} t={t}");
+            }
+        }
+    }
+
+    /// The general `inner_single_amps` loop, every product kept.
+    fn reference_inner_single(lambda: &[C64], psi: &[C64], m: &Matrix2, target: usize) -> C64 {
+        let stride = 1usize << target;
+        let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
+        let mut acc = C64::ZERO;
+        for (lb, pb) in lambda
+            .chunks_exact(stride << 1)
+            .zip(psi.chunks_exact(stride << 1))
+        {
+            let (p0, p1) = pb.split_at(stride);
+            let (l0, l1) = lb.split_at(stride);
+            for ((l, x), y) in l0.iter().zip(p0).zip(p1) {
+                acc += l.conj() * (m00 * *x + m01 * *y);
+            }
+            for ((l, x), y) in l1.iter().zip(p0).zip(p1) {
+                acc += l.conj() * (m10 * *x + m11 * *y);
+            }
+        }
+        acc
+    }
+
+    /// The general `inner_controlled_projected_amps` fold, every product kept.
+    fn reference_inner_controlled_projected(
+        lambda: &[C64],
+        psi: &[C64],
+        m: &Matrix2,
+        control: usize,
+        target: usize,
+    ) -> C64 {
+        let (c_mask, t_stride) = (1usize << control, 1usize << target);
+        let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
+        let mut acc = C64::ZERO;
+        for (k, l) in lambda.iter().enumerate() {
+            let mu = if k & c_mask == 0 {
+                C64::ZERO
+            } else if k & t_stride == 0 {
+                m00 * psi[k] + m01 * psi[k | t_stride]
+            } else {
+                m10 * psi[k ^ t_stride] + m11 * psi[k]
+            };
+            acc += l.conj() * mu;
+        }
+        acc
+    }
+
+    #[test]
+    fn shape_is_read_from_the_matrix_values() {
+        use Shape::*;
+        let theta = 0.83;
+        let expect = [
+            (GateKind::I, Diagonal, None),
+            (GateKind::H, Real, None),
+            (GateKind::X, Real, None),
+            (GateKind::Y, ImagOffDiagonal, None),
+            (GateKind::Z, Diagonal, None),
+            (GateKind::S, Diagonal, None),
+            (GateKind::T, Diagonal, None),
+            (GateKind::RX, ImagOffDiagonal, Some(ImagOffDiagonal)),
+            (GateKind::RY, Real, Some(Real)),
+            (GateKind::RZ, Diagonal, Some(Diagonal)),
+            (GateKind::PhaseShift, Diagonal, Some(Diagonal)),
+            (GateKind::Cnot, Real, None),
+            (GateKind::Cz, Diagonal, None),
+            (GateKind::Crx, ImagOffDiagonal, Some(ImagOffDiagonal)),
+            (GateKind::Cry, Real, Some(Real)),
+            (GateKind::Crz, Diagonal, Some(Diagonal)),
+        ];
+        for (kind, shape, dshape) in expect {
+            let m = kind.matrix(theta);
+            assert_eq!(Shape::of(&m), shape, "{kind:?}");
+            assert_eq!(Shape::of(&crate::gates::dagger(&m)), shape, "{kind:?}†");
+            assert_eq!(
+                kind.dmatrix(theta).map(|d| Shape::of(&d)),
+                dshape,
+                "d{kind:?}"
+            );
+        }
+        // A rotation at angle 0 is the identity, hence diagonal.
+        assert_eq!(Shape::of(&GateKind::RX.matrix(0.0)), Diagonal);
+        let dense = [
+            [C64::new(0.6, 0.1), C64::new(-0.2, 0.7)],
+            [C64::new(0.3, -0.4), C64::new(0.5, 0.2)],
+        ];
+        assert_eq!(Shape::of(&dense), General);
+        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let mut m = GateKind::I.matrix(0.0);
+            m[r][c].im = f64::NAN;
+            assert_eq!(Shape::of(&m), General, "NaN at ({r}, {c})");
+        }
+    }
+
+    #[test]
+    fn structured_inner_kernels_match_the_general_fold_bitwise() {
+        // The specialised `(M·ψ)_k` may differ from the general one only
+        // in the sign of an exact zero, and the fold starts at +0, so the
+        // inner products must match to the bit — on dense states and on
+        // encoded product states full of exact zeros.
+        let n = 7;
+        let dense = |seed: f64| {
+            let mut s = StateVector::new(n);
+            for w in 0..n {
+                s.apply_single(&GateKind::RY.matrix(seed + 0.37 * w as f64), w);
+                s.apply_single(&GateKind::RZ.matrix(seed * 1.3 - 0.21 * w as f64), w);
+            }
+            for w in 0..n - 1 {
+                s.apply_controlled(&GateKind::X.matrix(0.0), w, w + 1);
+            }
+            s
+        };
+        let encoded = |kind: GateKind, seed: f64| {
+            let mut s = StateVector::new(n);
+            for w in 0..n {
+                s.apply_single(&kind.matrix(seed - 0.53 * w as f64), w);
+            }
+            s
+        };
+        let states = [
+            (dense(0.4), dense(-1.1)),
+            (encoded(GateKind::RY, 0.9), encoded(GateKind::RX, -0.6)),
+            (encoded(GateKind::RX, 1.7), dense(0.2)),
+        ];
+        let bits = |z: C64| (z.re.to_bits(), z.im.to_bits());
+        for kind in [
+            GateKind::H,
+            GateKind::X,
+            GateKind::Y,
+            GateKind::Z,
+            GateKind::T,
+            GateKind::RX,
+            GateKind::RY,
+            GateKind::RZ,
+            GateKind::PhaseShift,
+        ] {
+            let m = kind.matrix(1.234);
+            let mut ms = vec![m, crate::gates::dagger(&m)];
+            ms.extend(kind.dmatrix(1.234));
+            for m in &ms {
+                for (psi, lambda) in &states {
+                    let (l, p) = (lambda.amplitudes(), psi.amplitudes());
+                    for t in 0..n {
+                        let want = reference_inner_single(l, p, m, t);
+                        let got = inner_single_amps(l, p, m, t);
+                        assert_eq!(bits(got), bits(want), "{kind:?} t={t}");
+                        for c in (0..n).filter(|&c| c != t) {
+                            let want = reference_inner_controlled_projected(l, p, m, c, t);
+                            let got = inner_controlled_projected_amps(l, p, m, c, t);
+                            assert_eq!(bits(got), bits(want), "{kind:?} c={c} t={t}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -55,7 +55,7 @@
 pub mod check;
 mod pool;
 
-pub use pool::{par_chunks_mut, par_map, par_map_budgeted, par_map_range, split_budget};
+pub use pool::{par_map, par_map_budgeted, par_map_range, split_budget};
 
 use std::cell::Cell;
 use std::sync::OnceLock;

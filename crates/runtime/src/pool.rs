@@ -195,81 +195,6 @@ where
     items.into_iter().map(|(_, item)| item).collect()
 }
 
-/// Runs `f` over disjoint consecutive chunks of `data` in parallel, in
-/// place — the mutable-slice counterpart of [`par_map_range`] that lets
-/// callers write results straight into a preallocated buffer instead of
-/// collecting and reassembling per-item vectors.
-///
-/// The closure receives `(chunk_index, chunk)` where chunk `i` covers
-/// `data[i·chunk_size .. (i+1)·chunk_size]` (the last chunk may be short).
-/// Chunk boundaries depend only on `data.len()` and `chunk_size`, never on
-/// the thread budget, so any per-chunk effects (telemetry spans, causal
-/// IDs) are identical at every `HQNN_THREADS`. Like [`par_map_range`], the
-/// causal context is installed around each chunk keyed by its index, and
-/// the whole call runs inline when the resolved budget is 1 or there is
-/// only one chunk.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0` (with non-empty data); a panic inside `f`
-/// propagates to the caller after in-flight chunks finish.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let n_chunks = data.len().div_ceil(chunk_size);
-    let threads = crate::threads().min(n_chunks);
-    let ctx = hqnn_telemetry::current_causal_context();
-    if threads <= 1 || n_chunks <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
-            let _causal = hqnn_telemetry::propagate_causal_context(&ctx, i as u64);
-            f(i, chunk);
-        }
-        return;
-    }
-
-    // Each chunk is a disjoint `&mut [T]` parked in its own slot; workers
-    // claim slots through an atomic cursor and take the slice out exactly
-    // once. The Mutex-of-Option wrapping is what hands a mutable borrow to
-    // exactly one worker without unsafe.
-    type ChunkSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
-    let slots: Vec<ChunkSlot<T>> = data
-        .chunks_mut(chunk_size)
-        .enumerate()
-        .map(|(i, c)| Mutex::new(Some((i, c))))
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                crate::with_threads(1, || loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    if slot >= slots.len() {
-                        break;
-                    }
-                    let (idx, chunk) = slots[slot]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                        // lint:allow(panic): the atomic cursor hands each slot index out once
-                        .expect("each chunk is claimed exactly once");
-                    let _causal = hqnn_telemetry::propagate_causal_context(&ctx, idx as u64);
-                    f(idx, chunk);
-                });
-                hqnn_telemetry::drain_local_metrics();
-            });
-        }
-    });
-
-    hqnn_telemetry::counter("runtime.par_calls", 1);
-    hqnn_telemetry::counter("runtime.par_items", n_chunks as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,71 +278,6 @@ mod tests {
                         panic!("item 11 exploded");
                     }
                     i
-                })
-            })
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn par_chunks_mut_writes_every_chunk_once() {
-        for threads in [1, 2, 3, 8] {
-            for len in [0usize, 1, 5, 16, 100, 257] {
-                let mut data = vec![0usize; len];
-                with_threads(threads, || {
-                    par_chunks_mut(&mut data, 7, |ci, chunk| {
-                        for (j, v) in chunk.iter_mut().enumerate() {
-                            *v = ci * 7 + j + 1;
-                        }
-                    })
-                });
-                let want: Vec<usize> = (1..=len).collect();
-                assert_eq!(data, want, "threads={threads} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_results_identical_across_thread_counts() {
-        let fill = |data: &mut [f64]| {
-            par_chunks_mut(data, 5, |ci, chunk| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    let i = ci * 5 + j;
-                    let mut acc = 0.0f64;
-                    for k in 1..=32 {
-                        acc += ((i * k) as f64).sin() / (k as f64).sqrt();
-                    }
-                    *v = acc;
-                }
-            })
-        };
-        let mut seq = vec![0.0f64; 123];
-        with_threads(1, || fill(&mut seq));
-        for threads in [2, 5, 16] {
-            let mut par = vec![0.0f64; 123];
-            with_threads(threads, || fill(&mut par));
-            let a: Vec<u64> = seq.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u64> = par.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "threads={threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn par_chunks_mut_rejects_zero_chunk_size() {
-        let mut data = [1u8, 2];
-        par_chunks_mut(&mut data, 0, |_, _| {});
-    }
-
-    #[test]
-    fn par_chunks_mut_panic_propagates() {
-        let result = std::panic::catch_unwind(|| {
-            let mut data = vec![0usize; 64];
-            with_threads(4, || {
-                par_chunks_mut(&mut data, 4, |ci, _| {
-                    if ci == 7 {
-                        panic!("chunk 7 exploded");
-                    }
                 })
             })
         });
