@@ -149,9 +149,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
 /// cleanly across runners, so the order cannot depend on filesystem walk
 /// order or rule execution order.
 pub fn sort_findings(findings: &mut [Finding]) {
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
+    findings
+        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
 }
 
 /// Lints a single file as if it belonged to `crate_name` — used by the

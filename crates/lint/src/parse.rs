@@ -50,7 +50,8 @@ pub fn is_method_call(toks: &[Tok], i: usize) -> bool {
 /// after the ident at `i`. `None` when the ident is not followed by a call.
 pub fn call_open_paren(toks: &[Tok], i: usize) -> Option<usize> {
     let mut j = i + 1;
-    if toks.get(j).is_some_and(|t| t.is_punct(":")) && toks.get(j + 1).is_some_and(|t| t.is_punct(":"))
+    if toks.get(j).is_some_and(|t| t.is_punct(":"))
+        && toks.get(j + 1).is_some_and(|t| t.is_punct(":"))
     {
         j += 2;
         if !toks.get(j).is_some_and(|t| t.is_punct("<")) {
@@ -293,8 +294,7 @@ pub fn is_float_literal(text: &str) -> bool {
         c == b'e'
             && b.get(i + 1).is_some_and(|&n| {
                 n.is_ascii_digit()
-                    || ((n == b'-' || n == b'+')
-                        && b.get(i + 2).is_some_and(u8::is_ascii_digit))
+                    || ((n == b'-' || n == b'+') && b.get(i + 2).is_some_and(u8::is_ascii_digit))
             })
     })
 }
@@ -401,7 +401,10 @@ mod tests {
         assert!(is_float_literal("1e-6"));
         assert!(is_float_literal("2f64"));
         assert!(!is_float_literal("42"));
-        assert!(!is_float_literal("1usize"), "the `e` in a suffix is not an exponent");
+        assert!(
+            !is_float_literal("1usize"),
+            "the `e` in a suffix is not an exponent"
+        );
         assert!(!is_float_literal("0xdead"));
         assert!(!is_float_literal("0b1e1"));
 

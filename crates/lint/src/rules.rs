@@ -223,8 +223,7 @@ pub fn apply_allows(lexed: &Lexed, ctx: &FileCtx<'_>, raw: Vec<Finding>, out: &m
         }
         if !a.has_reason {
             stale.push(
-                "escape has no reason; write `lint:allow(<rule>): <why this is sound>`"
-                    .to_string(),
+                "escape has no reason; write `lint:allow(<rule>): <why this is sound>`".to_string(),
             );
         }
         // A stale finding about escape `a` is suppressed by any
@@ -247,13 +246,7 @@ pub fn apply_allows(lexed: &Lexed, ctx: &FileCtx<'_>, raw: Vec<Finding>, out: &m
     }
 }
 
-fn push(
-    ctx: &FileCtx<'_>,
-    out: &mut Vec<Finding>,
-    rule: &'static str,
-    line: u32,
-    message: String,
-) {
+fn push(ctx: &FileCtx<'_>, out: &mut Vec<Finding>, rule: &'static str, line: u32, message: String) {
     out.push(Finding {
         file: ctx.rel_path.to_string(),
         line,
@@ -504,9 +497,7 @@ fn check_float_fold(lexed: &Lexed, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         }
         let turbofish = parse::turbofish_idents(toks, i);
         let chain = parse::receiver_chain(toks, i);
-        let chain_iterates = chain
-            .iter()
-            .any(|m| parse::ITERATOR_ADAPTERS.contains(m));
+        let chain_iterates = chain.iter().any(|m| parse::ITERATOR_ADAPTERS.contains(m));
         if name == "sum" {
             if turbofish.iter().any(|id| *id == "f64" || *id == "f32") {
                 push(
@@ -866,11 +857,19 @@ mod tests {
             hits("fn f(v: &[u64]) -> u64 { let t: u64 = v.iter().sum(); t }"),
             0
         );
-        assert_eq!(hits("fn f(m: &Matrix) -> f64 { m.sum() }"), 0, "container method");
+        assert_eq!(
+            hits("fn f(m: &Matrix) -> f64 { m.sum() }"),
+            0,
+            "container method"
+        );
         // Out-of-scope crate and the sanctioned helper file are exempt.
         let telemetry = ctx("telemetry", "crates/telemetry/src/x.rs", &reg);
         assert_eq!(
-            run("fn f(v: &[f64]) -> f64 { v.iter().sum::<f64>() }", &telemetry).len(),
+            run(
+                "fn f(v: &[f64]) -> f64 { v.iter().sum::<f64>() }",
+                &telemetry
+            )
+            .len(),
             0
         );
         let fold_file = ctx("tensor", "crates/tensor/src/fold.rs", &reg);
@@ -911,10 +910,17 @@ mod tests {
         let reg: Vec<String> = Vec::new();
         let search = ctx("search", "crates/search/src/x.rs", &reg);
         assert_eq!(run("fn f() { SeededRng::new(42); }", &search).len(), 1);
-        assert_eq!(run("fn f() { SeededRng::from_entropy(); }", &search).len(), 1);
+        assert_eq!(
+            run("fn f() { SeededRng::from_entropy(); }", &search).len(),
+            1
+        );
         assert_eq!(run("fn f(s: u64) { SeededRng::new(s); }", &search).len(), 0);
         assert_eq!(
-            run("fn f(c: &Cfg) { SeededRng::new(c.seed).split(3); }", &search).len(),
+            run(
+                "fn f(c: &Cfg) { SeededRng::new(c.seed).split(3); }",
+                &search
+            )
+            .len(),
             0,
             "salt flows from config"
         );
@@ -972,8 +978,7 @@ mod tests {
         let reg: Vec<String> = Vec::new();
         let nn = ctx("nn", "crates/nn/src/x.rs", &reg);
         // Instant and unwrap on one line; escape names only panic.
-        let src =
-            "fn f() { let t = Instant::now(); x.unwrap(); } // lint:allow(panic): scoped\n";
+        let src = "fn f() { let t = Instant::now(); x.unwrap(); } // lint:allow(panic): scoped\n";
         let findings = run(src, &nn);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "wall-clock");

@@ -110,10 +110,7 @@ fn allow_escapes_are_scoped_to_the_named_rule() {
         "named rule should be suppressed: {findings:?}"
     );
     assert_eq!(
-        findings
-            .iter()
-            .filter(|f| f.rule == "wall-clock")
-            .count(),
+        findings.iter().filter(|f| f.rule == "wall-clock").count(),
         1,
         "unnamed rule must still fire: {findings:?}"
     );

@@ -5,12 +5,14 @@
 //! entry points are the simulator's parallel seam, and they execute
 //! **gate-major**: rows are grouped into chunks of a fixed amplitude budget
 //! (`chunk_rows_for`), each chunk's statevectors live in one contiguous
-//! [`BatchState`] buffer, and the driver walks a compiled op list *once*,
+//! [`BatchState`] (row-lane split-complex: the chunk's rows are the lanes
+//! of each amplitude), and the driver walks a compiled op list *once*,
 //! sweeping each op across every row in the chunk while its matrix is hot.
 //! Row-independent matrices (fixed/trainable angles) are resolved once per
-//! batch and applied with a single whole-buffer kernel call per chunk;
-//! input-dependent encoding gates are resolved per row inside the sweep.
-//! Chunks fan out across [`hqnn_runtime::par_map_range`].
+//! batch and applied with a single whole-chunk kernel call; input-dependent
+//! encoding gates resolve one matrix per row and sweep the chunk in one
+//! per-lane kernel call. Chunks fan out across
+//! [`hqnn_runtime::par_map_range`].
 //!
 //! Each op compiles to exactly one sweep step, and each row runs through
 //! *the same kernels in the same order with the same matrices* as
@@ -36,14 +38,11 @@ use hqnn_tensor::Matrix;
 
 use crate::batch_state::BatchState;
 use crate::circuit::{Circuit, Op, ParamSource, Wires};
-use crate::complex::C64;
 use crate::gates::{GateKind, Matrix2};
 use crate::gradient::{self, Gradients, Vjp};
 use crate::noise::NoiseModel;
 use crate::observable::Observable;
-use crate::state::{
-    apply_single_amps, apply_swap_amps, transform_control1_pairs_amps, StateVector,
-};
+use crate::state::{apply_controlled, apply_single, Mats, StateVector};
 
 /// Amplitudes per gate-major chunk. At 2⁹ an 8-row training batch of a
 /// 3–5-qubit circuit is one chunk, so each row-independent matrix is swept
@@ -72,7 +71,7 @@ enum SweepOp {
     },
     /// SWAP (never parametrized): one whole-buffer sweep.
     Swap { a: usize, b: usize },
-    /// Input-dependent op `k`, resolved and applied per row.
+    /// Input-dependent op `k`: one matrix per row, one per-lane sweep.
     RowOp(usize),
 }
 
@@ -157,6 +156,7 @@ impl BatchProgram {
         hqnn_telemetry::gauge_max("qsim.statevector_len", (1u64 << circuit.n_qubits()) as f64);
         let ops = circuit.ops();
         let mut batch = BatchState::new(circuit.n_qubits(), rows);
+        let mut lane_ms = Vec::with_capacity(rows);
         for step in &self.steps {
             match step {
                 SweepOp::SharedSingle { m, wire } => batch.apply_single_all(m, *wire),
@@ -166,9 +166,11 @@ impl BatchProgram {
                 SweepOp::Swap { a, b } => batch.apply_swap_all(*a, *b),
                 SweepOp::RowOp(k) => {
                     let op = &ops[*k];
-                    for j in 0..rows {
-                        apply_op_amps(op, batch.row_mut(j), inputs.row(row0 + j), params);
-                    }
+                    lane_ms.clear();
+                    lane_ms.extend(
+                        (row0..row0 + rows).map(|r| resolved_matrix(op, inputs.row(r), params)),
+                    );
+                    apply_gate(&mut batch, Mats::PerLane(&lane_ms), op.wires);
                 }
             }
         }
@@ -176,16 +178,12 @@ impl BatchProgram {
     }
 }
 
-/// Mirror of [`Circuit::apply_op`] over one row's amplitude slice: same
-/// angle resolution, same matrices, same kernels — bitwise identical.
-fn apply_op_amps(op: &Op, row: &mut [C64], inputs: &[f64], params: &[f64]) {
-    match op.wires {
-        Wires::Two(a, b) if op.kind == GateKind::Swap => apply_swap_amps(row, a, b),
-        Wires::One(w) => apply_single_amps(row, &resolved_matrix(op, inputs, params), w),
-        Wires::Two(a, b) => {
-            let m = resolved_matrix(op, inputs, params);
-            transform_control1_pairs_amps(row, &m, 1usize << a, 1usize << b);
-        }
+/// Applies a non-SWAP op's matrices to every lane — what
+/// [`Circuit::apply_op`] does to each row alone, bitwise.
+pub(crate) fn apply_gate(batch: &mut BatchState, mats: Mats, wires: Wires) {
+    match wires {
+        Wires::One(w) => apply_single(batch, mats, w),
+        Wires::Two(c, t) => apply_controlled(batch, mats, c, t),
     }
 }
 
@@ -285,14 +283,13 @@ impl Circuit {
             let row0 = c * chunk;
             let rows = chunk.min(n_rows - row0);
             let batch = program.sweep_chunk(self, inputs, params, row0, rows);
-            let mut values = Vec::with_capacity(rows * n_obs);
-            for j in 0..rows {
-                let amps = batch.row(j);
-                values.extend(
-                    observables
-                        .iter()
-                        .map(|o| o.expectation_amps(self.n_qubits(), amps)),
-                );
+            let mut values = vec![0.0; rows * n_obs];
+            let mut lanes = vec![0.0; rows];
+            for (o, obs) in observables.iter().enumerate() {
+                obs.expectations_into(&batch, &mut lanes);
+                for (j, v) in lanes.iter().enumerate() {
+                    values[j * n_obs + o] = *v;
+                }
             }
             (values, keep.then_some(batch))
         });
@@ -565,7 +562,11 @@ mod tests {
         let x = sample_batch();
         let params = [0.5, -0.3];
         let obs = z_all(2);
-        let w = Matrix::from_vec(5, 2, vec![0.3, -1.1, 0.0, 0.8, 2.0, 0.0, -0.4, 0.4, 1.5, -0.9]);
+        let w = Matrix::from_vec(
+            5,
+            2,
+            vec![0.3, -1.1, 0.0, 0.8, 2.0, 0.0, -0.4, 0.4, 1.5, -0.9],
+        );
         for threads in [1, 2, 7] {
             let batch =
                 hqnn_runtime::with_threads(threads, || vjp_batch(&c, &x, &params, &obs, &w));

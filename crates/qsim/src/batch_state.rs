@@ -1,27 +1,30 @@
-//! Contiguous multi-row amplitude storage for gate-major batch execution.
+//! Row-lane split-complex amplitude storage for gate-major batch execution.
 //!
-//! A [`BatchState`] holds the statevectors of a chunk of batch rows in one
-//! allocation — row `r`'s amplitudes occupy the stride
-//! `r·2^n .. (r+1)·2^n` — so the gate-major driver can sweep one gate
-//! across every row while its matrix is hot. Because each shared-matrix
-//! kernel in [`crate::state`] only requires the buffer length to be a
-//! multiple of its largest block, sweeping the *whole* buffer in one kernel
-//! call transforms every row exactly as a per-row call would, amplitude
-//! pair for amplitude pair: the per-row FP operation sequence — and
-//! therefore the result — is bitwise identical to running each row alone.
+//! A [`BatchState`] holds the statevectors of a chunk of `R` batch rows
+//! (*lanes*) in two allocations of plain `f64`s: amplitude `k` of row `r`
+//! sits at `re[k·R + r]` and `im[k·R + r]`. So the `R` lanes of one
+//! amplitude are adjacent, and the amplitude pair `(k, k + s)` a gate on a
+//! wire of stride `s` transforms is, across the chunk, two runs `s·R` apart.
+//! A gate that every row shares sweeps runs of `s·R` contiguous `f64`s in
+//! one kernel call; an input-fed gate sweeps the same runs with one matrix
+//! per lane. Every kernel in [`crate::state`] runs each lane through the
+//! exact per-pair expressions a lone row would, and folds each lane in
+//! amplitude-index order, so the result is bitwise identical to running
+//! each row alone. [`StateVector`] is the one-lane case of this storage.
 
 use crate::complex::C64;
 use crate::gates::Matrix2;
-use crate::state::{apply_single_amps, apply_swap_amps, transform_control1_pairs_amps};
+use crate::state::{apply_controlled, apply_single, apply_swap, Mats};
 use crate::{StateVector, MAX_QUBITS};
 
-/// A chunk of batch rows stored as one contiguous amplitude buffer, each
-/// row initialised to `|0…0⟩`.
-#[derive(Clone, Debug)]
+/// A chunk of batch rows in the row-lane split-complex layout, each row
+/// initialised to `|0…0⟩`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchState {
     n_qubits: usize,
     rows: usize,
-    amps: Vec<C64>,
+    re: Vec<f64>,
+    im: Vec<f64>,
 }
 
 impl BatchState {
@@ -31,28 +34,41 @@ impl BatchState {
     ///
     /// Panics if `n_qubits == 0` or `n_qubits > MAX_QUBITS`.
     pub fn new(n_qubits: usize, rows: usize) -> Self {
-        assert!(n_qubits > 0, "state needs at least one qubit");
-        assert!(
-            n_qubits <= MAX_QUBITS,
-            "{n_qubits} qubits exceeds MAX_QUBITS = {MAX_QUBITS}"
-        );
-        let dim = 1usize << n_qubits;
-        let mut amps = vec![C64::ZERO; rows * dim];
-        for r in 0..rows {
-            amps[r * dim] = C64::ONE;
-        }
-        Self {
-            n_qubits,
-            rows,
-            amps,
-        }
+        let mut batch = Self::zeroed(n_qubits, rows);
+        // Amplitude 0 of every lane: the first `rows` entries.
+        batch.re[..rows].fill(1.0);
+        batch
     }
 
     /// Allocates `rows` all-zero (unnormalised) rows — the accumulator the
     /// adjoint sweep sums each row's seed `λ = Σ_o w_o·O_o|ψ⟩` into.
     pub(crate) fn zeroed(n_qubits: usize, rows: usize) -> Self {
-        let mut batch = Self::new(n_qubits, rows);
-        batch.amps.fill(C64::ZERO);
+        assert!(n_qubits > 0, "state needs at least one qubit");
+        assert!(
+            n_qubits <= MAX_QUBITS,
+            "{n_qubits} qubits exceeds MAX_QUBITS = {MAX_QUBITS}"
+        );
+        let len = rows << n_qubits;
+        Self {
+            n_qubits,
+            rows,
+            re: vec![0.0; len],
+            im: vec![0.0; len],
+        }
+    }
+
+    /// Stacks one-lane states into the lanes of one chunk, in order.
+    #[cfg(test)]
+    pub(crate) fn from_states(states: &[StateVector]) -> Self {
+        let n = states.first().map_or(1, StateVector::n_qubits);
+        let mut batch = Self::zeroed(n, states.len());
+        for (r, s) in states.iter().enumerate() {
+            let (re, im) = s.lane().parts();
+            for (k, (re, im)) in re.iter().zip(im).enumerate() {
+                batch.re[k * states.len() + r] = *re;
+                batch.im[k * states.len() + r] = *im;
+            }
+        }
         batch
     }
 
@@ -67,7 +83,8 @@ impl BatchState {
             (other.n_qubits, other.rows),
             "batch shape mismatch"
         );
-        self.amps.copy_from_slice(&other.amps);
+        self.re.copy_from_slice(&other.re);
+        self.im.copy_from_slice(&other.im);
     }
 
     /// Number of qubits per row.
@@ -75,7 +92,7 @@ impl BatchState {
         self.n_qubits
     }
 
-    /// Number of rows in the chunk.
+    /// Number of rows (lanes) in the chunk.
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -85,49 +102,58 @@ impl BatchState {
         1usize << self.n_qubits
     }
 
-    /// Borrow of row `r`'s amplitudes.
-    pub fn row(&self, r: usize) -> &[C64] {
-        let dim = self.row_dim();
-        &self.amps[r * dim..(r + 1) * dim]
+    /// Row `r`'s amplitudes, gathered from its lane in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows()`.
+    pub fn row(&self, r: usize) -> Vec<C64> {
+        assert!(r < self.rows, "row {r} out of range");
+        (0..self.row_dim())
+            .map(|k| C64::new(self.re[k * self.rows + r], self.im[k * self.rows + r]))
+            .collect()
     }
 
-    /// Mutable borrow of row `r`'s amplitudes, for per-row (input-dependent)
-    /// gate applications.
-    pub fn row_mut(&mut self, r: usize) -> &mut [C64] {
-        let dim = self.row_dim();
-        &mut self.amps[r * dim..(r + 1) * dim]
+    /// The real and imaginary component buffers, lane-interleaved.
+    pub(crate) fn parts(&self) -> (&[f64], &[f64]) {
+        (&self.re, &self.im)
+    }
+
+    /// Mutable [`Self::parts`], for the kernels.
+    pub(crate) fn parts_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        (&mut self.re, &mut self.im)
     }
 
     /// Applies a single-qubit unitary on `target` to every row in one
-    /// kernel sweep over the whole buffer.
+    /// kernel sweep over the whole chunk.
     pub fn apply_single_all(&mut self, m: &Matrix2, target: usize) {
         debug_assert!(target < self.n_qubits);
-        apply_single_amps(&mut self.amps, m, target);
+        apply_single(self, Mats::Shared(m), target);
     }
 
     /// Applies a controlled single-qubit unitary to every row in one sweep.
     pub fn apply_controlled_all(&mut self, m: &Matrix2, control: usize, target: usize) {
         debug_assert!(control < self.n_qubits && target < self.n_qubits && control != target);
-        transform_control1_pairs_amps(&mut self.amps, m, 1usize << control, 1usize << target);
+        apply_controlled(self, Mats::Shared(m), control, target);
     }
 
     /// Swaps two wires in every row in one sweep.
     pub fn apply_swap_all(&mut self, a: usize, b: usize) {
         debug_assert!(a < self.n_qubits && b < self.n_qubits && a != b);
-        apply_swap_amps(&mut self.amps, a, b);
+        apply_swap(self, a, b);
     }
 
     /// Splits the chunk into per-row [`StateVector`]s, preserving row order.
-    pub fn into_states(mut self) -> Vec<StateVector> {
-        let dim = self.row_dim();
-        let mut out = Vec::with_capacity(self.rows);
-        // Split rows off the tail so each split copies exactly one row.
-        for r in (0..self.rows).rev() {
-            let tail = self.amps.split_off(r * dim);
-            out.push(StateVector::from_raw(self.n_qubits, tail));
-        }
-        out.reverse();
-        out
+    pub fn into_states(self) -> Vec<StateVector> {
+        (0..self.rows)
+            .map(|r| {
+                let mut lane = Self::zeroed(self.n_qubits, 1);
+                for (k, (re, im)) in lane.re.iter_mut().zip(&mut lane.im).enumerate() {
+                    (*re, *im) = (self.re[k * self.rows + r], self.im[k * self.rows + r]);
+                }
+                StateVector::from_lane(lane)
+            })
+            .collect()
     }
 }
 
@@ -175,8 +201,8 @@ mod tests {
     #[test]
     fn per_row_applies_touch_only_their_row() {
         let mut batch = BatchState::new(2, 3);
-        let x = GateKind::X.matrix(0.0);
-        crate::state::apply_single_amps(batch.row_mut(1), &x, 0);
+        let (x, id) = (GateKind::X.matrix(0.0), GateKind::I.matrix(0.0));
+        apply_single(&mut batch, Mats::PerLane(&[id, x, id]), 0);
         assert_eq!(batch.row(0)[0], C64::ONE);
         assert_eq!(batch.row(1)[1], C64::ONE);
         assert_eq!(batch.row(1)[0], C64::ZERO);
@@ -184,9 +210,20 @@ mod tests {
     }
 
     #[test]
+    fn lanes_are_interleaved_per_amplitude() {
+        let mut batch = BatchState::new(1, 2);
+        batch.apply_single_all(&GateKind::X.matrix(0.0), 0);
+        // Amplitude 1 of both lanes sits at indices 2 and 3.
+        assert_eq!(batch.parts().0, &[0.0, 0.0, 1.0, 1.0]);
+    }
+
+    #[test]
     fn zero_rows_is_fine() {
-        let b = BatchState::new(2, 0);
+        let mut b = BatchState::new(2, 0);
         assert_eq!(b.rows(), 0);
+        b.apply_single_all(&GateKind::H.matrix(0.0), 1);
+        b.apply_controlled_all(&GateKind::X.matrix(0.0), 0, 1);
+        b.apply_swap_all(0, 1);
         assert!(b.into_states().is_empty());
     }
 }

@@ -156,10 +156,12 @@ impl Neg for C64 {
 
 impl fmt::Display for C64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= 0.0 {
-            write!(f, "{}+{}i", self.re, self.im)
-        } else {
+        // `-0.0` prints its own minus sign; NaN prints none, whatever its
+        // sign bit, so it takes the explicit `+`.
+        if self.im.is_sign_negative() && !self.im.is_nan() {
             write!(f, "{}{}i", self.re, self.im)
+        } else {
+            write!(f, "{}+{}i", self.re, self.im)
         }
     }
 }
@@ -211,6 +213,11 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(C64::new(1.0, -2.0).to_string(), "1-2i");
         assert_eq!(C64::new(1.0, 2.0).to_string(), "1+2i");
+        assert_eq!(C64::new(1.0, 0.0).to_string(), "1+0i");
+        assert_eq!(C64::new(1.0, -0.0).to_string(), "1-0i");
+        assert_eq!(C64::new(1.0, f64::NAN).to_string(), "1+NaNi");
+        assert_eq!(C64::new(1.0, -f64::NAN).to_string(), "1+NaNi");
+        assert_eq!(C64::new(1.0, f64::NEG_INFINITY).to_string(), "1-infi");
     }
 
     #[test]

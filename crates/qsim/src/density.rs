@@ -128,7 +128,10 @@ impl DensityMatrix {
 
     /// `Tr ρ` — exactly 1 for any physical state.
     pub fn trace(&self) -> C64 {
-        hqnn_tensor::fold::ordered_sum(C64::ZERO, (0..self.dim).map(|i| self.elems[i * self.dim + i]))
+        hqnn_tensor::fold::ordered_sum(
+            C64::ZERO,
+            (0..self.dim).map(|i| self.elems[i * self.dim + i]),
+        )
     }
 
     /// Purity `Tr ρ²` — 1 for pure states, `1/2ⁿ` for the maximally mixed

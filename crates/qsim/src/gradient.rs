@@ -34,16 +34,12 @@
 
 use hqnn_tensor::Matrix;
 
-use crate::batch::BatchProgram;
+use crate::batch::{apply_gate, BatchProgram};
 use crate::batch_state::BatchState;
 use crate::circuit::{Circuit, Op, ParamSource, Wires};
-use crate::complex::C64;
 use crate::gates::{dagger, GateKind, Matrix2};
 use crate::observable::Observable;
-use crate::state::{
-    apply_single_amps, inner_controlled_projected_amps, inner_single_amps,
-    transform_control1_pairs_amps, StateVector,
-};
+use crate::state::{add_weighted, inner_controlled_projected, inner_single, Mats, StateVector};
 
 /// Expectation values and their derivatives for one circuit evaluation.
 ///
@@ -105,9 +101,9 @@ pub fn adjoint(
     let program = AdjointProgram::compile(circuit, params);
 
     for (o, obs) in observables.iter().enumerate() {
-        grads
-            .expectations
-            .push(obs.expectation_amps(circuit.n_qubits(), final_state.row(0)));
+        let mut e = [0.0];
+        obs.expectations_into(&final_state, &mut e);
+        grads.expectations.push(e[0]);
         let mut lambda = final_state.clone();
         obs.apply_to_batch(&mut lambda);
         let mut vjp = program.empty_vjp();
@@ -182,11 +178,12 @@ enum ReverseStep {
 /// The reverse sweep of the adjoint method compiled once per batch.
 ///
 /// The one reverse-sweep routine, [`AdjointProgram::reverse_sweep`], runs
-/// over a chunk of rows from their final states; [`adjoint`] drives it once
-/// per observable on one row, [`adjoint_vjp`] once on one row and
-/// [`crate::BatchTape::vjp`] once per recorded chunk. Each row sees the kernels, matrices and accumulation order of the
-/// textbook per-row sweep, so results are bitwise independent of the chunk
-/// a row lands in.
+/// over a chunk of rows from their final states; [`adjoint`] drives it
+/// once per observable on one row, [`adjoint_vjp`] once on one row and
+/// [`crate::BatchTape::vjp`] once per recorded chunk. Each row sees the
+/// matrices, per-pair expressions and accumulation order of the textbook
+/// per-row sweep, so results are bitwise independent of the chunk a row
+/// lands in.
 pub(crate) struct AdjointProgram<'a> {
     circuit: &'a Circuit,
     params: &'a [f64],
@@ -245,19 +242,17 @@ impl<'a> AdjointProgram<'a> {
         hqnn_telemetry::counter("qsim.adjoint_passes", rows as u64);
         let mut lambda = BatchState::zeroed(self.circuit.n_qubits(), rows);
         let mut term = psi.clone();
+        let mut w = vec![0.0; rows];
         for (o, obs) in observables.iter().enumerate() {
-            let live = |j: usize| weights[(row0 + j, o)] != 0.0;
-            if !(0..rows).any(live) {
+            for (j, w) in w.iter_mut().enumerate() {
+                *w = weights[(row0 + j, o)];
+            }
+            if w.iter().all(|&w| w == 0.0) {
                 continue;
             }
             term.copy_from(&psi);
             obs.apply_to_batch(&mut term);
-            for j in (0..rows).filter(|&j| live(j)) {
-                let w = weights[(row0 + j, o)];
-                for (a, b) in lambda.row_mut(j).iter_mut().zip(term.row(j)) {
-                    *a += b.scale(w);
-                }
-            }
+            add_weighted(&mut lambda, &term, &w);
         }
 
         let mut out: Vec<Vjp> = (0..rows).map(|_| self.empty_vjp()).collect();
@@ -270,9 +265,9 @@ impl<'a> AdjointProgram<'a> {
     ///
     /// Starting from each row's final state `ψ` and seed `λ`, walks the ops
     /// backwards: `ψ ← U†ψ` recovers each gate's input state, every
-    /// differentiable gate adds `2·Re⟨λ|dU|ψ⟩` (one fused read-only pass,
-    /// no scratch state) to its slot in `out[j]`, and `λ ← U†λ` carries the
-    /// seed along. `out[j]` belongs to batch row `row0 + j`.
+    /// differentiable gate adds `2·Re⟨λ|dU|ψ⟩` (one fused read-only pass
+    /// per chunk, no scratch state) to its slot in `out[j]`, and `λ ← U†λ`
+    /// carries the seed along. `out[j]` belongs to batch row `row0 + j`.
     fn reverse_sweep(
         &self,
         inputs: &Matrix,
@@ -282,6 +277,9 @@ impl<'a> AdjointProgram<'a> {
         out: &mut [Vjp],
     ) {
         let ops = self.circuit.ops();
+        let rows = out.len();
+        let mut inner = vec![0.0; rows];
+        let (mut invs, mut dms) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
         for step in &self.steps {
             match *step {
                 ReverseStep::Swap { a, b } => {
@@ -290,28 +288,33 @@ impl<'a> AdjointProgram<'a> {
                 }
                 ReverseStep::Shared { k, inv, dm } => {
                     let op = &ops[k];
-                    apply_all(&mut psi, &inv, op.wires);
+                    apply_gate(&mut psi, Mats::Shared(&inv), op.wires);
                     if let (Some(dm), ParamSource::Trainable(i)) = (dm, op.param) {
-                        for (j, vjp) in out.iter_mut().enumerate() {
-                            vjp.d_params[i] +=
-                                adjoint_term(lambda.row(j), psi.row(j), &dm, op.wires);
+                        adjoint_inner(&lambda, &psi, Mats::Shared(&dm), op.wires, &mut inner);
+                        for (vjp, inner) in out.iter_mut().zip(&inner) {
+                            vjp.d_params[i] += 2.0 * inner;
                         }
                     }
-                    apply_all(&mut lambda, &inv, op.wires);
+                    apply_gate(&mut lambda, Mats::Shared(&inv), op.wires);
                 }
                 ReverseStep::Row(k) => {
                     let op = &ops[k];
                     let ParamSource::Input(i) = op.param else {
                         unreachable!("row steps are input-fed ops")
                     };
-                    for (j, vjp) in out.iter_mut().enumerate() {
-                        let theta = resolve_angle(op, inputs.row(row0 + j), self.params);
-                        let inv = dagger(&op.kind.matrix(theta));
-                        apply_row(psi.row_mut(j), &inv, op.wires);
-                        let dm = derivative(op, theta);
-                        vjp.d_inputs[i] += adjoint_term(lambda.row(j), psi.row(j), &dm, op.wires);
-                        apply_row(lambda.row_mut(j), &inv, op.wires);
+                    invs.clear();
+                    dms.clear();
+                    for r in row0..row0 + rows {
+                        let theta = resolve_angle(op, inputs.row(r), self.params);
+                        invs.push(dagger(&op.kind.matrix(theta)));
+                        dms.push(derivative(op, theta));
                     }
+                    apply_gate(&mut psi, Mats::PerLane(&invs), op.wires);
+                    adjoint_inner(&lambda, &psi, Mats::PerLane(&dms), op.wires, &mut inner);
+                    for (vjp, inner) in out.iter_mut().zip(&inner) {
+                        vjp.d_inputs[i] += 2.0 * inner;
+                    }
+                    apply_gate(&mut lambda, Mats::PerLane(&invs), op.wires);
                 }
             }
         }
@@ -335,29 +338,13 @@ fn derivative(op: &Op, theta: f64) -> Matrix2 {
         .expect("differentiable op must be parametrized")
 }
 
-/// Un-applies a non-SWAP op from every row with one whole-buffer sweep.
-fn apply_all(batch: &mut BatchState, m: &Matrix2, wires: Wires) {
+/// `Re⟨λ|dU|ψ⟩` of every row into `out`; d(controlled-U)/dθ acts as
+/// `|1⟩⟨1| ⊗ dU`.
+fn adjoint_inner(lambda: &BatchState, psi: &BatchState, dm: Mats, wires: Wires, out: &mut [f64]) {
     match wires {
-        Wires::One(w) => batch.apply_single_all(m, w),
-        Wires::Two(c, t) => batch.apply_controlled_all(m, c, t),
+        Wires::One(w) => inner_single(lambda, psi, dm, w, out),
+        Wires::Two(c, t) => inner_controlled_projected(lambda, psi, dm, c, t, out),
     }
-}
-
-/// Un-applies a non-SWAP op from one row's amplitudes.
-fn apply_row(row: &mut [C64], m: &Matrix2, wires: Wires) {
-    match wires {
-        Wires::One(w) => apply_single_amps(row, m, w),
-        Wires::Two(c, t) => transform_control1_pairs_amps(row, m, 1usize << c, 1usize << t),
-    }
-}
-
-/// `2·Re⟨λ|dU|ψ⟩` for one row; d(controlled-U)/dθ acts as `|1⟩⟨1| ⊗ dU`.
-fn adjoint_term(lambda: &[C64], psi: &[C64], dm: &Matrix2, wires: Wires) -> f64 {
-    let inner = match wires {
-        Wires::One(w) => inner_single_amps(lambda, psi, dm, w),
-        Wires::Two(c, t) => inner_controlled_projected_amps(lambda, psi, dm, c, t),
-    };
-    2.0 * inner.re
 }
 
 /// Computes expectations and gradients with the two-term parameter-shift rule.

@@ -7,7 +7,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::batch_state::BatchState;
-use crate::complex::C64;
 use crate::gates::GateKind;
 use crate::state::StateVector;
 
@@ -134,31 +133,29 @@ impl Observable {
     ///
     /// Panics if a factor's wire is out of range for the state.
     pub fn expectation(&self, state: &StateVector) -> f64 {
-        self.expectation_amps(state.n_qubits(), state.amplitudes())
+        let mut out = [0.0];
+        self.expectations_into(state.lane(), &mut out);
+        out[0]
     }
 
-    /// Expectation over a raw amplitude slice (one batch row of a
-    /// [`crate::BatchState`]). Shares the exact FP operation sequence with
-    /// [`Self::expectation`] so batched and per-row evaluation stay
-    /// bitwise identical.
-    pub(crate) fn expectation_amps(&self, n_qubits: usize, amps: &[C64]) -> f64 {
+    /// `⟨ψ|O|ψ⟩` of every row of a batch chunk into `out` (one entry per
+    /// row). Each row gets the exact FP operation sequence of
+    /// [`Self::expectation`] on that row alone, so batched and per-row
+    /// evaluation stay bitwise identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a factor's wire is out of range for the rows.
+    pub(crate) fn expectations_into(&self, batch: &BatchState, out: &mut [f64]) {
         // Fast path: a single-Z observable has a closed form.
         if let [(wire, Pauli::Z)] = self.factors[..] {
-            assert!(wire < n_qubits, "wire {wire} out of range");
-            return crate::state::expectation_z_amps(amps, wire);
+            assert!(wire < batch.n_qubits(), "wire {wire} out of range");
+            return crate::state::expectation_z(batch, wire, out);
         }
-        let mut applied = amps.to_vec();
-        for &(wire, p) in &self.factors {
-            assert!(wire < n_qubits, "wire {wire} out of range");
-            crate::state::apply_single_amps(&mut applied, &p.gate().matrix(0.0), wire);
-        }
-        // Same fold as `StateVector::inner` so the FP sequence matches.
-        let e: C64 = hqnn_tensor::fold::ordered_sum(
-            C64::ZERO,
-            amps.iter().zip(&applied).map(|(a, b)| a.conj() * *b),
-        );
-        debug_assert!(e.im.abs() < 1e-9, "expectation should be real, got {e}");
-        e.re
+        let mut applied = batch.clone();
+        self.apply_to_batch(&mut applied);
+        // `Re⟨ψ|O|ψ⟩`, the same fold as `StateVector::inner`.
+        crate::state::inner_re(batch, &applied, out);
     }
 }
 

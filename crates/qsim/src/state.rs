@@ -1,22 +1,31 @@
-//! Dense statevector and gate application kernels.
+//! Dense statevector storage and the gate kernels over it.
 //!
-//! The kernels live as free functions over `&mut [C64]` so the same code —
-//! and therefore the exact same per-amplitude FP expressions — runs whether
-//! the buffer is one row's `StateVector` or a whole batch chunk's contiguous
-//! [`crate::BatchState`]. Every kernel only requires the buffer length to be
-//! a multiple of its largest block (`2·stride`), which a concatenation of
-//! `2^n`-amplitude rows always satisfies for in-row wires; applied to such a
-//! buffer, a kernel transforms every row exactly as it would transform each
-//! row individually, pair for pair, in the same in-row order.
+//! Every state lives in the **row-lane split-complex** layout of
+//! [`BatchState`]: a chunk of `R` rows (*lanes*) of `2ⁿ` amplitudes keeps
+//! amplitude `k` of lane `r` at `re[k·R + r]` and `im[k·R + r]`, and a
+//! [`StateVector`] is the one-lane case. An amplitude pair `(k, k + s)` of
+//! every lane then sits in two runs of `R` plain `f64`s, and a gate that all
+//! lanes share walks runs of `s·R` contiguous `f64`s — loops the compiler
+//! vectorises on the baseline target.
+//!
+//! The kernels here are the only ones: [`crate::Circuit::run`] (one lane),
+//! the gate-major batch sweeps, the observables and the adjoint reverse
+//! pass all call them. A kernel takes its matrices as [`Mats`] — one shared
+//! by every lane, or one per lane for input-fed gates. Each lane runs the
+//! exact per-pair expressions a lone row would, and every fold
+//! (expectations, inner products) accumulates per lane in amplitude-index
+//! order, so a lane's bits never depend on the lanes beside it.
 //!
 //! The 2×2 kernels pick their per-pair arithmetic from the matrix values
-//! they are given ([`Shape`]): a diagonal, real, or imaginary-off-diagonal
-//! matrix skips the products its zero entries would contribute. Callers
-//! never choose, so a gate takes the same path in [`crate::Circuit::run`],
-//! the batched sweeps, the observables and the adjoint reverse pass.
+//! ([`Shape`]): a diagonal, real, or imaginary-off-diagonal matrix skips
+//! the products its zero entries would contribute. A sweep runs one shape
+//! for all its lanes — for per-lane matrices, the shape they all share, or
+//! [`Shape::General`] when they differ. Callers never choose, so a gate
+//! takes the same path in every caller.
 
 use std::fmt;
 
+use crate::batch_state::BatchState;
 use crate::complex::C64;
 use crate::gates::Matrix2;
 use crate::MAX_QUBITS;
@@ -56,9 +65,47 @@ impl Shape {
     }
 }
 
+/// The matrices one kernel call applies.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Mats<'a> {
+    /// Every lane applies the same matrix.
+    Shared(&'a Matrix2),
+    /// Lane `r` applies `ms[r]`; one matrix per lane.
+    PerLane(&'a [Matrix2]),
+}
+
+impl Mats<'_> {
+    /// Checks that per-lane matrices come one per lane of `state`.
+    fn check(self, state: &BatchState) {
+        if let Mats::PerLane(ms) = self {
+            assert_eq!(ms.len(), state.rows(), "one matrix per lane");
+        }
+    }
+
+    /// The one shape the sweep runs: the matrix's own, or for per-lane
+    /// matrices the shape they all share — [`Shape::General`] when any two
+    /// differ (so a NaN lane makes the whole sweep general).
+    fn shape(self) -> Shape {
+        match self {
+            Mats::Shared(m) => Shape::of(m),
+            Mats::PerLane(ms) => {
+                let mut shapes = ms.iter().map(Shape::of);
+                let first = shapes.next().unwrap_or(Shape::General);
+                if shapes.all(|s| s == first) {
+                    first
+                } else {
+                    Shape::General
+                }
+            }
+        }
+    }
+}
+
 /// Binds `$pair` to the transform `(x, y) ↦ (m00·x + m01·y, m10·x + m11·y)`
-/// specialised to `$m`'s [`Shape`], then evaluates `$walk`, so every pair
-/// walk is written once and monomorphised per shape.
+/// on split components, `(m, xr, xi, yr, yi) ↦ [xr', xi', yr', yi']`,
+/// specialised to `$shape`, then evaluates `$walk`, so every pair walk is
+/// written once and monomorphised per shape. Each component is the exact
+/// expression `C64` arithmetic evaluates for the same product.
 ///
 /// A specialised expression is the general one minus products with a zero
 /// matrix factor. For finite amplitudes such a product is `±0`, and adding
@@ -66,225 +113,439 @@ impl Shape {
 /// bitwise the general loop's; only an exactly-zero component may carry
 /// the other sign (DESIGN.md §9 shows why no returned value can see it).
 macro_rules! with_pair_transform {
-    ($m:expr, |$pair:ident| $walk:expr) => {{
-        let m: &Matrix2 = $m;
-        let [[m00, m01], [m10, m11]] = *m;
-        match Shape::of(m) {
+    ($shape:expr, |$pair:ident| $walk:expr) => {{
+        match $shape {
             Shape::Diagonal => {
-                let $pair = move |x: C64, y: C64| (m00 * x, m11 * y);
+                let $pair = |m: &Matrix2, xr: f64, xi: f64, yr: f64, yi: f64| {
+                    let (a, d) = (m[0][0], m[1][1]);
+                    [
+                        a.re * xr - a.im * xi,
+                        a.re * xi + a.im * xr,
+                        d.re * yr - d.im * yi,
+                        d.re * yi + d.im * yr,
+                    ]
+                };
                 $walk
             }
             Shape::Real => {
-                let (r00, r01, r10, r11) = (m00.re, m01.re, m10.re, m11.re);
-                let $pair = move |x: C64, y: C64| {
-                    (
-                        C64::new(r00 * x.re + r01 * y.re, r00 * x.im + r01 * y.im),
-                        C64::new(r10 * x.re + r11 * y.re, r10 * x.im + r11 * y.im),
-                    )
+                let $pair = |m: &Matrix2, xr: f64, xi: f64, yr: f64, yi: f64| {
+                    let (r00, r01, r10, r11) = (m[0][0].re, m[0][1].re, m[1][0].re, m[1][1].re);
+                    [
+                        r00 * xr + r01 * yr,
+                        r00 * xi + r01 * yi,
+                        r10 * xr + r11 * yr,
+                        r10 * xi + r11 * yi,
+                    ]
                 };
                 $walk
             }
             Shape::ImagOffDiagonal => {
-                let (r00, s01, s10, r11) = (m00.re, m01.im, m10.im, m11.re);
-                let $pair = move |x: C64, y: C64| {
-                    (
-                        C64::new(r00 * x.re - s01 * y.im, r00 * x.im + s01 * y.re),
-                        C64::new(r11 * y.re - s10 * x.im, s10 * x.re + r11 * y.im),
-                    )
+                let $pair = |m: &Matrix2, xr: f64, xi: f64, yr: f64, yi: f64| {
+                    let (r00, s01, s10, r11) = (m[0][0].re, m[0][1].im, m[1][0].im, m[1][1].re);
+                    [
+                        r00 * xr - s01 * yi,
+                        r00 * xi + s01 * yr,
+                        r11 * yr - s10 * xi,
+                        s10 * xr + r11 * yi,
+                    ]
                 };
                 $walk
             }
             Shape::General => {
-                let $pair = move |x: C64, y: C64| (m00 * x + m01 * y, m10 * x + m11 * y);
+                let $pair = |m: &Matrix2, xr: f64, xi: f64, yr: f64, yi: f64| {
+                    let ([a, b], [c, d]) = (m[0], m[1]);
+                    [
+                        (a.re * xr - a.im * xi) + (b.re * yr - b.im * yi),
+                        (a.re * xi + a.im * xr) + (b.re * yi + b.im * yr),
+                        (c.re * xr - c.im * xi) + (d.re * yr - d.im * yi),
+                        (c.re * xi + c.im * xr) + (d.re * yi + d.im * yr),
+                    ]
+                };
                 $walk
             }
         }
     }};
 }
 
-/// Applies a single-qubit unitary on wire `target` to every `2^n`-row of
-/// `amps` (see module docs), with the per-pair arithmetic of `m`'s
-/// [`Shape`].
-pub(crate) fn apply_single_amps(amps: &mut [C64], m: &Matrix2, target: usize) {
-    with_pair_transform!(m, |pair| single_walk(amps, target, pair))
-}
-
-/// Walks `2·stride` blocks, splitting each into its target-0 / target-1
-/// halves so the inner pair loop runs over two contiguous slices with no
-/// per-iteration bounds checks — shaped for autovectorisation.
-fn single_walk(amps: &mut [C64], target: usize, pair: impl Fn(C64, C64) -> (C64, C64)) {
-    let stride = 1usize << target;
-    debug_assert_eq!(amps.len() % (stride << 1), 0);
-    for block in amps.chunks_exact_mut(stride << 1) {
-        let (lo, hi) = block.split_at_mut(stride);
-        for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-            (*a, *b) = pair(*a, *b);
+/// Applies `pair` to every lane of a run of amplitude pairs: `x` holds the
+/// target-0 halves `(re, im)`, `y` the target-1 halves, all four the same
+/// whole number of lane groups long. A shared matrix sweeps each run as
+/// one flat loop; per-lane matrices go group by group, lane `r` with
+/// `ms[r]`.
+#[inline(always)]
+fn pair_run(
+    [xr, xi]: [&mut [f64]; 2],
+    [yr, yi]: [&mut [f64]; 2],
+    mats: Mats,
+    pair: &impl Fn(&Matrix2, f64, f64, f64, f64) -> [f64; 4],
+) {
+    match mats {
+        Mats::Shared(m) => {
+            let m = *m;
+            for (((xr, xi), yr), yi) in xr.iter_mut().zip(xi).zip(yr).zip(yi) {
+                [*xr, *xi, *yr, *yi] = pair(&m, *xr, *xi, *yr, *yi);
+            }
+        }
+        Mats::PerLane(ms) => {
+            let lanes = ms.len();
+            let groups = xr
+                .chunks_exact_mut(lanes)
+                .zip(xi.chunks_exact_mut(lanes))
+                .zip(yr.chunks_exact_mut(lanes))
+                .zip(yi.chunks_exact_mut(lanes));
+            for (((xr, xi), yr), yi) in groups {
+                let lane = xr.iter_mut().zip(xi).zip(yr).zip(yi).zip(ms);
+                for ((((xr, xi), yr), yi), m) in lane {
+                    [*xr, *xi, *yr, *yi] = pair(m, *xr, *xi, *yr, *yi);
+                }
+            }
         }
     }
 }
 
-/// Applies `m` to every amplitude pair whose index has the control bit set
-/// and the target bit clear — the shared pair walk behind
-/// [`StateVector::apply_controlled`] and
-/// [`StateVector::apply_controlled_projected`]. Only control-1 pairs (a
-/// quarter of the buffer) are enumerated, never the control-0 subspace.
-pub(crate) fn transform_control1_pairs_amps(
-    amps: &mut [C64],
-    m: &Matrix2,
-    c_stride: usize,
-    t_stride: usize,
-) {
-    with_pair_transform!(m, |pair| control1_walk(amps, c_stride, t_stride, pair))
+/// Applies a single-qubit gate on wire `target` to every lane of `state`,
+/// with the per-pair arithmetic of the matrices' [`Shape`].
+pub(crate) fn apply_single(state: &mut BatchState, mats: Mats, target: usize) {
+    mats.check(state);
+    with_pair_transform!(mats.shape(), |pair| single_walk(state, mats, target, pair))
 }
 
-/// Two enumeration shapes, picked by the larger pinned-bit stride. When it
-/// is small (adjacent low wires — the ring-entangler common case) a nested
-/// block walk degenerates into per-pair loop setup, so a single flat loop
-/// reconstructs each pair index by depositing the two pinned bits. When it
-/// is large, blocks are long and a nested walk with contiguous branch-free
-/// inner runs wins. Both shapes visit the same pairs with the same
-/// expressions, so the choice never affects results.
-fn control1_walk(
-    amps: &mut [C64],
-    c_stride: usize,
-    t_stride: usize,
-    pair: impl Fn(C64, C64) -> (C64, C64),
+/// Walks `2·stride` amplitude blocks, splitting each into its target-0 /
+/// target-1 halves — two runs of `stride·R` contiguous `f64`s per
+/// component, with no per-iteration bounds checks.
+fn single_walk(
+    state: &mut BatchState,
+    mats: Mats,
+    target: usize,
+    pair: impl Fn(&Matrix2, f64, f64, f64, f64) -> [f64; 4],
 ) {
-    let run = t_stride.min(c_stride);
-    let big = t_stride.max(c_stride);
-    let len = amps.len();
-    debug_assert_eq!(len % (big << 1), 0);
-    if big <= 64 {
-        // Flat walk: pair p's index is p's bits with a 0 deposited at
-        // the target bit position and a 1 at the control bit position.
-        let a_bit = run.trailing_zeros();
-        let b_bit = big.trailing_zeros();
-        let low_mask = run - 1;
-        let mid_mask = (big >> 1) - 1;
-        for p in 0..len >> 2 {
-            let lo = p & low_mask;
-            let mid = (p & mid_mask) >> a_bit;
-            let hi = p >> (b_bit - 1);
-            let i = lo | (mid << (a_bit + 1)) | (hi << (b_bit + 1)) | c_stride;
-            (amps[i], amps[i + t_stride]) = pair(amps[i], amps[i + t_stride]);
-        }
+    let run = (1usize << target) * state.rows();
+    if run == 0 {
         return;
     }
-    let mut hi = 0;
-    while hi < len {
-        let mut mid = 0;
-        while mid < big {
-            let base = hi + mid + c_stride;
-            let block = &mut amps[base..base + t_stride + run];
-            let (lo_half, hi_half) = block.split_at_mut(t_stride);
-            for (a, b) in lo_half[..run].iter_mut().zip(hi_half.iter_mut()) {
-                (*a, *b) = pair(*a, *b);
-            }
-            mid += run << 1;
-        }
-        hi += big << 1;
-    }
-}
-
-/// Zeroes every amplitude whose control bit is clear (both target halves) —
-/// the projection step of [`StateVector::apply_controlled_projected`].
-pub(crate) fn zero_control0_amps(amps: &mut [C64], c_stride: usize) {
-    for block in amps.chunks_exact_mut(c_stride << 1) {
-        block[..c_stride].fill(C64::ZERO);
-    }
-}
-
-/// Swaps wires `a` and `b` in every row of `amps`.
-pub(crate) fn apply_swap_amps(amps: &mut [C64], a: usize, b: usize) {
-    let (ma, mb) = (1usize << a, 1usize << b);
-    for i in 0..amps.len() {
-        // Visit each (01, 10) pair exactly once.
-        if i & ma != 0 && i & mb == 0 {
-            let j = (i & !ma) | mb;
-            amps.swap(i, j);
-        }
-    }
-}
-
-/// `⟨λ|M_target|ψ⟩` over one row, without materialising `M·ψ` — the fused
-/// read-only kernel behind the adjoint sweep's per-gate derivative term.
-/// Each `(M·ψ)_k` is the exact expression [`apply_single_amps`] writes for
-/// `m`'s [`Shape`], and the products fold left to right in index order
-/// (each `2·stride` block's target-0 half, then its target-1 half) like
-/// [`StateVector::inner`], so the result is bitwise `λ.inner(&mu)` for
-/// `mu = ψ` with `M` applied, minus the scratch copy and its write pass.
-pub(crate) fn inner_single_amps(lambda: &[C64], psi: &[C64], m: &Matrix2, target: usize) -> C64 {
-    with_pair_transform!(m, |pair| inner_single_walk(lambda, psi, target, pair))
-}
-
-/// The block walk of [`inner_single_amps`]: no per-amplitude branch or
-/// bounds check. Each half uses one output of `pair`; the other is dead
-/// code once the transform is inlined.
-fn inner_single_walk(
-    lambda: &[C64],
-    psi: &[C64],
-    target: usize,
-    pair: impl Fn(C64, C64) -> (C64, C64),
-) -> C64 {
-    debug_assert_eq!(lambda.len(), psi.len());
-    let stride = 1usize << target;
-    let mut acc = C64::ZERO;
-    for (lb, pb) in lambda
-        .chunks_exact(stride << 1)
-        .zip(psi.chunks_exact(stride << 1))
+    let (re, im) = state.parts_mut();
+    for (rb, ib) in re
+        .chunks_exact_mut(run << 1)
+        .zip(im.chunks_exact_mut(run << 1))
     {
-        let (p0, p1) = pb.split_at(stride);
-        let (l0, l1) = lb.split_at(stride);
-        for ((l, x), y) in l0.iter().zip(p0).zip(p1) {
-            acc += l.conj() * pair(*x, *y).0;
-        }
-        for ((l, x), y) in l1.iter().zip(p0).zip(p1) {
-            acc += l.conj() * pair(*x, *y).1;
-        }
+        let (xr, yr) = rb.split_at_mut(run);
+        let (xi, yi) = ib.split_at_mut(run);
+        pair_run([xr, xi], [yr, yi], mats, &pair);
     }
-    acc
 }
 
-/// `⟨λ|(|1⟩⟨1|_control ⊗ M_target)|ψ⟩` over one row — the fused counterpart
-/// of [`StateVector::apply_controlled_projected`] followed by
-/// [`StateVector::inner`]. Control-0 indices contribute `λ_k* · 0`, control-1
-/// pairs the exact [`transform_control1_pairs_amps`] expressions, folded in
-/// index order: bitwise the copy-apply-inner result.
-pub(crate) fn inner_controlled_projected_amps(
-    lambda: &[C64],
-    psi: &[C64],
-    m: &Matrix2,
-    control: usize,
-    target: usize,
-) -> C64 {
-    debug_assert_eq!(lambda.len(), psi.len());
-    let (c_mask, t_stride) = (1usize << control, 1usize << target);
-    with_pair_transform!(m, |pair| hqnn_tensor::fold::ordered_sum(
-        C64::ZERO,
-        lambda.iter().enumerate().map(|(k, l)| {
-            let mu = if k & c_mask == 0 {
-                C64::ZERO
-            } else if k & t_stride == 0 {
-                pair(psi[k], psi[k | t_stride]).0
-            } else {
-                pair(psi[k ^ t_stride], psi[k]).1
-            };
-            l.conj() * mu
-        }),
+/// Applies a gate to every amplitude pair whose index has the control bit
+/// set and the target bit clear, in every lane — the walk behind
+/// controlled gates and [`StateVector::apply_controlled_projected`]. Only
+/// control-1 pairs (a quarter of the state) are enumerated.
+pub(crate) fn apply_controlled(state: &mut BatchState, mats: Mats, control: usize, target: usize) {
+    mats.check(state);
+    with_pair_transform!(mats.shape(), |pair| control1_walk(
+        state,
+        mats,
+        1usize << control,
+        1usize << target,
+        pair
     ))
 }
 
-/// Expectation value `⟨ψ|Z_wire|ψ⟩` over one row's amplitudes.
-pub(crate) fn expectation_z_amps(amps: &[C64], wire: usize) -> f64 {
-    let mask = 1usize << wire;
-    hqnn_tensor::fold::ordered_sum_f64(amps.iter().enumerate().map(|(i, a)| {
-        let sign = if i & mask == 0 { 1.0 } else { -1.0 };
-        sign * a.norm_sqr()
-    }))
+/// Enumerates the control-1 pairs as runs: blocks of twice the larger
+/// pinned-bit stride, sub-blocks of twice the smaller one, and in each a
+/// run of `min(stride)·R` contiguous `f64`s on either side of the pair.
+fn control1_walk(
+    state: &mut BatchState,
+    mats: Mats,
+    c_stride: usize,
+    t_stride: usize,
+    pair: impl Fn(&Matrix2, f64, f64, f64, f64) -> [f64; 4],
+) {
+    let lanes = state.rows();
+    if lanes == 0 {
+        return;
+    }
+    let (run, big) = (t_stride.min(c_stride), t_stride.max(c_stride));
+    let dim = state.row_dim();
+    let (re, im) = state.parts_mut();
+    for hi in (0..dim).step_by(big << 1) {
+        for mid in (0..big).step_by(run << 1) {
+            let at = (hi + mid + c_stride) * lanes;
+            let (xr, yr) = pair_halves(re, at, t_stride * lanes, run * lanes);
+            let (xi, yi) = pair_halves(im, at, t_stride * lanes, run * lanes);
+            pair_run([xr, xi], [yr, yi], mats, &pair);
+        }
+    }
 }
 
-/// A pure quantum state over `n` qubits, stored as 2ⁿ complex amplitudes in
-/// little-endian wire order (wire `q` is bit `q` of the amplitude index).
+/// The `len`-long runs of `v` at `at` and at `at + gap`.
+fn pair_halves(v: &mut [f64], at: usize, gap: usize, len: usize) -> (&mut [f64], &mut [f64]) {
+    let (lo, hi) = v[at..].split_at_mut(gap);
+    (&mut lo[..len], &mut hi[..len])
+}
+
+/// Zeroes every amplitude whose control bit is clear (both target halves),
+/// in every lane — the projection step of
+/// [`StateVector::apply_controlled_projected`].
+pub(crate) fn zero_control0(state: &mut BatchState, control: usize) {
+    let run = (1usize << control) * state.rows();
+    if run == 0 {
+        return;
+    }
+    let (re, im) = state.parts_mut();
+    for v in [re, im] {
+        for block in v.chunks_exact_mut(run << 1) {
+            block[..run].fill(0.0);
+        }
+    }
+}
+
+/// Swaps wires `a` and `b` in every lane.
+pub(crate) fn apply_swap(state: &mut BatchState, a: usize, b: usize) {
+    let lanes = state.rows();
+    let (ma, mb) = (1usize << a, 1usize << b);
+    let dim = state.row_dim();
+    let (re, im) = state.parts_mut();
+    // Visit each (01, 10) pair exactly once.
+    for k in (0..dim).filter(|k| k & ma != 0 && k & mb == 0) {
+        let j = (k & !ma) | mb;
+        let (lo, hi) = (k.min(j) * lanes, k.max(j) * lanes);
+        for v in [&mut *re, &mut *im] {
+            let (head, tail) = v.split_at_mut(hi);
+            head[lo..lo + lanes].swap_with_slice(&mut tail[..lanes]);
+        }
+    }
+}
+
+/// Adds `Re(conj(λ_k)·μ_k)` to each lane's `out[r]` for every amplitude
+/// `k` of a run, in index order — the lane fold step of the adjoint inner
+/// products. `λ` and the pair components `x`/`y` are runs of the same
+/// whole number of lane groups; `mu(m, x_re, x_im, y_re, y_im)` gives
+/// `μ_k` of one lane.
+#[inline(always)]
+fn inner_run(
+    out: &mut [f64],
+    [lr, li]: [&[f64]; 2],
+    [xr, xi, yr, yi]: [&[f64]; 4],
+    mats: Mats,
+    mu: &impl Fn(&Matrix2, f64, f64, f64, f64) -> (f64, f64),
+) {
+    let lanes = out.len();
+    let groups = lr
+        .chunks_exact(lanes)
+        .zip(li.chunks_exact(lanes))
+        .zip(xr.chunks_exact(lanes))
+        .zip(xi.chunks_exact(lanes))
+        .zip(yr.chunks_exact(lanes))
+        .zip(yi.chunks_exact(lanes));
+    for (((((lr, li), xr), xi), yr), yi) in groups {
+        let lane = out
+            .iter_mut()
+            .zip(lr)
+            .zip(li)
+            .zip(xr)
+            .zip(xi)
+            .zip(yr)
+            .zip(yi);
+        match mats {
+            Mats::Shared(m) => {
+                let m = *m;
+                for ((((((acc, lr), li), xr), xi), yr), yi) in lane {
+                    let (mr, mi) = mu(&m, *xr, *xi, *yr, *yi);
+                    *acc += lr * mr - (-li) * mi;
+                }
+            }
+            Mats::PerLane(ms) => {
+                for (((((((acc, lr), li), xr), xi), yr), yi), m) in lane.zip(ms) {
+                    let (mr, mi) = mu(m, *xr, *xi, *yr, *yi);
+                    *acc += lr * mr - (-li) * mi;
+                }
+            }
+        }
+    }
+}
+
+/// `Re⟨λ|M_target|ψ⟩` of every lane into `out` (one entry per lane),
+/// without materialising `M·ψ` — the fused read-only kernel behind the
+/// adjoint sweep's per-gate derivative term. Each `(M·ψ)_k` is the exact
+/// expression [`apply_single`] writes for the matrices' [`Shape`], and each
+/// lane folds its products from `+0` in amplitude-index order (each
+/// `2·stride` block's target-0 half, then its target-1 half), as the real
+/// part of [`StateVector::inner`] over the `M`-applied copy would.
+pub(crate) fn inner_single(
+    lambda: &BatchState,
+    psi: &BatchState,
+    mats: Mats,
+    target: usize,
+    out: &mut [f64],
+) {
+    debug_assert_eq!(lambda.parts().0.len(), psi.parts().0.len());
+    mats.check(psi);
+    out.fill(0.0);
+    with_pair_transform!(mats.shape(), |pair| inner_single_walk(
+        lambda, psi, mats, target, out, pair
+    ))
+}
+
+/// The block walk of [`inner_single`]. Each half uses one output of
+/// `pair`; the other is dead code once the transform is inlined.
+fn inner_single_walk(
+    lambda: &BatchState,
+    psi: &BatchState,
+    mats: Mats,
+    target: usize,
+    out: &mut [f64],
+    pair: impl Fn(&Matrix2, f64, f64, f64, f64) -> [f64; 4],
+) {
+    let run = (1usize << target) * psi.rows();
+    if run == 0 {
+        return;
+    }
+    let mu_x = |m: &Matrix2, xr, xi, yr, yi| {
+        let [r, i, _, _] = pair(m, xr, xi, yr, yi);
+        (r, i)
+    };
+    let mu_y = |m: &Matrix2, xr, xi, yr, yi| {
+        let [_, _, r, i] = pair(m, xr, xi, yr, yi);
+        (r, i)
+    };
+    let ((lr, li), (pr, pi)) = (lambda.parts(), psi.parts());
+    let blocks = lr
+        .chunks_exact(run << 1)
+        .zip(li.chunks_exact(run << 1))
+        .zip(pr.chunks_exact(run << 1))
+        .zip(pi.chunks_exact(run << 1));
+    for (((lr, li), pr), pi) in blocks {
+        let ((lr0, lr1), (li0, li1)) = (lr.split_at(run), li.split_at(run));
+        let ((xr, yr), (xi, yi)) = (pr.split_at(run), pi.split_at(run));
+        inner_run(out, [lr0, li0], [xr, xi, yr, yi], mats, &mu_x);
+        inner_run(out, [lr1, li1], [xr, xi, yr, yi], mats, &mu_y);
+    }
+}
+
+/// `Re⟨λ|(|1⟩⟨1|_control ⊗ M_target)|ψ⟩` of every lane into `out` — the
+/// fused counterpart of [`StateVector::apply_controlled_projected`]
+/// followed by [`StateVector::inner`]. Each lane folds every amplitude in
+/// index order: a control-0 index adds `Re(conj(λ_k)·0)`, a control-1 one
+/// the exact [`apply_controlled`] expression — bitwise the
+/// copy-apply-inner result.
+pub(crate) fn inner_controlled_projected(
+    lambda: &BatchState,
+    psi: &BatchState,
+    mats: Mats,
+    control: usize,
+    target: usize,
+    out: &mut [f64],
+) {
+    debug_assert_eq!(lambda.parts().0.len(), psi.parts().0.len());
+    mats.check(psi);
+    out.fill(0.0);
+    let lanes = psi.rows();
+    if lanes == 0 {
+        return;
+    }
+    let (c_mask, t_stride) = (1usize << control, 1usize << target);
+    let ((lr, li), (pr, pi)) = (lambda.parts(), psi.parts());
+    fn group(v: &[f64], k: usize, lanes: usize) -> &[f64] {
+        &v[k * lanes..(k + 1) * lanes]
+    }
+    with_pair_transform!(mats.shape(), |pair| {
+        let mu_x = |m: &Matrix2, xr, xi, yr, yi| {
+            let [r, i, _, _] = pair(m, xr, xi, yr, yi);
+            (r, i)
+        };
+        let mu_y = |m: &Matrix2, xr, xi, yr, yi| {
+            let [_, _, r, i] = pair(m, xr, xi, yr, yi);
+            (r, i)
+        };
+        for k in 0..psi.row_dim() {
+            let l = [group(lr, k, lanes), group(li, k, lanes)];
+            if k & c_mask == 0 {
+                for ((acc, lr), li) in out.iter_mut().zip(l[0]).zip(l[1]) {
+                    *acc += lr * 0.0 - (-li) * 0.0;
+                }
+                continue;
+            }
+            let (x, y) = (k & !t_stride, k | t_stride);
+            let p = [
+                group(pr, x, lanes),
+                group(pi, x, lanes),
+                group(pr, y, lanes),
+                group(pi, y, lanes),
+            ];
+            if k & t_stride == 0 {
+                inner_run(out, l, p, mats, &mu_x);
+            } else {
+                inner_run(out, l, p, mats, &mu_y);
+            }
+        }
+    })
+}
+
+/// `Re⟨a|b⟩` of every lane into `out`, each lane folded from `+0` in
+/// amplitude-index order — the real part of [`StateVector::inner`].
+pub(crate) fn inner_re(a: &BatchState, b: &BatchState, out: &mut [f64]) {
+    out.fill(0.0);
+    let lanes = a.rows();
+    if lanes == 0 {
+        return;
+    }
+    let ((ar, ai), (br, bi)) = (a.parts(), b.parts());
+    let groups = ar
+        .chunks_exact(lanes)
+        .zip(ai.chunks_exact(lanes))
+        .zip(br.chunks_exact(lanes))
+        .zip(bi.chunks_exact(lanes));
+    for (((ar, ai), br), bi) in groups {
+        for ((((acc, ar), ai), br), bi) in out.iter_mut().zip(ar).zip(ai).zip(br).zip(bi) {
+            *acc += ar * br - (-ai) * bi;
+        }
+    }
+}
+
+/// `⟨ψ|Z_wire|ψ⟩` of every lane into `out`, each lane folded from `+0` in
+/// amplitude-index order.
+pub(crate) fn expectation_z(state: &BatchState, wire: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    let lanes = state.rows();
+    if lanes == 0 {
+        return;
+    }
+    let mask = 1usize << wire;
+    let (re, im) = state.parts();
+    for (k, (re, im)) in re
+        .chunks_exact(lanes)
+        .zip(im.chunks_exact(lanes))
+        .enumerate()
+    {
+        let sign = if k & mask == 0 { 1.0 } else { -1.0 };
+        for ((acc, re), im) in out.iter_mut().zip(re).zip(im) {
+            *acc += sign * (re * re + im * im);
+        }
+    }
+}
+
+/// `acc += w_r · term` in every lane `r` whose weight is nonzero — one
+/// observable's share of the adjoint seed `λ = Σ_o w_o·O_o|ψ⟩`. A zero
+/// weight leaves its lane untouched.
+pub(crate) fn add_weighted(acc: &mut BatchState, term: &BatchState, weights: &[f64]) {
+    let lanes = weights.len();
+    debug_assert_eq!(lanes, acc.rows());
+    if lanes == 0 {
+        return;
+    }
+    let (tr, ti) = term.parts();
+    let (ar, ai) = acc.parts_mut();
+    for (a, t) in [(ar, tr), (ai, ti)] {
+        for (a, t) in a.chunks_exact_mut(lanes).zip(t.chunks_exact(lanes)) {
+            for ((a, t), w) in a.iter_mut().zip(t).zip(weights) {
+                *a = if *w != 0.0 { *a + t * w } else { *a };
+            }
+        }
+    }
+}
+
+/// A pure quantum state over `n` qubits: 2ⁿ complex amplitudes in
+/// little-endian wire order (wire `q` is bit `q` of the amplitude index),
+/// stored as the one-lane case of [`BatchState`].
 ///
 /// # Example
 ///
@@ -300,8 +561,7 @@ pub(crate) fn expectation_z_amps(amps: &[C64], wire: usize) -> f64 {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct StateVector {
-    n_qubits: usize,
-    amps: Vec<C64>,
+    lane: BatchState,
 }
 
 impl StateVector {
@@ -311,14 +571,9 @@ impl StateVector {
     ///
     /// Panics if `n_qubits == 0` or `n_qubits > MAX_QUBITS`.
     pub fn new(n_qubits: usize) -> Self {
-        assert!(n_qubits > 0, "state needs at least one qubit");
-        assert!(
-            n_qubits <= MAX_QUBITS,
-            "{n_qubits} qubits exceeds MAX_QUBITS = {MAX_QUBITS}"
-        );
-        let mut amps = vec![C64::ZERO; 1 << n_qubits];
-        amps[0] = C64::ONE;
-        Self { n_qubits, amps }
+        Self {
+            lane: BatchState::new(n_qubits, 1),
+        }
     }
 
     /// Creates a state from explicit amplitudes.
@@ -340,43 +595,57 @@ impl StateVector {
             (norm - 1.0).abs() < 1e-9,
             "state is not normalised: |ψ|² = {norm}"
         );
-        Self { n_qubits, amps }
+        let mut lane = BatchState::new(n_qubits, 1);
+        let (re, im) = lane.parts_mut();
+        for ((re, im), a) in re.iter_mut().zip(im).zip(&amps) {
+            (*re, *im) = (a.re, a.im);
+        }
+        Self { lane }
     }
 
-    /// Wraps amplitudes produced by an internal evolution path without the
-    /// O(2ⁿ) normalisation re-check of [`StateVector::from_amplitudes`] —
-    /// for [`crate::BatchState`] rows, which are unitary images of `|0…0⟩`.
-    pub(crate) fn from_raw(n_qubits: usize, amps: Vec<C64>) -> Self {
-        debug_assert_eq!(amps.len(), 1usize << n_qubits);
-        Self { n_qubits, amps }
+    /// Wraps one lane produced by an internal evolution path — a
+    /// [`BatchState`] row, which is a unitary image of `|0…0⟩`.
+    pub(crate) fn from_lane(lane: BatchState) -> Self {
+        debug_assert_eq!(lane.rows(), 1);
+        Self { lane }
+    }
+
+    /// The state as a one-lane [`BatchState`], for the kernels.
+    pub(crate) fn lane(&self) -> &BatchState {
+        &self.lane
     }
 
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
-        self.n_qubits
+        self.lane.n_qubits()
     }
 
-    /// Borrow of the amplitude vector (length `2^n_qubits`).
-    pub fn amplitudes(&self) -> &[C64] {
-        &self.amps
+    /// The amplitudes (length `2^n_qubits`), in index order.
+    pub fn amplitudes(&self) -> Vec<C64> {
+        self.lane.row(0)
     }
 
-    /// `⟨self|other⟩`.
+    /// `⟨self|other⟩`, folded left to right in index order.
     ///
     /// # Panics
     ///
     /// Panics if the qubit counts differ.
     pub fn inner(&self, other: &Self) -> C64 {
-        assert_eq!(self.n_qubits, other.n_qubits, "qubit count mismatch");
+        assert_eq!(self.n_qubits(), other.n_qubits(), "qubit count mismatch");
+        let ((ar, ai), (br, bi)) = (self.lane.parts(), other.lane.parts());
         hqnn_tensor::fold::ordered_sum(
             C64::ZERO,
-            self.amps.iter().zip(&other.amps).map(|(a, b)| a.conj() * *b),
+            ar.iter()
+                .zip(ai)
+                .zip(br.iter().zip(bi))
+                .map(|((ar, ai), (br, bi))| C64::new(*ar, *ai).conj() * C64::new(*br, *bi)),
         )
     }
 
     /// `|ψ|²` — should be 1 for any state produced by unitary evolution.
     pub fn norm_sqr(&self) -> f64 {
-        hqnn_tensor::fold::ordered_sum_f64(self.amps.iter().map(|a| a.norm_sqr()))
+        let (re, im) = self.lane.parts();
+        hqnn_tensor::fold::ordered_sum_f64(re.iter().zip(im).map(|(re, im)| re * re + im * im))
     }
 
     /// Probability of measuring computational basis state `index`.
@@ -385,12 +654,17 @@ impl StateVector {
     ///
     /// Panics if `index >= 2^n_qubits`.
     pub fn probability(&self, index: usize) -> f64 {
-        self.amps[index].norm_sqr()
+        let (re, im) = self.lane.parts();
+        re[index] * re[index] + im[index] * im[index]
     }
 
     /// All basis-state probabilities, in index order.
     pub fn probabilities(&self) -> Vec<f64> {
-        self.amps.iter().map(|a| a.norm_sqr()).collect()
+        let (re, im) = self.lane.parts();
+        re.iter()
+            .zip(im)
+            .map(|(re, im)| re * re + im * im)
+            .collect()
     }
 
     /// Fidelity `|⟨self|other⟩|²` between two pure states.
@@ -402,19 +676,22 @@ impl StateVector {
     ///
     /// The kernel walks the state in `2·stride` blocks and splits each block
     /// into its target-0 / target-1 halves, so the inner amplitude-pair loop
-    /// runs over two contiguous slices with no per-iteration bounds checks
-    /// or index arithmetic — shaped for autovectorisation. The arithmetic is
-    /// `m·(a, b)ᵀ` per pair, minus the products with a zero entry of `m`, so
-    /// for finite amplitudes every nonzero component is bitwise the scalar
-    /// reference loop's and an exactly-zero one may differ only in sign. A
-    /// dense matrix, or one with a NaN entry, runs the full expression.
+    /// runs over contiguous runs with no per-iteration bounds checks or
+    /// index arithmetic. The arithmetic is `m·(a, b)ᵀ` per pair, minus the
+    /// products with a zero entry of `m`, so for finite amplitudes every
+    /// nonzero component is bitwise the scalar reference loop's and an
+    /// exactly-zero one may differ only in sign. A dense matrix, or one with
+    /// a NaN entry, runs the full expression.
     ///
     /// # Panics
     ///
     /// Panics if `target >= n_qubits`.
     pub fn apply_single(&mut self, m: &Matrix2, target: usize) {
-        assert!(target < self.n_qubits, "target wire {target} out of range");
-        apply_single_amps(&mut self.amps, m, target);
+        assert!(
+            target < self.n_qubits(),
+            "target wire {target} out of range"
+        );
+        apply_single(&mut self.lane, Mats::Shared(m), target);
     }
 
     /// Applies a single-qubit unitary to `target`, conditioned on `control`
@@ -427,10 +704,8 @@ impl StateVector {
     ///
     /// Panics if the wires coincide or are out of range.
     pub fn apply_controlled(&mut self, m: &Matrix2, control: usize, target: usize) {
-        assert!(control < self.n_qubits, "control wire out of range");
-        assert!(target < self.n_qubits, "target wire out of range");
-        assert_ne!(control, target, "control and target must differ");
-        transform_control1_pairs_amps(&mut self.amps, m, 1usize << control, 1usize << target);
+        self.check_pair(control, target);
+        apply_controlled(&mut self.lane, Mats::Shared(m), control, target);
     }
 
     /// Applies `(|1⟩⟨1| on control) ⊗ M` — the controlled *derivative*
@@ -442,14 +717,15 @@ impl StateVector {
     ///
     /// Panics if the wires coincide or are out of range.
     pub fn apply_controlled_projected(&mut self, m: &Matrix2, control: usize, target: usize) {
-        assert!(control < self.n_qubits, "control wire out of range");
-        assert!(target < self.n_qubits, "target wire out of range");
+        self.check_pair(control, target);
+        zero_control0(&mut self.lane, control);
+        apply_controlled(&mut self.lane, Mats::Shared(m), control, target);
+    }
+
+    fn check_pair(&self, control: usize, target: usize) {
+        assert!(control < self.n_qubits(), "control wire out of range");
+        assert!(target < self.n_qubits(), "target wire out of range");
         assert_ne!(control, target, "control and target must differ");
-        let c_stride = 1usize << control;
-        // Zero every control-0 amplitude (both target halves), then
-        // transform the surviving control-1 pairs.
-        zero_control0_amps(&mut self.amps, c_stride);
-        transform_control1_pairs_amps(&mut self.amps, m, c_stride, 1usize << target);
     }
 
     /// Swaps wires `a` and `b`.
@@ -458,9 +734,12 @@ impl StateVector {
     ///
     /// Panics if the wires coincide or are out of range.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
-        assert!(a < self.n_qubits && b < self.n_qubits, "wire out of range");
+        assert!(
+            a < self.n_qubits() && b < self.n_qubits(),
+            "wire out of range"
+        );
         assert_ne!(a, b, "swap wires must differ");
-        apply_swap_amps(&mut self.amps, a, b);
+        apply_swap(&mut self.lane, a, b);
     }
 
     /// Expectation value `⟨ψ|Z_wire|ψ⟩ ∈ [-1, 1]`.
@@ -469,32 +748,35 @@ impl StateVector {
     ///
     /// Panics if `wire >= n_qubits`.
     pub fn expectation_z(&self, wire: usize) -> f64 {
-        assert!(wire < self.n_qubits, "wire {wire} out of range");
-        expectation_z_amps(&self.amps, wire)
+        assert!(wire < self.n_qubits(), "wire {wire} out of range");
+        let mut out = [0.0];
+        expectation_z(&self.lane, wire, &mut out);
+        out[0]
     }
 
     /// `true` when all amplitudes are finite.
     pub fn all_finite(&self) -> bool {
-        self.amps.iter().all(|a| a.is_finite())
+        let (re, im) = self.lane.parts();
+        re.iter().chain(im).all(|v| v.is_finite())
     }
 
     /// Elementwise approximate equality of amplitudes.
     pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
-        self.n_qubits == other.n_qubits
+        self.n_qubits() == other.n_qubits()
             && self
-                .amps
+                .amplitudes()
                 .iter()
-                .zip(&other.amps)
-                .all(|(a, b)| a.approx_eq(*b, tol))
+                .zip(other.amplitudes())
+                .all(|(a, b)| a.approx_eq(b, tol))
     }
 }
 
 impl fmt::Display for StateVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "StateVector({} qubits) [", self.n_qubits)?;
-        for (i, a) in self.amps.iter().enumerate() {
+        writeln!(f, "StateVector({} qubits) [", self.n_qubits())?;
+        for (i, a) in self.amplitudes().iter().enumerate() {
             if a.norm_sqr() > 1e-12 {
-                writeln!(f, "  |{:0width$b}⟩: {a}", i, width = self.n_qubits)?;
+                writeln!(f, "  |{:0width$b}⟩: {a}", i, width = self.n_qubits())?;
             }
         }
         write!(f, "]")
@@ -505,6 +787,7 @@ impl fmt::Display for StateVector {
 mod tests {
     use super::*;
     use crate::gates::GateKind;
+    use crate::BatchState;
 
     #[test]
     fn new_state_is_ground() {
@@ -650,11 +933,10 @@ mod tests {
 
     #[test]
     fn kernels_treat_batch_buffer_as_independent_rows() {
-        // Applying a kernel to a concatenation of rows must equal applying
-        // it to each row individually, bitwise.
+        // Every kernel applied to a chunk of lanes must equal applying it to
+        // each row alone, bitwise, for shared and per-lane matrices.
         let n = 3usize;
         let rows = 5usize; // deliberately not a power of two
-        let dim = 1usize << n;
         let mk_row = |r: usize| {
             let mut s = StateVector::new(n);
             s.apply_single(&GateKind::RY.matrix(0.3 + r as f64), 0);
@@ -662,38 +944,42 @@ mod tests {
             s.apply_controlled(&GateKind::X.matrix(0.0), 2, 1);
             s
         };
-        let mut batch: Vec<C64> = Vec::with_capacity(rows * dim);
-        for r in 0..rows {
-            batch.extend_from_slice(mk_row(r).amplitudes());
-        }
         let m = GateKind::RZ.matrix(0.77);
+        let lane_ms: Vec<Matrix2> = (0..rows)
+            .map(|r| GateKind::RX.matrix(0.2 * r as f64 - 0.3))
+            .collect();
 
         let mut per_row: Vec<StateVector> = (0..rows).map(mk_row).collect();
-        for s in &mut per_row {
+        for (s, lm) in per_row.iter_mut().zip(&lane_ms) {
             s.apply_single(&m, 1);
             s.apply_controlled(&m, 0, 2);
             s.apply_swap(0, 1);
+            s.apply_single(lm, 2);
+            s.apply_controlled(lm, 1, 0);
+            s.apply_controlled_projected(&m, 2, 0);
         }
-        apply_single_amps(&mut batch, &m, 1);
-        transform_control1_pairs_amps(&mut batch, &m, 1 << 0, 1 << 2);
-        apply_swap_amps(&mut batch, 0, 1);
+        let mut batch = BatchState::from_states(&(0..rows).map(mk_row).collect::<Vec<_>>());
+        apply_single(&mut batch, Mats::Shared(&m), 1);
+        apply_controlled(&mut batch, Mats::Shared(&m), 0, 2);
+        apply_swap(&mut batch, 0, 1);
+        apply_single(&mut batch, Mats::PerLane(&lane_ms), 2);
+        apply_controlled(&mut batch, Mats::PerLane(&lane_ms), 1, 0);
+        zero_control0(&mut batch, 2);
+        apply_controlled(&mut batch, Mats::Shared(&m), 2, 0);
 
+        let mut z = vec![0.0; rows];
+        expectation_z(&batch, 1, &mut z);
         for (r, want) in per_row.iter().enumerate() {
-            let got = &batch[r * dim..(r + 1) * dim];
-            assert_eq!(got, want.amplitudes(), "row {r}");
-            assert_eq!(
-                expectation_z_amps(got, 1).to_bits(),
-                want.expectation_z(1).to_bits(),
-                "row {r} expectation"
-            );
+            assert_eq!(batch.row(r), want.amplitudes(), "row {r}");
+            assert_eq!(z[r].to_bits(), want.expectation_z(1).to_bits(), "row {r}");
         }
     }
 
     #[test]
     fn fused_inner_kernels_match_copy_apply_inner_bitwise() {
-        // ⟨λ|dU|ψ⟩ without the scratch state must reproduce the
+        // Re⟨λ|dU|ψ⟩ without the scratch state must reproduce the
         // copy + apply + `inner` sequence bit for bit, on every wire
-        // combination and on both pair-walk shapes of the controlled kernel.
+        // combination.
         let n = 8;
         let mk = |seed: f64| {
             let mut s = StateVector::new(n);
@@ -708,30 +994,96 @@ mod tests {
         };
         let (psi, lambda) = (mk(0.4), mk(-1.1));
         let dm = GateKind::RX.dmatrix(0.83).unwrap();
-        let bits = |z: C64| (z.re.to_bits(), z.im.to_bits());
+        let mut got = [0.0];
         for t in 0..n {
             let mut mu = psi.clone();
             mu.apply_single(&dm, t);
-            let want = lambda.inner(&mu);
-            let got = inner_single_amps(lambda.amplitudes(), psi.amplitudes(), &dm, t);
-            assert_eq!(bits(got), bits(want), "t={t}");
+            let want = lambda.inner(&mu).re;
+            inner_single(lambda.lane(), psi.lane(), Mats::Shared(&dm), t, &mut got);
+            assert_eq!(got[0].to_bits(), want.to_bits(), "t={t}");
             for c in (0..n).filter(|&c| c != t) {
                 let mut mu = psi.clone();
                 mu.apply_controlled_projected(&dm, c, t);
-                let want = lambda.inner(&mu);
-                let got = inner_controlled_projected_amps(
-                    lambda.amplitudes(),
-                    psi.amplitudes(),
-                    &dm,
+                let want = lambda.inner(&mu).re;
+                inner_controlled_projected(
+                    lambda.lane(),
+                    psi.lane(),
+                    Mats::Shared(&dm),
                     c,
                     t,
+                    &mut got,
                 );
-                assert_eq!(bits(got), bits(want), "c={c} t={t}");
+                assert_eq!(got[0].to_bits(), want.to_bits(), "c={c} t={t}");
             }
         }
     }
 
-    /// The general `inner_single_amps` loop, every product kept.
+    #[test]
+    fn lane_folds_match_one_lane_folds_bitwise() {
+        // Each lane of a chunk folds exactly as the same row alone: inner
+        // products with shared and per-lane matrices, including a chunk
+        // whose lanes disagree on the matrix shape (angle 0 is diagonal,
+        // ±π and 1.1 are not, NaN is general).
+        let n = 4;
+        let mk = |seed: f64| {
+            let mut s = StateVector::new(n);
+            for w in 0..n {
+                s.apply_single(&GateKind::RY.matrix(seed + 0.41 * w as f64), w);
+                s.apply_single(&GateKind::RZ.matrix(seed - 0.17 * w as f64), w);
+            }
+            s.apply_controlled(&GateKind::X.matrix(0.0), 0, 3);
+            s
+        };
+        let pi = std::f64::consts::PI;
+        let angles = [0.0, pi, -pi, 1.1, f64::NAN, 0.0];
+        let psis: Vec<StateVector> = (0..angles.len()).map(|r| mk(0.3 * r as f64)).collect();
+        let lambdas: Vec<StateVector> = (0..angles.len()).map(|r| mk(-0.7 * r as f64)).collect();
+        let (psi, lambda) = (
+            BatchState::from_states(&psis),
+            BatchState::from_states(&lambdas),
+        );
+        let bits = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+        for kind in [GateKind::RX, GateKind::RY, GateKind::RZ] {
+            let dms: Vec<Matrix2> = angles.iter().map(|&a| kind.dmatrix(a).unwrap()).collect();
+            let mut got = vec![0.0; angles.len()];
+            let mut one = [0.0];
+            for t in 0..n {
+                inner_single(&lambda, &psi, Mats::PerLane(&dms), t, &mut got);
+                for (r, dm) in dms.iter().enumerate() {
+                    let mut mu = psis[r].clone();
+                    mu.apply_single(dm, t);
+                    let want = lambdas[r].inner(&mu).re;
+                    assert_eq!(bits(got[r]), bits(want), "{kind:?} t={t} lane {r}");
+                }
+                inner_single(&lambda, &psi, Mats::Shared(&dms[3]), t, &mut got);
+                for r in 0..angles.len() {
+                    inner_single(
+                        lambdas[r].lane(),
+                        psis[r].lane(),
+                        Mats::Shared(&dms[3]),
+                        t,
+                        &mut one,
+                    );
+                    assert_eq!(
+                        got[r].to_bits(),
+                        one[0].to_bits(),
+                        "{kind:?} t={t} lane {r}"
+                    );
+                }
+                for c in (0..n).filter(|&c| c != t) {
+                    inner_controlled_projected(&lambda, &psi, Mats::PerLane(&dms), c, t, &mut got);
+                    for (r, dm) in dms.iter().enumerate() {
+                        let mut mu = psis[r].clone();
+                        mu.apply_controlled_projected(dm, c, t);
+                        let want = lambdas[r].inner(&mu).re;
+                        assert_eq!(bits(got[r]), bits(want), "{kind:?} c={c} t={t} lane {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The general interleaved `⟨λ|M_target|ψ⟩` loop, every product kept.
     fn reference_inner_single(lambda: &[C64], psi: &[C64], m: &Matrix2, target: usize) -> C64 {
         let stride = 1usize << target;
         let (m00, m01, m10, m11) = (m[0][0], m[0][1], m[1][0], m[1][1]);
@@ -752,7 +1104,7 @@ mod tests {
         acc
     }
 
-    /// The general `inner_controlled_projected_amps` fold, every product kept.
+    /// The general interleaved `⟨λ|(|1⟩⟨1| ⊗ M)|ψ⟩` fold, every product kept.
     fn reference_inner_controlled_projected(
         lambda: &[C64],
         psi: &[C64],
@@ -826,7 +1178,7 @@ mod tests {
     fn structured_inner_kernels_match_the_general_fold_bitwise() {
         // The specialised `(M·ψ)_k` may differ from the general one only
         // in the sign of an exact zero, and the fold starts at +0, so the
-        // inner products must match to the bit — on dense states and on
+        // real parts the adjoint reads must match to the bit — on dense states and on
         // encoded product states full of exact zeros.
         let n = 7;
         let dense = |seed: f64| {
@@ -852,7 +1204,7 @@ mod tests {
             (encoded(GateKind::RY, 0.9), encoded(GateKind::RX, -0.6)),
             (encoded(GateKind::RX, 1.7), dense(0.2)),
         ];
-        let bits = |z: C64| (z.re.to_bits(), z.im.to_bits());
+        let mut got = [0.0];
         for kind in [
             GateKind::H,
             GateKind::X,
@@ -869,15 +1221,16 @@ mod tests {
             ms.extend(kind.dmatrix(1.234));
             for m in &ms {
                 for (psi, lambda) in &states {
-                    let (l, p) = (lambda.amplitudes(), psi.amplitudes());
+                    let (l, p) = (&lambda.amplitudes(), &psi.amplitudes());
+                    let (ll, pl) = (lambda.lane(), psi.lane());
                     for t in 0..n {
-                        let want = reference_inner_single(l, p, m, t);
-                        let got = inner_single_amps(l, p, m, t);
-                        assert_eq!(bits(got), bits(want), "{kind:?} t={t}");
+                        let want = reference_inner_single(l, p, m, t).re;
+                        inner_single(ll, pl, Mats::Shared(m), t, &mut got);
+                        assert_eq!(got[0].to_bits(), want.to_bits(), "{kind:?} t={t}");
                         for c in (0..n).filter(|&c| c != t) {
-                            let want = reference_inner_controlled_projected(l, p, m, c, t);
-                            let got = inner_controlled_projected_amps(l, p, m, c, t);
-                            assert_eq!(bits(got), bits(want), "{kind:?} c={c} t={t}");
+                            let want = reference_inner_controlled_projected(l, p, m, c, t).re;
+                            inner_controlled_projected(ll, pl, Mats::Shared(m), c, t, &mut got);
+                            assert_eq!(got[0].to_bits(), want.to_bits(), "{kind:?} c={c} t={t}");
                         }
                     }
                 }

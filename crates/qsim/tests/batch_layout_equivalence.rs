@@ -116,3 +116,70 @@ proptest! {
         }
     }
 }
+
+/// Like [`amp_bits`], with both zeros mapped to `+0` and every NaN to one
+/// value: a chunk whose input-fed lanes differ in matrix shape sweeps them
+/// all with the general expression, which may flip the sign of an exact
+/// zero amplitude but no other bit (DESIGN.md §9).
+fn amp_bits_up_to_zero_sign(states: &[StateVector]) -> Vec<Vec<(u64, u64)>> {
+    let canon = |v: f64| match v {
+        _ if v.is_nan() => u64::MAX,
+        _ if v == 0.0 => 0,
+        _ => v.to_bits(),
+    };
+    states
+        .iter()
+        .map(|s| {
+            s.amplitudes()
+                .iter()
+                .map(|a| (canon(a.re), canon(a.im)))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn lane_edge_cases_match_per_row_runs() {
+    // Chunks of 1, 3, 8 and 64 lanes (a 3-qubit chunk holds 64 rows) whose
+    // input-fed plain and controlled rotations mix angles 0 (diagonal),
+    // ±π and NaN (general) in one sweep.
+    let pi = std::f64::consts::PI;
+    let angles = [0.0, 0.7, pi, -pi, f64::NAN, -1.9, 0.0, 2.5, 1.2];
+    let mut c = Circuit::new(3);
+    c.rx(0, ParamSource::Input(0));
+    c.ry(1, ParamSource::Input(1));
+    c.rz(2, ParamSource::Input(0));
+    c.controlled_rotation(GateKind::Crx, 0, 2, ParamSource::Input(1));
+    c.cnot(2, 1);
+    c.controlled_rotation(GateKind::Cry, 1, 0, ParamSource::Trainable(0));
+    c.ry(2, ParamSource::Trainable(1));
+    let params = [0.9, -2.1];
+    let obs: Vec<Observable> = (0..3).map(Observable::z).collect();
+    for rows in [1, 3, 8, 64] {
+        let x = Matrix::from_vec(
+            rows,
+            2,
+            (0..rows * 2)
+                .map(|i| angles[(i / 2 * 5 + i % 2 * 3) % angles.len()])
+                .collect(),
+        );
+        let reference: Vec<StateVector> = (0..rows).map(|r| c.run(x.row(r), &params)).collect();
+        let want_exp: Vec<f64> = (0..rows)
+            .flat_map(|r| c.expectations(x.row(r), &params, &obs))
+            .collect();
+        for threads in THREADS {
+            let got = hqnn_runtime::with_threads(threads, || c.run_batch(&x, &params));
+            assert_eq!(
+                amp_bits_up_to_zero_sign(&got),
+                amp_bits_up_to_zero_sign(&reference),
+                "rows={rows} threads={threads}"
+            );
+            let exp =
+                hqnn_runtime::with_threads(threads, || c.expectations_batch(&x, &params, &obs));
+            for (i, (g, w)) in exp.as_slice().iter().zip(&want_exp).enumerate() {
+                let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                assert!(same, "rows={rows} threads={threads} [{i}]: {g} vs {w}");
+            }
+        }
+    }
+}

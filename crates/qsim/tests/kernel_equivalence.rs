@@ -244,7 +244,7 @@ proptest! {
         reference_apply_single(&mut reference, &m, target);
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_single(&m, target);
-        prop_assert_eq!(bits(sv.amplitudes()), bits(&reference));
+        prop_assert_eq!(bits(&sv.amplitudes()), bits(&reference));
     }
 
     #[test]
@@ -256,7 +256,7 @@ proptest! {
         reference_apply_controlled(&mut reference, &m, control, target);
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_controlled(&m, control, target);
-        prop_assert_eq!(bits(sv.amplitudes()), bits(&reference));
+        prop_assert_eq!(bits(&sv.amplitudes()), bits(&reference));
     }
 
     #[test]
@@ -268,7 +268,7 @@ proptest! {
         reference_apply_controlled_projected(&mut reference, &m, control, target);
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_controlled_projected(&m, control, target);
-        prop_assert_eq!(bits(sv.amplitudes()), bits(&reference));
+        prop_assert_eq!(bits(&sv.amplitudes()), bits(&reference));
     }
 }
 
@@ -284,7 +284,7 @@ proptest! {
         reference_apply_single(&mut reference, &m, target);
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_single(&m, target);
-        prop_assert_eq!(bits_up_to_zero_sign(sv.amplitudes()), bits_up_to_zero_sign(&reference));
+        prop_assert_eq!(bits_up_to_zero_sign(&sv.amplitudes()), bits_up_to_zero_sign(&reference));
     }
 
     #[test]
@@ -296,7 +296,7 @@ proptest! {
         reference_apply_controlled(&mut reference, &m, control, target);
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_controlled(&m, control, target);
-        prop_assert_eq!(bits_up_to_zero_sign(sv.amplitudes()), bits_up_to_zero_sign(&reference));
+        prop_assert_eq!(bits_up_to_zero_sign(&sv.amplitudes()), bits_up_to_zero_sign(&reference));
     }
 
     #[test]
@@ -308,7 +308,7 @@ proptest! {
         reference_apply_controlled_projected(&mut reference, &m, control, target);
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_controlled_projected(&m, control, target);
-        prop_assert_eq!(bits_up_to_zero_sign(sv.amplitudes()), bits_up_to_zero_sign(&reference));
+        prop_assert_eq!(bits_up_to_zero_sign(&sv.amplitudes()), bits_up_to_zero_sign(&reference));
     }
 
     #[test]
@@ -322,12 +322,12 @@ proptest! {
         reference_apply_single(&mut reference, &m, target);
         let mut sv = StateVector::from_amplitudes(amps.clone());
         sv.apply_single(&m, target);
-        prop_assert_eq!(bits(sv.amplitudes()), bits(&reference));
+        prop_assert_eq!(bits(&sv.amplitudes()), bits(&reference));
         let mut reference = amps.clone();
         reference_apply_controlled(&mut reference, &m, control, target);
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_controlled(&m, control, target);
-        prop_assert_eq!(bits(sv.amplitudes()), bits(&reference));
+        prop_assert_eq!(bits(&sv.amplitudes()), bits(&reference));
     }
 }
 
@@ -349,11 +349,11 @@ fn nan_entry_takes_the_general_path_bit_for_bit() {
     let mut sv = StateVector::from_amplitudes(amps.clone());
     sv.apply_single(&identity, 0);
     assert_eq!(
-        bits_up_to_zero_sign(sv.amplitudes()),
+        bits_up_to_zero_sign(&sv.amplitudes()),
         bits_up_to_zero_sign(&reference)
     );
     assert_ne!(
-        bits(sv.amplitudes()),
+        bits(&sv.amplitudes()),
         bits(&reference),
         "identity runs the diagonal transform"
     );
@@ -363,6 +363,6 @@ fn nan_entry_takes_the_general_path_bit_for_bit() {
         reference_apply_single(&mut reference, &m, 0);
         let mut sv = StateVector::from_amplitudes(amps.clone());
         sv.apply_single(&m, 0);
-        assert_eq!(bits(sv.amplitudes()), bits(&reference));
+        assert_eq!(bits(&sv.amplitudes()), bits(&reference));
     }
 }

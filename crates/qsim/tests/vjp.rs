@@ -472,3 +472,97 @@ fn weight_count_must_match_observables() {
     let (c, inputs, params) = random_case(3);
     let _ = adjoint_vjp(&c, &inputs, &params, &[Observable::z(0)], &[1.0, 2.0]);
 }
+
+/// A 3-qubit circuit whose input-fed gates include plain and controlled
+/// rotations, so a chunk of rows sweeps per-lane matrices through every
+/// kernel, the projected-derivative one included; trainable controlled
+/// rotations cover it with a shared matrix.
+fn lane_case() -> (Circuit, Vec<f64>) {
+    let mut c = Circuit::new(3);
+    c.rx(0, ParamSource::Input(0));
+    c.ry(1, ParamSource::Input(1));
+    c.rz(2, ParamSource::Input(2));
+    c.controlled_rotation(GateKind::Crx, 0, 1, ParamSource::Input(1));
+    c.ry(0, ParamSource::Trainable(0));
+    c.cnot(1, 2);
+    c.controlled_rotation(GateKind::Cry, 2, 0, ParamSource::Trainable(1));
+    c.controlled_rotation(GateKind::Crz, 1, 2, ParamSource::Input(0));
+    c.rx(2, ParamSource::Trainable(2));
+    c.swap(0, 2);
+    c.h(1);
+    (c, vec![0.4, -1.3, 2.2])
+}
+
+/// `rows` input rows cycling through the edge angles 0 (where a rotation
+/// is diagonal), ±π and NaN among ordinary values, so one chunk mixes
+/// lanes of different matrix shapes.
+fn edge_inputs(rows: usize, cols: usize) -> Matrix {
+    let pi = std::f64::consts::PI;
+    let angles = [0.0, 0.7, pi, -pi, f64::NAN, -1.9, 0.0, 2.5, 1.2];
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols)
+            .map(|i| angles[(i * 5 + i / cols) % angles.len()])
+            .collect(),
+    )
+}
+
+/// Asserts `got` and `want` are the same floats bit for bit, any NaN
+/// standing for any other.
+fn assert_bits_or_nan(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        assert!(same, "{what}[{i}]: {g} vs {w}");
+    }
+}
+
+#[test]
+fn lane_edge_cases_match_per_row_engines_bitwise() {
+    // Chunks of 1, 3, 8 and 64 lanes (a 3-qubit chunk holds 64 rows), each
+    // mixing angles 0, ±π and NaN: every row's expectations and VJP must
+    // equal the row run alone — through `adjoint_vjp` and through the
+    // per-row reference sweep — bit for bit.
+    let (c, params) = lane_case();
+    let obs: Vec<Observable> = (0..3)
+        .map(Observable::z)
+        .chain([Observable::x(1)])
+        .collect();
+    for rows in [1, 3, 8, 64] {
+        let x = edge_inputs(rows, c.input_count());
+        let mut rng = SeededRng::new(rows as u64);
+        let w = Matrix::from_vec(
+            rows,
+            obs.len(),
+            (0..rows * obs.len())
+                .map(|_| rng.uniform(-1.5, 1.5))
+                .collect(),
+        );
+        for threads in [1, 2] {
+            let (exp, tape) =
+                hqnn_runtime::with_threads(threads, || c.record_batch(&x, &params, &obs));
+            let got = hqnn_runtime::with_threads(threads, || tape.vjp(&c, &x, &obs, &w));
+            assert_eq!(got.len(), rows);
+            for (r, vjp) in got.iter().enumerate() {
+                let at = format!("rows={rows} threads={threads} row={r}");
+                let want = c.expectations(x.row(r), &params, &obs);
+                assert_bits_or_nan(exp.row(r), &want, &format!("{at} expectations"));
+                let solo = adjoint_vjp(&c, x.row(r), &params, &obs, w.row(r));
+                assert_bits_or_nan(&vjp.d_params, &solo.d_params, &format!("{at} d_params"));
+                assert_bits_or_nan(&vjp.d_inputs, &solo.d_inputs, &format!("{at} d_inputs"));
+                let (d_params, d_inputs) = reference_vjp(&c, x.row(r), &params, &obs, w.row(r));
+                assert_bits_or_nan(
+                    &vjp.d_params,
+                    &d_params,
+                    &format!("{at} reference d_params"),
+                );
+                assert_bits_or_nan(
+                    &vjp.d_inputs,
+                    &d_inputs,
+                    &format!("{at} reference d_inputs"),
+                );
+            }
+        }
+    }
+}

@@ -149,9 +149,8 @@ mod tests {
     fn seeds_produce_distinct_delay_patterns() {
         // Not a randomness test — just that the injector does not collapse
         // every seed onto one schedule, which would silence the sweep.
-        let pattern = |seed: u64| -> Vec<Duration> {
-            (0..16).map(|t| adversarial_delay(seed, t)).collect()
-        };
+        let pattern =
+            |seed: u64| -> Vec<Duration> { (0..16).map(|t| adversarial_delay(seed, t)).collect() };
         let base = pattern(0);
         let differing = (1..=20u64).filter(|s| pattern(*s) != base).count();
         assert!(differing >= 19, "only {differing}/20 seeds diverged");

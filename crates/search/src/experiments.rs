@@ -259,10 +259,10 @@ impl StudyResult {
         let cells: Vec<ShardCell> = families
             .iter()
             .flat_map(|&family| {
-                config.levels.iter().map(move |&n_features| ShardCell {
-                    family,
-                    n_features,
-                })
+                config
+                    .levels
+                    .iter()
+                    .map(move |&n_features| ShardCell { family, n_features })
             })
             .collect();
         let (outer, inner) = hqnn_runtime::split_budget(hqnn_runtime::threads(), cells.len());
@@ -716,7 +716,15 @@ mod tests {
             families.len() * sharded.config.levels.len()
         );
         assert!(plan.outer * plan.inner <= 4);
-        assert_eq!(plan.descriptor(), format!("cells={};outer={};inner={}", plan.cells.len(), plan.outer, plan.inner));
+        assert_eq!(
+            plan.descriptor(),
+            format!(
+                "cells={};outer={};inner={}",
+                plan.cells.len(),
+                plan.outer,
+                plan.inner
+            )
+        );
     }
 
     #[test]

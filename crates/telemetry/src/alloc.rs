@@ -153,4 +153,20 @@ mod tests {
             assert!(outer.peak_bytes >= 100_000, "outer {:?}", outer);
         });
     }
+
+    #[test]
+    fn closing_a_known_span_allocates_nothing() {
+        serial(|| {
+            let reg = crate::registry::Registry::default();
+            let d = std::time::Duration::from_micros(3);
+            assert!(reg.record_span_full("outer/inner", d, None));
+            set_enabled(true);
+            let before = thread_stats().count;
+            let first = reg.record_span_full("outer/inner", d, None);
+            let after = thread_stats().count;
+            set_enabled(false);
+            assert!(!first, "the path was already recorded");
+            assert_eq!(after - before, 0, "a repeat close must not allocate");
+        });
+    }
 }

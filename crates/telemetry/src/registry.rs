@@ -252,15 +252,21 @@ impl Registry {
         alloc: Option<crate::alloc::AllocDelta>,
     ) -> bool {
         let ns = duration.as_nanos().min(u64::MAX as u128) as u64;
+        let record = |agg: &mut SpanAgg| {
+            agg.record(ns);
+            if let Some(alloc) = alloc {
+                agg.alloc_count += alloc.count;
+                agg.alloc_bytes += alloc.bytes;
+                agg.peak_bytes = agg.peak_bytes.max(alloc.peak_bytes);
+            }
+            agg.count == 1
+        };
+        // Look the path up first so closing a known span allocates nothing.
         let mut spans = lock(&self.spans);
-        let agg = spans.entry(path.to_string()).or_default();
-        agg.record(ns);
-        if let Some(alloc) = alloc {
-            agg.alloc_count += alloc.count;
-            agg.alloc_bytes += alloc.bytes;
-            agg.peak_bytes = agg.peak_bytes.max(alloc.peak_bytes);
+        match spans.get_mut(path) {
+            Some(agg) => record(agg),
+            None => record(spans.entry(path.to_string()).or_default()),
         }
-        agg.count == 1
     }
 
     pub(crate) fn add_counter(&self, name: &str, delta: u64) {

@@ -99,7 +99,10 @@ mod tests {
         let xs = [3.5, -2.0, 9.25, 0.0, -7.75];
         assert_eq!(
             ordered_max_f64(xs.iter().copied()).to_bits(),
-            xs.iter().copied().fold(f64::NEG_INFINITY, f64::max).to_bits(),
+            xs.iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max)
+                .to_bits(),
         );
         assert_eq!(
             ordered_min_f64(xs.iter().copied()).to_bits(),
