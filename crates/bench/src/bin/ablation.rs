@@ -5,9 +5,7 @@
 //! 2. **Gradient engine** — adjoint vs parameter-shift backward FLOPs as
 //!    circuits grow (why the workspace trains with adjoint);
 //! 3. **Template expressibility** — the quantitative version of the paper's
-//!    "SEL is more expressive" claim;
-//! 4. **Noise robustness** — how depolarizing gate error damps a trained
-//!    SEL(3,2) readout (the NISQ caveat the paper's ideal simulation skips).
+//!    "SEL is more expressive" claim.
 //!
 //! ```sh
 //! cargo run -p hqnn-bench --release --bin ablation
@@ -22,7 +20,6 @@ fn main() {
     convention_ablation();
     gradient_engine_ablation();
     expressibility_ablation();
-    noise_ablation();
     cli.finish();
 }
 
@@ -100,37 +97,6 @@ fn expressibility_ablation() {
     }
     println!(
         "\nSEL dominates at every shape — the structural reason its (3,2) instance\n\
-         keeps passing the accuracy threshold where BEL's must grow.\n"
-    );
-}
-
-fn noise_ablation() {
-    println!("— ablation 4: depolarizing gate error vs quantum-layer readout —\n");
-    let template = QnnTemplate::new(3, 2, EntanglerKind::Strong);
-    let circuit = template.build();
-    let mut rng = SeededRng::new(5);
-    let params: Vec<f64> = (0..template.param_count())
-        .map(|_| rng.uniform(0.0, std::f64::consts::TAU))
-        .collect();
-    let inputs = [0.4, -0.8, 1.2];
-    println!(
-        "{:>10} {:>12} {:>12} {:>12} {:>10}",
-        "p", "⟨Z₀⟩", "⟨Z₁⟩", "⟨Z₂⟩", "purity"
-    );
-    for p in [0.0, 0.01, 0.05, 0.1, 0.3] {
-        let rho =
-            DensityMatrix::run_noisy(&circuit, &inputs, &params, &NoiseModel::depolarizing(p));
-        println!(
-            "{p:>10.2} {:>12.4} {:>12.4} {:>12.4} {:>10.4}",
-            rho.expectation_z(0),
-            rho.expectation_z(1),
-            rho.expectation_z(2),
-            rho.purity()
-        );
-    }
-    println!(
-        "\nreadouts decay smoothly toward 0 and the state toward maximal mixing as\n\
-         gate error grows — run the `noisy_training` example for the end-to-end\n\
-         training counterpart."
+         keeps passing the accuracy threshold where BEL's must grow."
     );
 }

@@ -34,12 +34,10 @@
 #![warn(missing_docs)]
 
 pub mod model_spec;
-pub mod noisy_layer;
 pub mod persist;
 pub mod quantum_layer;
 
 pub use model_spec::{ClassicalSpec, HybridSpec, ModelSpec};
-pub use noisy_layer::NoisyQuantumLayer;
 pub use persist::SavedModel;
 pub use quantum_layer::{GradientMethod, QuantumLayer};
 
@@ -62,18 +60,13 @@ pub use hqnn_nn::health;
 
 /// One-stop imports for applications using the workspace.
 pub mod prelude {
-    pub use crate::{
-        ClassicalSpec, GradientMethod, HybridSpec, ModelSpec, NoisyQuantumLayer, QuantumLayer,
-    };
+    pub use crate::{ClassicalSpec, GradientMethod, HybridSpec, ModelSpec, QuantumLayer};
     pub use hqnn_data::{complexity_levels, noise_level, Dataset, SpiralConfig, Standardizer};
     pub use hqnn_flops::{CostModel, FlopsBreakdown};
     pub use hqnn_nn::{
         accuracy, one_hot, train, Activation, ActivationKind, Adam, Dense, Layer, Optimizer,
         Sequential, Sgd, TrainConfig, TrainReport,
     };
-    pub use hqnn_qsim::{
-        Circuit, DensityMatrix, EntanglerKind, NoiseChannel, NoiseModel, Observable, QnnTemplate,
-        RotationAxis,
-    };
+    pub use hqnn_qsim::{Circuit, EntanglerKind, Observable, QnnTemplate, RotationAxis};
     pub use hqnn_tensor::{Matrix, SeededRng};
 }

@@ -1,7 +1,7 @@
 //! The simulated quantum layer — a [`hqnn_nn::Layer`] backed by `hqnn-qsim`.
 
 use hqnn_nn::Layer;
-use hqnn_qsim::{gradients_batch, BatchTape, Circuit, GradEngine, Observable, QnnTemplate};
+use hqnn_qsim::{gradients_batch, BatchTape, Circuit, Observable, QnnTemplate};
 use hqnn_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
 
@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// Training always works with either; [`GradientMethod::Adjoint`] is the
 /// default because its cost is linear in gate count while the shift rule
-/// re-simulates the circuit twice per parameter (see the `grad_methods`
-/// bench for the measured gap).
+/// re-simulates the circuit twice per parameter (the `quantum_gradients`
+/// example times both).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GradientMethod {
     /// Adjoint (reverse-pass) differentiation — exact, O(gates · 2ⁿ): one
@@ -202,7 +202,6 @@ impl Layer for QuantumLayer {
             GradientMethod::ParameterShift => {
                 let batch = gradients_batch(
                     &self.circuit,
-                    GradEngine::ParameterShift,
                     input,
                     self.params.as_slice(),
                     &self.observables,
@@ -242,9 +241,9 @@ impl Layer for QuantumLayer {
 /// `dL/dθ_t += Σ_o dL/d⟨O_o⟩ · d⟨O_o⟩/dθ_t` into `grad_params` (a
 /// `1 × n_params` accumulator shared across the batch) and
 /// `dL/dx_i = Σ_o dL/d⟨O_o⟩ · d⟨O_o⟩/dx_i` into this sample's
-/// `grad_input_row`. Used by the shift-rule paths of the ideal and noisy
-/// quantum layers; the adjoint path contracts inside the sweep instead.
-pub(crate) fn accumulate_chain(
+/// `grad_input_row`. Used by the shift-rule path; the adjoint path
+/// contracts inside the sweep instead.
+fn accumulate_chain(
     grads: &hqnn_qsim::Gradients,
     grad_output_row: &[f64],
     grad_params: &mut Matrix,

@@ -375,7 +375,7 @@ impl CostModel {
 
     /// Backward cost of the **parameter-shift** rule instead of adjoint:
     /// two full forward simulations (+ readout) per differentiated gate.
-    /// Used by the gradient-method ablation bench.
+    /// Used by the gradient-method ablation (ablation 2 of `ablation`).
     pub fn circuit_backward_parameter_shift(
         &self,
         census: &OpCensus,

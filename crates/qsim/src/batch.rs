@@ -40,7 +40,6 @@ use crate::batch_state::BatchState;
 use crate::circuit::{Circuit, Op, ParamSource, Wires};
 use crate::gates::{GateKind, Matrix2};
 use crate::gradient::{self, Gradients, Vjp};
-use crate::noise::NoiseModel;
 use crate::observable::Observable;
 use crate::state::{apply_controlled, apply_single, Mats, StateVector};
 
@@ -187,18 +186,6 @@ pub(crate) fn apply_gate(batch: &mut BatchState, mats: Mats, wires: Wires) {
     }
 }
 
-/// Which shift-rule engine [`gradients_batch`] drives per row. The adjoint
-/// method's batch seam is [`vjp_batch`]; full adjoint Jacobians come from
-/// [`gradient::adjoint`] per row.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum GradEngine<'a> {
-    /// Two-term parameter-shift rule ([`gradient::parameter_shift`]).
-    ParameterShift,
-    /// Parameter-shift through a density-matrix simulation under the given
-    /// noise model ([`gradient::parameter_shift_noisy`]).
-    ParameterShiftNoisy(&'a NoiseModel),
-}
-
 impl Circuit {
     /// Runs the circuit once per row of `inputs` and returns the final
     /// states in row order.
@@ -318,33 +305,25 @@ impl Circuit {
     }
 }
 
-/// Computes [`Gradients`] for every row of `inputs` with the chosen engine,
-/// returned in row order (bitwise identical to calling the engine per row).
-/// Gradient engines replay the op stream per row, so this seam fans rows
-/// (not gate-major chunks) out across the pool.
+/// Computes parameter-shift [`Gradients`] ([`gradient::parameter_shift`])
+/// for every row of `inputs`, returned in row order (bitwise identical to
+/// calling it per row). The shift rule replays the op stream per row, so
+/// this seam fans rows (not gate-major chunks) out across the pool. The
+/// adjoint method's batch seam is [`vjp_batch`]; full adjoint Jacobians
+/// come from [`gradient::adjoint`] per row.
 ///
 /// # Panics
 ///
-/// As for the underlying engine — see [`gradient::parameter_shift`],
-/// [`gradient::parameter_shift_noisy`].
+/// As for [`gradient::parameter_shift`].
 pub fn gradients_batch(
     circuit: &Circuit,
-    engine: GradEngine,
     inputs: &Matrix,
     params: &[f64],
     observables: &[Observable],
 ) -> Vec<Gradients> {
     let _span = hqnn_telemetry::span("qsim.gradients_batch");
     hqnn_runtime::par_map_range(inputs.rows(), |r| {
-        let row = inputs.row(r);
-        match engine {
-            GradEngine::ParameterShift => {
-                gradient::parameter_shift(circuit, row, params, observables)
-            }
-            GradEngine::ParameterShiftNoisy(noise) => {
-                gradient::parameter_shift_noisy(circuit, row, params, observables, noise)
-            }
-        }
+        gradient::parameter_shift(circuit, inputs.row(r), params, observables)
     })
 }
 
@@ -528,31 +507,16 @@ mod tests {
     }
 
     #[test]
-    fn gradients_batch_matches_each_engine_per_row() {
+    fn gradients_batch_matches_parameter_shift_per_row() {
         let c = encoder_circuit();
         let x = sample_batch();
         let params = [0.5, -0.3];
         let obs = z_all(2);
-        let noise = NoiseModel::depolarizing(0.05);
-        let engines = [
-            GradEngine::ParameterShift,
-            GradEngine::ParameterShiftNoisy(&noise),
-        ];
-        for engine in engines {
-            let batch =
-                hqnn_runtime::with_threads(3, || gradients_batch(&c, engine, &x, &params, &obs));
-            assert_eq!(batch.len(), x.rows());
-            for (r, got) in batch.iter().enumerate() {
-                let want = match engine {
-                    GradEngine::ParameterShift => {
-                        gradient::parameter_shift(&c, x.row(r), &params, &obs)
-                    }
-                    GradEngine::ParameterShiftNoisy(n) => {
-                        gradient::parameter_shift_noisy(&c, x.row(r), &params, &obs, n)
-                    }
-                };
-                assert_eq!(got, &want, "engine={engine:?} row={r}");
-            }
+        let batch = hqnn_runtime::with_threads(3, || gradients_batch(&c, &x, &params, &obs));
+        assert_eq!(batch.len(), x.rows());
+        for (r, got) in batch.iter().enumerate() {
+            let want = gradient::parameter_shift(&c, x.row(r), &params, &obs);
+            assert_eq!(got, &want, "row={r}");
         }
     }
 
@@ -585,16 +549,7 @@ mod tests {
         assert!(c.run_batch(&x, &[0.0, 0.0]).is_empty());
         let e = c.expectations_batch(&x, &[0.0, 0.0], &z_all(2));
         assert_eq!(e.shape(), (0, 2));
-        let noise = NoiseModel::depolarizing(0.05);
-        for engine in [
-            GradEngine::ParameterShift,
-            GradEngine::ParameterShiftNoisy(&noise),
-        ] {
-            assert!(
-                gradients_batch(&c, engine, &x, &[0.0, 0.0], &z_all(2)).is_empty(),
-                "engine={engine:?}"
-            );
-        }
+        assert!(gradients_batch(&c, &x, &[0.0, 0.0], &z_all(2)).is_empty());
         let w = Matrix::zeros(0, 2);
         assert!(vjp_batch(&c, &x, &[0.0, 0.0], &z_all(2), &w).is_empty());
     }

@@ -424,98 +424,6 @@ fn expectations_with_shift(
     observables.iter().map(|o| o.expectation(&state)).collect()
 }
 
-/// Parameter-shift gradients of a **noisy** circuit's expectations.
-///
-/// The two-term shift rule holds for expectation values of channels applied
-/// around shift-compatible gates (channels are linear in ρ), so the same
-/// rule that differentiates pure circuits differentiates noisy ones —
-/// this is what lets [`hqnn_core`'s noisy quantum layer] train under a
-/// NISQ-style noise model. Costs two density-matrix simulations per
-/// differentiated gate.
-///
-/// With a noiseless model this agrees with [`parameter_shift`] exactly
-/// (tested).
-///
-/// # Panics
-///
-/// As for [`parameter_shift`]; additionally if the circuit is wider than
-/// [`crate::density::MAX_DENSITY_QUBITS`].
-///
-/// [`hqnn_core`'s noisy quantum layer]: https://docs.rs/hqnn-core
-pub fn parameter_shift_noisy(
-    circuit: &Circuit,
-    inputs: &[f64],
-    params: &[f64],
-    observables: &[Observable],
-    noise: &crate::noise::NoiseModel,
-) -> Gradients {
-    let n_obs = observables.len();
-    let expectations_of = |shifted_op: Option<(usize, f64)>| -> Vec<f64> {
-        // Re-resolve parameters with one op's angle shifted, then simulate
-        // the whole circuit as a density matrix under the noise model.
-        let mut shifted_params = params.to_vec();
-        let mut shifted_inputs = inputs.to_vec();
-        if let Some((k, delta)) = shifted_op {
-            match circuit.ops()[k].param {
-                ParamSource::Trainable(i) => shifted_params[i] += delta,
-                ParamSource::Input(i) => shifted_inputs[i] += delta,
-                _ => {}
-            }
-        }
-        let rho = crate::density::DensityMatrix::run_noisy(
-            circuit,
-            &shifted_inputs,
-            &shifted_params,
-            noise,
-        );
-        observables.iter().map(|o| rho.expectation(o)).collect()
-    };
-
-    let mut grads = Gradients {
-        expectations: expectations_of(None),
-        d_params: Matrix::zeros(n_obs, circuit.trainable_count()),
-        d_inputs: Matrix::zeros(n_obs, circuit.input_count()),
-    };
-    const SHIFT: f64 = std::f64::consts::FRAC_PI_2;
-
-    // NOTE: shifting via the parameter *slot* (not the individual gate) is
-    // only exact when each differentiable slot feeds a single gate — true
-    // for every template in this workspace; the assertion enforces it.
-    let mut seen_slots: Vec<ParamSource> = Vec::new();
-    for op in circuit.ops() {
-        if !op.param.is_differentiable() {
-            continue;
-        }
-        assert!(
-            !seen_slots.contains(&op.param),
-            "parameter_shift_noisy requires each differentiable slot to feed one gate"
-        );
-        seen_slots.push(op.param);
-        assert!(
-            op.kind.supports_two_term_shift(),
-            "{:?} does not admit the two-term shift rule",
-            op.kind
-        );
-    }
-
-    for (k, op) in circuit.ops().iter().enumerate() {
-        if !op.param.is_differentiable() {
-            continue;
-        }
-        let plus = expectations_of(Some((k, SHIFT)));
-        let minus = expectations_of(Some((k, -SHIFT)));
-        for o in 0..n_obs {
-            let g = (plus[o] - minus[o]) / 2.0;
-            match op.param {
-                ParamSource::Trainable(i) => grads.d_params[(o, i)] += g,
-                ParamSource::Input(i) => grads.d_inputs[(o, i)] += g,
-                _ => unreachable!(),
-            }
-        }
-    }
-    grads
-}
-
 /// Central-difference gradients with step `eps` — a slow, approximate oracle
 /// used to validate the exact engines in tests.
 ///
@@ -694,108 +602,6 @@ mod tests {
         assert_eq!(g.d_params.shape(), (2, 0));
         assert_eq!(g.d_inputs.shape(), (2, 0));
         assert_eq!(g.expectations.len(), 2);
-    }
-
-    #[test]
-    fn noisy_shift_matches_pure_shift_without_noise() {
-        let c = entangled_circuit();
-        let inputs = [0.3, -0.7, 1.1];
-        let params = [0.5, -0.2, 0.9, 1.4, -0.8];
-        let obs = z_all(3);
-        let pure = parameter_shift(&c, &inputs, &params, &obs);
-        let noisy = parameter_shift_noisy(
-            &c,
-            &inputs,
-            &params,
-            &obs,
-            &crate::noise::NoiseModel::noiseless(),
-        );
-        assert!(pure.d_params.approx_eq(&noisy.d_params, 1e-9));
-        assert!(pure.d_inputs.approx_eq(&noisy.d_inputs, 1e-9));
-        for (a, b) in pure.expectations.iter().zip(&noisy.expectations) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn noisy_shift_matches_noisy_finite_differences() {
-        let mut c = Circuit::new(2);
-        c.rx(0, ParamSource::Input(0));
-        c.ry(1, ParamSource::Trainable(0));
-        c.cnot(0, 1);
-        c.rz(0, ParamSource::Trainable(1));
-        let noise = crate::noise::NoiseModel::depolarizing(0.08);
-        let inputs = [0.4];
-        let params = [0.7, -0.3];
-        let obs = z_all(2);
-        let analytic = parameter_shift_noisy(&c, &inputs, &params, &obs, &noise);
-
-        let eval = |inputs: &[f64], params: &[f64]| -> Vec<f64> {
-            let rho = crate::density::DensityMatrix::run_noisy(&c, inputs, params, &noise);
-            obs.iter().map(|o| rho.expectation(o)).collect()
-        };
-        let eps = 1e-6;
-        for t in 0..2 {
-            let mut up = params.to_vec();
-            up[t] += eps;
-            let mut dn = params.to_vec();
-            dn[t] -= eps;
-            let e_up = eval(&inputs, &up);
-            let e_dn = eval(&inputs, &dn);
-            for o in 0..2 {
-                let fd = (e_up[o] - e_dn[o]) / (2.0 * eps);
-                assert!(
-                    (analytic.d_params[(o, t)] - fd).abs() < 1e-6,
-                    "param {t} obs {o}"
-                );
-            }
-        }
-        let e_up = eval(&[inputs[0] + eps], &params);
-        let e_dn = eval(&[inputs[0] - eps], &params);
-        for o in 0..2 {
-            let fd = (e_up[o] - e_dn[o]) / (2.0 * eps);
-            assert!(
-                (analytic.d_inputs[(o, 0)] - fd).abs() < 1e-6,
-                "input obs {o}"
-            );
-        }
-    }
-
-    #[test]
-    fn noise_shrinks_gradients() {
-        let mut c = Circuit::new(1);
-        c.rx(0, ParamSource::Trainable(0));
-        let obs = z_all(1);
-        let clean = parameter_shift_noisy(
-            &c,
-            &[],
-            &[0.9],
-            &obs,
-            &crate::noise::NoiseModel::noiseless(),
-        );
-        let noisy = parameter_shift_noisy(
-            &c,
-            &[],
-            &[0.9],
-            &obs,
-            &crate::noise::NoiseModel::depolarizing(0.3),
-        );
-        assert!(noisy.d_params[(0, 0)].abs() < clean.d_params[(0, 0)].abs());
-    }
-
-    #[test]
-    #[should_panic(expected = "one gate")]
-    fn noisy_shift_rejects_shared_slots() {
-        let mut c = Circuit::new(2);
-        c.rx(0, ParamSource::Trainable(0));
-        c.rx(1, ParamSource::Trainable(0));
-        let _ = parameter_shift_noisy(
-            &c,
-            &[],
-            &[0.1],
-            &z_all(2),
-            &crate::noise::NoiseModel::noiseless(),
-        );
     }
 
     #[test]

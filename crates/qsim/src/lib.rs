@@ -16,8 +16,9 @@
 //!   observable to return the full Jacobian, the oracle the examples,
 //!   benchmarks and property tests use, and
 //! * [`gradient::parameter_shift`] — the textbook two-term shift rule, used to
-//!   cross-check the adjoint engines and for the gradient-cost ablation
-//!   bench.
+//!   cross-check the adjoint engines and for the gradient-cost
+//!   comparisons (the `quantum_gradients` example, perfbench's
+//!   `qsim.param_shift_grad`).
 //!
 //! Qubit ordering is **little-endian**: wire `q` corresponds to bit `q` of the
 //! amplitude index, so `|q1 q0⟩ = |10⟩` is amplitude index `2`.
@@ -43,26 +44,21 @@ pub mod batch;
 pub mod batch_state;
 pub mod circuit;
 pub mod complex;
-pub mod density;
 pub mod gates;
 pub mod gradient;
-pub mod measurement;
 pub mod metrics;
-pub mod noise;
 pub mod observable;
 pub mod render;
 pub mod state;
 pub mod verify;
 
 pub use ansatz::{EntanglerKind, QnnTemplate, RotationAxis};
-pub use batch::{gradients_batch, vjp_batch, BatchTape, GradEngine};
+pub use batch::{gradients_batch, vjp_batch, BatchTape};
 pub use batch_state::BatchState;
 pub use circuit::{Circuit, Op, ParamSource, Wires};
 pub use complex::C64;
-pub use density::DensityMatrix;
 pub use gates::GateKind;
 pub use gradient::{adjoint, adjoint_vjp, finite_diff, parameter_shift, Gradients, Vjp};
-pub use noise::{NoiseChannel, NoiseModel};
 pub use observable::{Observable, Pauli};
 pub use state::StateVector;
 pub use verify::{unitarity_deviation, VerifyError, UNITARITY_TOL};

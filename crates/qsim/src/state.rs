@@ -658,15 +658,6 @@ impl StateVector {
         re[index] * re[index] + im[index] * im[index]
     }
 
-    /// All basis-state probabilities, in index order.
-    pub fn probabilities(&self) -> Vec<f64> {
-        let (re, im) = self.lane.parts();
-        re.iter()
-            .zip(im)
-            .map(|(re, im)| re * re + im * im)
-            .collect()
-    }
-
     /// Fidelity `|⟨self|other⟩|²` between two pure states.
     pub fn fidelity(&self, other: &Self) -> f64 {
         self.inner(other).norm_sqr()

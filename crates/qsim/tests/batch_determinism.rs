@@ -5,7 +5,7 @@
 //! curves, search winners, and cached study JSON must not change when
 //! `HQNN_THREADS` does.
 
-use hqnn_qsim::{gradients_batch, vjp_batch, Circuit, GradEngine, Observable, ParamSource};
+use hqnn_qsim::{gradients_batch, vjp_batch, Circuit, Observable, ParamSource};
 use hqnn_tensor::Matrix;
 use proptest::prelude::*;
 
@@ -108,9 +108,8 @@ proptest! {
             .map(|r| hqnn_qsim::parameter_shift(&c, x.row(r), &params, &obs))
             .collect();
         for threads in THREADS {
-            let got = hqnn_runtime::with_threads(threads, || {
-                gradients_batch(&c, GradEngine::ParameterShift, &x, &params, &obs)
-            });
+            let got =
+                hqnn_runtime::with_threads(threads, || gradients_batch(&c, &x, &params, &obs));
             prop_assert_eq!(got.len(), seq.len());
             for (r, (g, s)) in got.iter().zip(&seq).enumerate() {
                 // Gradients derives PartialEq over exact f64s: equality

@@ -17,9 +17,13 @@
 //! component may differ only in its sign, over every gate matrix, its
 //! adjoint and its derivative, on dense states and on encoded product
 //! states full of exact zeros.
+//!
+//! `templates_match_reference_loop_up_to_zero_sign` is the whole-circuit
+//! oracle: random BEL/SEL templates with random bindings, simulated op by
+//! op through the reference loops, against [`hqnn_qsim::Circuit::run`].
 
 use hqnn_qsim::gates::dagger;
-use hqnn_qsim::{GateKind, StateVector, C64};
+use hqnn_qsim::{EntanglerKind, GateKind, QnnTemplate, RotationAxis, StateVector, Wires, C64};
 use proptest::prelude::*;
 
 type Matrix2 = [[C64; 2]; 2];
@@ -328,6 +332,54 @@ proptest! {
         let mut sv = StateVector::from_amplitudes(amps);
         sv.apply_controlled(&m, control, target);
         prop_assert_eq!(bits(&sv.amplitudes()), bits(&reference));
+    }
+}
+
+/// A random BEL/SEL template (1–5 qubits, depth 1–3, any encoding axis)
+/// with random input and trainable bindings.
+fn bound_template() -> impl Strategy<Value = (QnnTemplate, Vec<f64>, Vec<f64>)> {
+    let axes = [RotationAxis::X, RotationAxis::Y, RotationAxis::Z];
+    (1usize..=5, 1usize..=3, proptest::bool::ANY, 0..axes.len()).prop_flat_map(
+        move |(q, d, strong, axis)| {
+            let kind = if strong {
+                EntanglerKind::Strong
+            } else {
+                EntanglerKind::Basic
+            };
+            let t = QnnTemplate::new(q, d, kind).with_encoding_axis(axes[axis]);
+            (
+                Just(t),
+                proptest::collection::vec(-3.2f64..3.2, q),
+                proptest::collection::vec(-7.0f64..7.0, t.param_count()),
+            )
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn templates_match_reference_loop_up_to_zero_sign(
+        (t, inputs, params) in bound_template(),
+    ) {
+        let circuit = t.build();
+        let mut reference = vec![C64::ZERO; 1 << t.n_qubits()];
+        reference[0] = C64::ONE;
+        for op in circuit.ops() {
+            let theta = if op.kind.is_parametrized() {
+                op.param.resolve(&inputs, &params)
+            } else {
+                0.0
+            };
+            let m = op.kind.matrix(theta);
+            match op.wires {
+                Wires::One(w) => reference_apply_single(&mut reference, &m, w),
+                Wires::Two(c, w) => reference_apply_controlled(&mut reference, &m, c, w),
+            }
+        }
+        let sv = circuit.run(&inputs, &params);
+        prop_assert_eq!(bits_up_to_zero_sign(&sv.amplitudes()), bits_up_to_zero_sign(&reference));
     }
 }
 

@@ -65,27 +65,29 @@ thread_local! {
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The thread budget parsed from `HQNN_THREADS` (via the central
-/// [`hqnn_telemetry::env`] registry), read once per process. `None` when
-/// unset or invalid (invalid values warn loudly, once).
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = hqnn_telemetry::env::var("HQNN_THREADS")?;
-        match hqnn_telemetry::env::parse_threads(&raw) {
-            Some(n) => Some(n),
-            None => {
-                hqnn_telemetry::event(
-                    hqnn_telemetry::Level::Error,
-                    "runtime.bad_threads",
-                    &[
-                        ("value", raw.into()),
-                        ("hint", "HQNN_THREADS must be a positive integer".into()),
-                    ],
-                );
-                None
-            }
-        }
+/// The default thread budget, resolved once per process: `HQNN_THREADS`
+/// (via the central [`hqnn_telemetry::env`] registry) when set and valid,
+/// otherwise the machine's available parallelism. An invalid value warns
+/// loudly, once, and falls back like an unset one. Caching the fallback
+/// matters: `available_parallelism` re-reads the cgroup CPU quota on every
+/// call, and every parallel map asks for the budget.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        let Some(raw) = hqnn_telemetry::env::var("HQNN_THREADS") else {
+            return hqnn_telemetry::env::hardware_parallelism();
+        };
+        hqnn_telemetry::env::parse_threads(&raw).unwrap_or_else(|| {
+            hqnn_telemetry::event(
+                hqnn_telemetry::Level::Error,
+                "runtime.bad_threads",
+                &[
+                    ("value", raw.into()),
+                    ("hint", "HQNN_THREADS must be a positive integer".into()),
+                ],
+            );
+            hqnn_telemetry::env::hardware_parallelism()
+        })
     })
 }
 
@@ -97,7 +99,7 @@ pub fn threads() -> usize {
     if overridden >= 1 {
         return overridden;
     }
-    env_threads().unwrap_or_else(hqnn_telemetry::env::hardware_parallelism)
+    default_threads()
 }
 
 /// Runs `f` with the thread budget pinned to `n` on the calling thread

@@ -1,7 +1,7 @@
 //! Acceptance test for the batch execution engine: a full study produces
 //! **byte-identical** JSON at `HQNN_THREADS=1` and `HQNN_THREADS=8` with the
 //! same seeds, run sequentially or through the sharded scheduler. This is
-//! the end-to-end determinism criterion — every parallel seam (qsim
+//! the end-to-end determinism requirement — every parallel seam (qsim
 //! gate-major batches, nn reductions, tensor matmul, search combo waves,
 //! study sharding) sits under this study, and none may change a byte of it.
 

@@ -34,7 +34,7 @@ pub use rng::SeededRng;
 pub const DEFAULT_TOL: f64 = 1e-9;
 
 /// Returns `true` when `a` and `b` agree to within `tol` absolutely **or**
-/// relatively (whichever is more permissive), the standard mixed criterion
+/// relatively (whichever is more permissive), the standard mixed tolerance test
 /// for comparing quantities whose magnitude is not known a priori.
 ///
 /// # Example

@@ -1,11 +1,9 @@
 //! Integration tests of the extension modules working together: alternative
-//! datasets → hybrid training → confusion-matrix evaluation, shot-based
-//! readout vs analytic expectations, and noisy layers in full models.
+//! datasets → hybrid and classical training → confusion-matrix evaluation.
 
 use hqnn_core::prelude::*;
 use hqnn_data::synthetic::{circles, gaussian_blobs, two_moons, xor};
 use hqnn_nn::ConfusionMatrix;
-use hqnn_qsim::measurement::{sample_density, sample_state};
 
 #[test]
 fn hybrid_model_solves_two_moons() {
@@ -114,48 +112,4 @@ fn xor_needs_nonlinearity() {
         "linear model beat the XOR ceiling: {linear}"
     );
     assert!(nonlinear > 0.9, "MLP should crack XOR, got {nonlinear}");
-}
-
-#[test]
-fn shot_estimates_agree_with_quantum_layer_outputs() {
-    // The analytic ⟨Z⟩ readouts of the quantum layer must match shot-based
-    // estimates of the same circuit within statistical error.
-    let mut rng = SeededRng::new(41);
-    let template = QnnTemplate::new(3, 2, EntanglerKind::Strong);
-    let mut layer = QuantumLayer::new(template, &mut rng);
-    let x = Matrix::uniform(1, 3, -1.0, 1.0, &mut rng);
-    let analytic = hqnn_nn::Layer::forward(&mut layer, &x, false);
-
-    let state = layer.circuit().run(x.row(0), layer.params().as_slice());
-    let shots = sample_state(&state, 100_000, &mut rng);
-    for wire in 0..3 {
-        let err = shots.standard_error_z(wire).max(1e-3);
-        assert!(
-            (shots.expectation_z(wire) - analytic[(0, wire)]).abs() < 5.0 * err,
-            "wire {wire}: shots {} vs analytic {}",
-            shots.expectation_z(wire),
-            analytic[(0, wire)]
-        );
-    }
-}
-
-#[test]
-fn noisy_density_sampling_is_consistent_with_noisy_layer() {
-    let mut rng = SeededRng::new(43);
-    let template = QnnTemplate::new(2, 1, EntanglerKind::Basic);
-    let noise = NoiseModel::depolarizing(0.1);
-    let mut layer = NoisyQuantumLayer::new(template, noise.clone(), &mut rng);
-    let x = Matrix::uniform(1, 2, -1.0, 1.0, &mut rng);
-    let analytic = hqnn_nn::Layer::forward(&mut layer, &x, false);
-
-    let circuit = template.build();
-    let rho = DensityMatrix::run_noisy(&circuit, x.row(0), layer.params().as_slice(), &noise);
-    let shots = sample_density(&rho, 100_000, &mut rng);
-    for wire in 0..2 {
-        let err = shots.standard_error_z(wire).max(1e-3);
-        assert!(
-            (shots.expectation_z(wire) - analytic[(0, wire)]).abs() < 5.0 * err,
-            "wire {wire}"
-        );
-    }
 }
