@@ -1,7 +1,7 @@
 //! The simulated quantum layer — a [`hqnn_nn::Layer`] backed by `hqnn-qsim`.
 
 use hqnn_nn::Layer;
-use hqnn_qsim::{gradients_batch, BatchTape, Circuit, Observable, QnnTemplate};
+use hqnn_qsim::{gradients_batch, BatchTape, Circuit, Observable, Plan, QnnTemplate};
 use hqnn_tensor::{Matrix, SeededRng};
 use serde::{Deserialize, Serialize};
 
@@ -35,14 +35,18 @@ pub enum GradientMethod {
 /// Weights are initialised uniformly in `[0, 2π)`, PennyLane's convention
 /// for both templates.
 ///
-/// Under [`GradientMethod::Adjoint`] a training `forward` keeps its final
-/// statevectors and weights on a [`BatchTape`], and `backward` sweeps back
-/// from a copy of them instead of re-simulating the batch. So `backward`
-/// returns the gradient at the weights of the training forward it follows,
-/// even if they were changed through [`Layer::visit_params`] in between,
-/// and repeated `backward` calls return identical bits. The
-/// parameter-shift method keeps no tape and differentiates at the current
-/// weights. An inference forward drops both the tape and the cached input.
+/// The circuit is compiled once, at construction, into a [`Plan`] that
+/// every forward and backward runs. Under [`GradientMethod::Adjoint`] a
+/// training `forward` records its final statevectors and gate matrices on
+/// a [`BatchTape`], and `backward` sweeps back from a copy of them instead
+/// of re-simulating the batch; it needs neither the input nor any
+/// trigonometry. So `backward` returns the gradient at the weights of the
+/// training forward it follows, even if they were changed through
+/// [`Layer::visit_params`] in between, and repeated `backward` calls
+/// return identical bits. The tape's buffers are reused from step to step.
+/// The parameter-shift method keeps no tape, caches the input and
+/// differentiates at the current weights. An inference forward leaves
+/// nothing for `backward`.
 ///
 /// # Example
 ///
@@ -63,10 +67,13 @@ pub enum GradientMethod {
 pub struct QuantumLayer {
     template: QnnTemplate,
     circuit: Circuit,
+    plan: Plan,
     observables: Vec<Observable>,
     params: Matrix,
     grad_params: Matrix,
+    /// The training input, kept for the parameter-shift backward only.
     cached_input: Option<Matrix>,
+    /// The adjoint training forward's record; an inference forward drops it.
     tape: Option<BatchTape>,
     method: GradientMethod,
 }
@@ -97,6 +104,7 @@ impl QuantumLayer {
         let grad_params = Matrix::zeros(1, template.param_count());
         Self {
             template,
+            plan: Plan::new(&circuit),
             circuit,
             observables,
             params,
@@ -143,80 +151,66 @@ impl Layer for QuantumLayer {
             "QuantumLayer expected {n} encoding angles, got {}",
             input.cols()
         );
-        // Only a training forward leaves a cache for `backward`: the input,
-        // and under the adjoint method the states to sweep back from.
-        self.cached_input = training.then(|| input.clone());
+        // Only a training forward leaves a cache for `backward`: the tape
+        // under the adjoint method, the input under the shift rule.
+        let adjoint = training && self.method == GradientMethod::Adjoint;
+        self.cached_input = (training && !adjoint).then(|| input.clone());
         let _span = hqnn_telemetry::span("core.qlayer_forward");
         let params = self.params.as_slice();
-        if training && self.method == GradientMethod::Adjoint {
-            let (out, tape) = self.circuit.record_batch(input, params, &self.observables);
-            self.tape = Some(tape);
-            out
+        if adjoint {
+            // Consecutive training steps record into the same buffers.
+            let tape = self.tape.get_or_insert_with(BatchTape::default);
+            self.plan.record(tape, input, params, &self.observables)
         } else {
             self.tape = None;
-            self.circuit
-                .expectations_batch(input, params, &self.observables)
+            self.plan.expectations(input, params, &self.observables)
         }
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self
-            .cached_input
-            .as_ref()
+        let rows = match (&self.cached_input, &self.tape) {
+            (Some(input), _) => input.rows(),
+            (None, Some(tape)) => tape.rows(),
             // lint:allow(panic): documented Layer API contract
-            .expect("backward called before forward");
+            (None, None) => panic!("backward called before forward"),
+        };
         let n = self.template.n_qubits();
-        assert_eq!(
-            grad_output.shape(),
-            (input.rows(), n),
-            "gradient shape mismatch"
-        );
+        assert_eq!(grad_output.shape(), (rows, n), "gradient shape mismatch");
         let _span = hqnn_telemetry::span("core.qlayer_backward");
-        let n_params = self.template.param_count();
-        let mut grad_params = Matrix::zeros(1, n_params);
-        let mut grad_input = Matrix::zeros(input.rows(), n);
+        let mut grad_input = Matrix::zeros(rows, n);
 
-        // Per-sample gradients fan out in parallel; the reduction below stays
-        // sequential in row order so the shared `grad_params` accumulator
-        // sums in the same order at every thread count.
-        match self.method {
-            GradientMethod::Adjoint => {
-                // One reverse sweep per row from the forward's final state,
-                // seeded with the upstream gradient: the contraction over
-                // observables happens inside the sweep instead of after it.
-                let tape = self
-                    .tape
-                    .as_ref()
-                    // lint:allow(panic): documented Layer API contract
-                    .expect("backward called before forward");
-                let batch = tape.vjp(&self.circuit, input, &self.observables, grad_output);
-                for (r, vjp) in batch.iter().enumerate() {
-                    for (acc, g) in grad_params.as_mut_slice().iter_mut().zip(&vjp.d_params) {
-                        *acc += g;
-                    }
-                    for (dst, g) in grad_input.row_mut(r).iter_mut().zip(&vjp.d_inputs) {
-                        *dst = *g;
-                    }
-                }
-            }
-            GradientMethod::ParameterShift => {
-                let batch = gradients_batch(
-                    &self.circuit,
-                    input,
-                    self.params.as_slice(),
-                    &self.observables,
+        // Per-sample gradients fan out in parallel; the reduction over rows
+        // stays sequential in row order so the shared `grad_params`
+        // accumulator sums in the same order at every thread count.
+        if let Some(input) = &self.cached_input {
+            let batch = gradients_batch(
+                &self.circuit,
+                input,
+                self.params.as_slice(),
+                &self.observables,
+            );
+            let mut grad_params = Matrix::zeros(1, self.template.param_count());
+            for (r, grads) in batch.iter().enumerate() {
+                accumulate_chain(
+                    grads,
+                    grad_output.row(r),
+                    &mut grad_params,
+                    grad_input.row_mut(r),
                 );
-                for (r, grads) in batch.iter().enumerate() {
-                    accumulate_chain(
-                        grads,
-                        grad_output.row(r),
-                        &mut grad_params,
-                        grad_input.row_mut(r),
-                    );
-                }
             }
+            self.grad_params = grad_params;
+        } else if let Some(tape) = &mut self.tape {
+            // One reverse sweep per row from the forward's final state,
+            // seeded with the upstream gradient: the contraction over
+            // observables happens inside the sweep instead of after it.
+            self.plan.vjp_into(
+                tape,
+                &self.observables,
+                grad_output,
+                self.grad_params.as_mut_slice(),
+                &mut grad_input,
+            );
         }
-        self.grad_params = grad_params;
         grad_input
     }
 
@@ -268,6 +262,7 @@ fn accumulate_chain(
 mod tests {
     use super::*;
     use hqnn_qsim::EntanglerKind;
+    use hqnn_telemetry::alloc;
 
     fn layer(kind: EntanglerKind, seed: u64) -> QuantumLayer {
         let mut rng = SeededRng::new(seed);
@@ -463,6 +458,10 @@ mod tests {
             l.tape.is_some(),
             "a training adjoint forward records a tape"
         );
+        assert!(
+            l.cached_input.is_none(),
+            "the adjoint backward needs no input"
+        );
         let _ = l.forward(&Matrix::zeros(2, 3), false);
         assert!(l.cached_input.is_none() && l.tape.is_none());
         let _ = l.backward(&Matrix::zeros(2, 3));
@@ -517,6 +516,45 @@ mod tests {
         let _ = l.forward(&Matrix::zeros(2, 3), true);
         assert!(l.cached_input.is_some());
         assert!(l.tape.is_none());
+    }
+
+    #[test]
+    fn warm_training_step_allocates_only_its_results() {
+        // A training step (forward + backward of an 8-row batch) reuses
+        // the plan and the tape, so once warm it allocates just the two
+        // matrices it returns — the same for every template size. The
+        // slack covers span histograms growing to a slower-than-ever
+        // occurrence. Counting is per thread, so the pool is pinned to
+        // this one.
+        const STEPS: u64 = 32;
+        const PER_STEP: u64 = 2;
+        const SLACK: u64 = 8;
+        for (n, depth, kind) in [(3, 2, EntanglerKind::Basic), (5, 4, EntanglerKind::Strong)] {
+            let mut rng = SeededRng::new(10);
+            let mut l = QuantumLayer::new(QnnTemplate::new(n, depth, kind), &mut rng);
+            let x = Matrix::uniform(8, n, -1.5, 1.5, &mut rng);
+            let g = Matrix::uniform(8, n, -1.0, 1.0, &mut rng);
+            let mut step = || {
+                let _ = l.forward(&x, true);
+                let _ = l.backward(&g);
+            };
+            let delta = hqnn_runtime::with_threads(1, || {
+                for _ in 0..8 {
+                    step();
+                }
+                let was_enabled = alloc::is_enabled();
+                alloc::set_enabled(true);
+                let (_, delta) = alloc::measure(|| (0..STEPS).for_each(|_| step()));
+                alloc::set_enabled(was_enabled);
+                delta.expect("allocation counting was enabled")
+            });
+            assert!(
+                delta.count <= PER_STEP * STEPS + SLACK,
+                "{}: {} allocations in {STEPS} warm steps",
+                l.describe(),
+                delta.count
+            );
+        }
     }
 
     #[test]

@@ -72,6 +72,18 @@ impl BatchState {
         batch
     }
 
+    /// Returns every row to `|0…0⟩` without reallocating.
+    pub(crate) fn reset(&mut self) {
+        self.zero();
+        self.re[..self.rows].fill(1.0);
+    }
+
+    /// Sets every amplitude of every row to `+0` without reallocating.
+    pub(crate) fn zero(&mut self) {
+        self.re.fill(0.0);
+        self.im.fill(0.0);
+    }
+
     /// Overwrites every row with `other`'s amplitudes without reallocating.
     ///
     /// # Panics

@@ -164,25 +164,48 @@ impl GateKind {
 
     /// Derivative `dU/dθ` of a parametrized gate's 2×2 matrix, used by the
     /// adjoint differentiation pass. Returns `None` for fixed gates.
+    ///
+    /// It is `GateKind::dmatrix_from` applied to `self.matrix(theta)`,
+    /// which is what the adjoint backward does with the matrices its
+    /// forward recorded, so the two agree bit for bit at every angle.
     pub fn dmatrix(self, theta: f64) -> Option<Matrix2> {
+        self.dmatrix_from(&self.stored_matrix(theta))
+    }
+
+    /// [`GateKind::matrix`] behind a call the optimiser cannot see into,
+    /// so its entries reach [`GateKind::dmatrix_from`] as the stored
+    /// values a recorded forward holds: a negation inside `matrix` cannot
+    /// be folded into the derivative's arithmetic, which could flip the
+    /// sign of a NaN entry (from a non-finite `θ`) against the backward's.
+    #[inline(never)]
+    fn stored_matrix(self, theta: f64) -> Matrix2 {
+        self.matrix(theta)
+    }
+
+    /// `dU/dθ` of the gate whose matrix at `θ` is `u`, read off `u` instead
+    /// of re-evaluating `sin`/`cos`: each entry is `±½` times, or `∓i/2`
+    /// times, the entry of `u` holding `sin(θ/2)`, `cos(θ/2)` or
+    /// `e^{±iθ/2}`. `None` for fixed gates.
+    pub(crate) fn dmatrix_from(self, u: &Matrix2) -> Option<Matrix2> {
         let z = C64::ZERO;
-        let half = theta / 2.0;
         match self {
             GateKind::RX | GateKind::Crx => {
-                let dc = C64::from(-half.sin() / 2.0);
-                let ds = C64::new(0.0, -half.cos() / 2.0);
+                // u01 = -i·sin(θ/2), u00 = cos(θ/2).
+                let dc = C64::from(u[0][1].im / 2.0);
+                let ds = C64::new(0.0, -u[0][0].re / 2.0);
                 Some([[dc, ds], [ds, dc]])
             }
             GateKind::RY | GateKind::Cry => {
-                let dc = C64::from(-half.sin() / 2.0);
-                let ds = C64::from(half.cos() / 2.0);
+                // u10 = sin(θ/2), u00 = cos(θ/2).
+                let dc = C64::from(-u[1][0].re / 2.0);
+                let ds = C64::from(u[0][0].re / 2.0);
                 Some([[dc, -ds], [ds, dc]])
             }
             GateKind::RZ | GateKind::Crz => Some([
-                [C64::from_polar_unit(-half) * C64::new(0.0, -0.5), z],
-                [z, C64::from_polar_unit(half) * C64::new(0.0, 0.5)],
+                [u[0][0] * C64::new(0.0, -0.5), z],
+                [z, u[1][1] * C64::new(0.0, 0.5)],
             ]),
-            GateKind::PhaseShift => Some([[z, z], [z, C64::from_polar_unit(theta) * C64::i()]]),
+            GateKind::PhaseShift => Some([[z, z], [z, u[1][1] * C64::i()]]),
             _ => None,
         }
     }

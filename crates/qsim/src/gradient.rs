@@ -1,7 +1,8 @@
 //! Differentiation engines for variational circuits.
 //!
-//! Three independent ways to compute `d⟨O⟩/dθ` for every trainable parameter
-//! **and** every encoded input of a [`Circuit`]:
+//! Four ways to compute `d⟨O⟩/dθ` for every trainable parameter **and**
+//! every encoded input of a [`Circuit`] — two adjoint engines and two
+//! oracles for them:
 //!
 //! * [`adjoint`] — reverse-pass differentiation in O(gates · 2ⁿ) per
 //!   observable with three statevectors of working memory. Exact (no shots,
@@ -10,8 +11,8 @@
 //! * [`adjoint_vjp`] — the same reverse pass seeded with the weighted sum
 //!   `λ = Σ_o w_o·O_o|ψ⟩`, returning the vector-Jacobian product
 //!   `Σ_o w_o·d⟨O_o⟩/dθ` from **one** sweep instead of one per observable.
-//!   This is what hybrid training uses (batched as [`crate::BatchTape::vjp`],
-//!   from the states its forward recorded): the loss is scalar, so the
+//!   This is what hybrid training uses (batched as [`crate::Plan::vjp_into`],
+//!   from the tape its forward recorded): the loss is scalar, so the
 //!   upstream gradient can be contracted before the sweep rather than after
 //!   it.
 //! * [`parameter_shift`] — the hardware-compatible two-term shift rule,
@@ -20,26 +21,24 @@
 //!   gradient-cost ablation.
 //! * [`finite_diff`] — central differences; a test oracle only.
 //!
-//! There is one reverse-sweep routine, and it runs gate-major over a chunk
-//! of rows held in [`BatchState`]s, starting from their final states: the
-//! forward chunks a training pass recorded ([`crate::BatchTape`]), or one
-//! freshly simulated row for the single-row engines. Row-independent
-//! `U†`/`dU` are resolved once per batch and swept across the chunk in one
-//! kernel call, and each `⟨λ|dU|ψ⟩` comes from a fused read-only kernel.
-//! [`crate::BatchTape::vjp`] drives it per chunk, [`adjoint_vjp`] is its
-//! 1-row case, and [`adjoint`] is a loop of one-hot seeds over it — every
-//! row gets the bits of the textbook per-row sweep. All engines agree to
-//! numerical precision on every supported circuit, which the test-suite
-//! and the workspace's property tests enforce.
+//! There is one reverse-sweep routine, in [`crate::plan`], and it runs
+//! gate-major over a chunk of rows from their final states: the chunks a
+//! training forward recorded ([`crate::BatchTape`]), or one freshly
+//! simulated row for the single-row engines. It takes every `U†` and `dU`
+//! from the gate matrices the forward built, and each `⟨λ|dU|ψ⟩` comes from
+//! a fused read-only kernel. [`crate::Plan::vjp_into`] drives it per
+//! chunk, [`adjoint_vjp`] is its 1-row case, and [`adjoint`] is a loop of
+//! per-observable seeds over it — every row gets the bits of the textbook
+//! per-row sweep. All engines agree to numerical precision on every
+//! supported circuit, which the test-suite and the workspace's property
+//! tests enforce.
 
 use hqnn_tensor::Matrix;
 
-use crate::batch::{apply_gate, BatchProgram};
-use crate::batch_state::BatchState;
-use crate::circuit::{Circuit, Op, ParamSource, Wires};
-use crate::gates::{dagger, GateKind, Matrix2};
+use crate::circuit::{Circuit, ParamSource};
 use crate::observable::Observable;
-use crate::state::{add_weighted, inner_controlled_projected, inner_single, Mats, StateVector};
+use crate::plan::Plan;
+use crate::state::StateVector;
 
 /// Expectation values and their derivatives for one circuit evaluation.
 ///
@@ -96,27 +95,7 @@ pub fn adjoint(
         d_params: Matrix::zeros(n_obs, circuit.trainable_count()),
         d_inputs: Matrix::zeros(n_obs, circuit.input_count()),
     };
-    let x = Matrix::row_vector(inputs);
-    let final_state = BatchProgram::new(circuit, params).run_chunk(circuit, &x, params, 0, 1);
-    let program = AdjointProgram::compile(circuit, params);
-
-    for (o, obs) in observables.iter().enumerate() {
-        let mut e = [0.0];
-        obs.expectations_into(&final_state, &mut e);
-        grads.expectations.push(e[0]);
-        let mut lambda = final_state.clone();
-        obs.apply_to_batch(&mut lambda);
-        let mut vjp = program.empty_vjp();
-        program.reverse_sweep(
-            &x,
-            0,
-            final_state.clone(),
-            lambda,
-            std::slice::from_mut(&mut vjp),
-        );
-        grads.d_params.row_mut(o).copy_from_slice(&vjp.d_params);
-        grads.d_inputs.row_mut(o).copy_from_slice(&vjp.d_inputs);
-    }
+    Plan::new(circuit).jacobian_row(&Matrix::row_vector(inputs), params, observables, &mut grads);
     grads
 }
 
@@ -132,7 +111,7 @@ pub fn adjoint(
 /// sum is re-associated), and bit for bit when `weights` is one-hot.
 ///
 /// This is the 1-row case of [`crate::vjp_batch`]: both run the same
-/// forward and chunk routines, so a row's result does not depend on which
+/// plan's forward and chunk routines, so a row's result does not depend on which
 /// entry computed it.
 ///
 /// # Panics
@@ -151,200 +130,12 @@ pub fn adjoint_vjp(
         "one weight per observable"
     );
     circuit.check_bindings(inputs, params);
-    let x = Matrix::row_vector(inputs);
-    let psi = BatchProgram::new(circuit, params).run_chunk(circuit, &x, params, 0, 1);
-    let program = AdjointProgram::compile(circuit, params);
-    let mut vjps = program.vjp_chunk(psi, &x, observables, &Matrix::row_vector(weights), 0, 1);
-    // lint:allow(panic): a 1-row chunk yields exactly one product
-    vjps.pop().expect("one row in, one product out")
-}
-
-/// One step of the compiled reverse sweep, in reverse op order.
-enum ReverseStep {
-    /// Row-independent op `k` (fixed, trainable or unparametrized angle):
-    /// `U†` and, when the angle is trainable, `dU` are resolved once per
-    /// batch and applied with whole-buffer kernel sweeps.
-    Shared {
-        k: usize,
-        inv: Matrix2,
-        dm: Option<Matrix2>,
-    },
-    /// SWAP: self-inverse and never parametrized.
-    Swap { a: usize, b: usize },
-    /// Input-dependent op `k`: `U†` and `dU` are resolved per row.
-    Row(usize),
-}
-
-/// The reverse sweep of the adjoint method compiled once per batch.
-///
-/// The one reverse-sweep routine, [`AdjointProgram::reverse_sweep`], runs
-/// over a chunk of rows from their final states; [`adjoint`] drives it
-/// once per observable on one row, [`adjoint_vjp`] once on one row and
-/// [`crate::BatchTape::vjp`] once per recorded chunk. Each row sees the
-/// matrices, per-pair expressions and accumulation order of the textbook
-/// per-row sweep, so results are bitwise independent of the chunk a row
-/// lands in.
-pub(crate) struct AdjointProgram<'a> {
-    circuit: &'a Circuit,
-    params: &'a [f64],
-    steps: Vec<ReverseStep>,
-}
-
-impl<'a> AdjointProgram<'a> {
-    /// Resolves every row-independent `U†`/`dU` of `circuit` at `params`.
-    pub(crate) fn compile(circuit: &'a Circuit, params: &'a [f64]) -> Self {
-        let steps = circuit
-            .ops()
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(k, op)| match op.wires {
-                Wires::Two(a, b) if op.kind == GateKind::Swap => ReverseStep::Swap { a, b },
-                _ if matches!(op.param, ParamSource::Input(_)) => ReverseStep::Row(k),
-                _ => {
-                    let theta = resolve_angle(op, &[], params);
-                    ReverseStep::Shared {
-                        k,
-                        inv: dagger(&op.kind.matrix(theta)),
-                        dm: op.param.is_differentiable().then(|| derivative(op, theta)),
-                    }
-                }
-            })
-            .collect();
-        Self {
-            circuit,
-            params,
-            steps,
-        }
-    }
-
-    fn empty_vjp(&self) -> Vjp {
-        Vjp {
-            d_params: vec![0.0; self.circuit.trainable_count()],
-            d_inputs: vec![0.0; self.circuit.input_count()],
-        }
-    }
-
-    /// Vector-Jacobian products of rows `row0 .. row0 + rows`, weighting
-    /// observable `o` of row `r` by `weights[(r, o)]`: from the chunk's
-    /// final states `psi`, sums each row's seed `λ = Σ_o w_o·O_o|ψ⟩` (zero
-    /// weights skipped) and runs one reverse sweep over the chunk.
-    pub(crate) fn vjp_chunk(
-        &self,
-        psi: BatchState,
-        inputs: &Matrix,
-        observables: &[Observable],
-        weights: &Matrix,
-        row0: usize,
-        rows: usize,
-    ) -> Vec<Vjp> {
-        let _span = hqnn_telemetry::span("qsim.adjoint");
-        hqnn_telemetry::counter("qsim.adjoint_passes", rows as u64);
-        let mut lambda = BatchState::zeroed(self.circuit.n_qubits(), rows);
-        let mut term = psi.clone();
-        let mut w = vec![0.0; rows];
-        for (o, obs) in observables.iter().enumerate() {
-            for (j, w) in w.iter_mut().enumerate() {
-                *w = weights[(row0 + j, o)];
-            }
-            if w.iter().all(|&w| w == 0.0) {
-                continue;
-            }
-            term.copy_from(&psi);
-            obs.apply_to_batch(&mut term);
-            add_weighted(&mut lambda, &term, &w);
-        }
-
-        let mut out: Vec<Vjp> = (0..rows).map(|_| self.empty_vjp()).collect();
-        self.reverse_sweep(inputs, row0, psi, lambda, &mut out);
-        out
-    }
-
-    /// The adjoint reverse sweep over a chunk of rows, shared by every
-    /// adjoint entry point.
-    ///
-    /// Starting from each row's final state `ψ` and seed `λ`, walks the ops
-    /// backwards: `ψ ← U†ψ` recovers each gate's input state, every
-    /// differentiable gate adds `2·Re⟨λ|dU|ψ⟩` (one fused read-only pass
-    /// per chunk, no scratch state) to its slot in `out[j]`, and `λ ← U†λ`
-    /// carries the seed along. `out[j]` belongs to batch row `row0 + j`.
-    fn reverse_sweep(
-        &self,
-        inputs: &Matrix,
-        row0: usize,
-        mut psi: BatchState,
-        mut lambda: BatchState,
-        out: &mut [Vjp],
-    ) {
-        let ops = self.circuit.ops();
-        let rows = out.len();
-        let mut inner = vec![0.0; rows];
-        let (mut invs, mut dms) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-        for step in &self.steps {
-            match *step {
-                ReverseStep::Swap { a, b } => {
-                    psi.apply_swap_all(a, b);
-                    lambda.apply_swap_all(a, b);
-                }
-                ReverseStep::Shared { k, inv, dm } => {
-                    let op = &ops[k];
-                    apply_gate(&mut psi, Mats::Shared(&inv), op.wires);
-                    if let (Some(dm), ParamSource::Trainable(i)) = (dm, op.param) {
-                        adjoint_inner(&lambda, &psi, Mats::Shared(&dm), op.wires, &mut inner);
-                        for (vjp, inner) in out.iter_mut().zip(&inner) {
-                            vjp.d_params[i] += 2.0 * inner;
-                        }
-                    }
-                    apply_gate(&mut lambda, Mats::Shared(&inv), op.wires);
-                }
-                ReverseStep::Row(k) => {
-                    let op = &ops[k];
-                    let ParamSource::Input(i) = op.param else {
-                        unreachable!("row steps are input-fed ops")
-                    };
-                    invs.clear();
-                    dms.clear();
-                    for r in row0..row0 + rows {
-                        let theta = resolve_angle(op, inputs.row(r), self.params);
-                        invs.push(dagger(&op.kind.matrix(theta)));
-                        dms.push(derivative(op, theta));
-                    }
-                    apply_gate(&mut psi, Mats::PerLane(&invs), op.wires);
-                    adjoint_inner(&lambda, &psi, Mats::PerLane(&dms), op.wires, &mut inner);
-                    for (vjp, inner) in out.iter_mut().zip(&inner) {
-                        vjp.d_inputs[i] += 2.0 * inner;
-                    }
-                    apply_gate(&mut lambda, Mats::PerLane(&invs), op.wires);
-                }
-            }
-        }
-    }
-}
-
-/// The op's angle (0 when unparametrized), as [`Circuit::run`] resolves it.
-fn resolve_angle(op: &Op, inputs: &[f64], params: &[f64]) -> f64 {
-    if op.kind.is_parametrized() {
-        op.param.resolve(inputs, params)
-    } else {
-        0.0
-    }
-}
-
-/// `dU/dθ` of a differentiable op.
-fn derivative(op: &Op, theta: f64) -> Matrix2 {
-    op.kind
-        .dmatrix(theta)
-        // lint:allow(panic): only differentiable (hence parametrized) ops get here
-        .expect("differentiable op must be parametrized")
-}
-
-/// `Re⟨λ|dU|ψ⟩` of every row into `out`; d(controlled-U)/dθ acts as
-/// `|1⟩⟨1| ⊗ dU`.
-fn adjoint_inner(lambda: &BatchState, psi: &BatchState, dm: Mats, wires: Wires, out: &mut [f64]) {
-    match wires {
-        Wires::One(w) => inner_single(lambda, psi, dm, w, out),
-        Wires::Two(c, t) => inner_controlled_projected(lambda, psi, dm, c, t, out),
-    }
+    Plan::new(circuit).vjp_row(
+        &Matrix::row_vector(inputs),
+        params,
+        observables,
+        &Matrix::row_vector(weights),
+    )
 }
 
 /// Computes expectations and gradients with the two-term parameter-shift rule.

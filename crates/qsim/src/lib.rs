@@ -10,9 +10,10 @@
 //!
 //! * [`gradient::adjoint_vjp`] — O(gates · 2ⁿ) reverse-pass differentiation
 //!   of the loss-weighted observable sum, one sweep per sample. This is the
-//!   training path ([`batch::BatchTape::vjp`], which sweeps chunks of
-//!   samples gate-major from the states the forward recorded), and what
-//!   makes hybrid backprop tractable; [`gradient::adjoint`] runs the same sweep once per
+//!   training path ([`plan::Plan::vjp_into`], which sweeps chunks of
+//!   samples gate-major from the states and gate matrices the forward
+//!   recorded on a [`plan::BatchTape`]), and what makes hybrid backprop
+//!   tractable; [`gradient::adjoint`] runs the same sweep once per
 //!   observable to return the full Jacobian, the oracle the examples,
 //!   benchmarks and property tests use, and
 //! * [`gradient::parameter_shift`] — the textbook two-term shift rule, used to
@@ -48,18 +49,20 @@ pub mod gates;
 pub mod gradient;
 pub mod metrics;
 pub mod observable;
+pub mod plan;
 pub mod render;
 pub mod state;
 pub mod verify;
 
 pub use ansatz::{EntanglerKind, QnnTemplate, RotationAxis};
-pub use batch::{gradients_batch, vjp_batch, BatchTape};
+pub use batch::{gradients_batch, vjp_batch};
 pub use batch_state::BatchState;
 pub use circuit::{Circuit, Op, ParamSource, Wires};
 pub use complex::C64;
 pub use gates::GateKind;
 pub use gradient::{adjoint, adjoint_vjp, finite_diff, parameter_shift, Gradients, Vjp};
 pub use observable::{Observable, Pauli};
+pub use plan::{BatchTape, Plan};
 pub use state::StateVector;
 pub use verify::{unitarity_deviation, VerifyError, UNITARITY_TOL};
 

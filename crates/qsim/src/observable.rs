@@ -100,6 +100,21 @@ impl Observable {
         self.factors.iter().map(|(w, _)| *w).max().unwrap_or(0)
     }
 
+    /// The wire of a single-qubit `Z` readout (`None` for any other
+    /// string) — the readouts whose expectations and adjoint seeds have a
+    /// one-pass kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wire is out of range for `n_qubits`.
+    pub(crate) fn single_z(&self, n_qubits: usize) -> Option<usize> {
+        let [(wire, Pauli::Z)] = self.factors[..] else {
+            return None;
+        };
+        assert!(wire < n_qubits, "wire {wire} out of range");
+        Some(wire)
+    }
+
     /// Applies the observable to a state in place: `|ψ⟩ → O|ψ⟩`.
     /// Pauli strings are unitary, so the result is still normalised; it is
     /// generally *not* the post-measurement state — this is the algebraic
@@ -148,9 +163,8 @@ impl Observable {
     /// Panics if a factor's wire is out of range for the rows.
     pub(crate) fn expectations_into(&self, batch: &BatchState, out: &mut [f64]) {
         // Fast path: a single-Z observable has a closed form.
-        if let [(wire, Pauli::Z)] = self.factors[..] {
-            assert!(wire < batch.n_qubits(), "wire {wire} out of range");
-            return crate::state::expectation_z(batch, wire, out);
+        if let Some(wire) = self.single_z(batch.n_qubits()) {
+            return crate::state::expectations_z(batch, &[wire], out);
         }
         let mut applied = batch.clone();
         self.apply_to_batch(&mut applied);

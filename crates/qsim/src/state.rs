@@ -27,7 +27,7 @@ use std::fmt;
 
 use crate::batch_state::BatchState;
 use crate::complex::C64;
-use crate::gates::Matrix2;
+use crate::gates::{GateKind, Matrix2};
 use crate::MAX_QUBITS;
 
 /// Which of `m`'s products are structurally zero, read from its entry
@@ -501,24 +501,70 @@ pub(crate) fn inner_re(a: &BatchState, b: &BatchState, out: &mut [f64]) {
     }
 }
 
-/// `⟨ψ|Z_wire|ψ⟩` of every lane into `out`, each lane folded from `+0` in
-/// amplitude-index order.
-pub(crate) fn expectation_z(state: &BatchState, wire: usize, out: &mut [f64]) {
-    out.fill(0.0);
+/// `⟨ψ|Z_w|ψ⟩` of every lane for each wire `w` of `wires`, in one pass
+/// over the state: `out[o·R + r]` is lane `r`'s expectation on
+/// `wires[o]`. Each accumulator starts at `+0` and adds
+/// `±(re² + im²)` in amplitude-index order, so every wire gets the bits
+/// of a fold over the state for that wire alone.
+pub(crate) fn expectations_z(state: &BatchState, wires: &[usize], out: &mut [f64]) {
     let lanes = state.rows();
+    debug_assert_eq!(out.len(), wires.len() * lanes);
+    out.fill(0.0);
     if lanes == 0 {
         return;
     }
-    let mask = 1usize << wire;
     let (re, im) = state.parts();
     for (k, (re, im)) in re
         .chunks_exact(lanes)
         .zip(im.chunks_exact(lanes))
         .enumerate()
     {
-        let sign = if k & mask == 0 { 1.0 } else { -1.0 };
-        for ((acc, re), im) in out.iter_mut().zip(re).zip(im) {
-            *acc += sign * (re * re + im * im);
+        for (&wire, acc) in wires.iter().zip(out.chunks_exact_mut(lanes)) {
+            let sign = if k >> wire & 1 == 0 { 1.0 } else { -1.0 };
+            for ((acc, re), im) in acc.iter_mut().zip(re).zip(im) {
+                *acc += sign * (re * re + im * im);
+            }
+        }
+    }
+}
+
+/// The adjoint seed `λ = Σ_o w_o·Z_{wires[o]}|ψ⟩` of every lane in one
+/// pass, for readouts that are all single-qubit `Z`s; `weights[o·R + r]`
+/// is lane `r`'s weight on `wires[o]`. Per lane and amplitude it is
+/// exactly the three-pass build — copy `ψ`, apply the `Z` matrix with the
+/// diagonal pair transform, then [`add_weighted`] — with the observables
+/// in order: the same products of the same `Z` entries, added from `+0`,
+/// and a zero weight leaves the lane untouched. So every lane holds the
+/// three-pass bits while `ψ` is finite; a non-finite amplitude gives NaN
+/// either way.
+pub(crate) fn seed_z(lambda: &mut BatchState, psi: &BatchState, wires: &[usize], weights: &[f64]) {
+    let lanes = psi.rows();
+    debug_assert_eq!(weights.len(), wires.len() * lanes);
+    if lanes == 0 {
+        return;
+    }
+    let z = GateKind::Z.matrix(0.0);
+    let (pr, pi) = psi.parts();
+    let (lr, li) = lambda.parts_mut();
+    let amps = lr
+        .chunks_exact_mut(lanes)
+        .zip(li.chunks_exact_mut(lanes))
+        .zip(pr.chunks_exact(lanes).zip(pi.chunks_exact(lanes)));
+    for (k, ((lr, li), (pr, pi))) in amps.enumerate() {
+        lr.fill(0.0);
+        li.fill(0.0);
+        for (&wire, w) in wires.iter().zip(weights.chunks_exact(lanes)) {
+            // The target-0 half of a pair meets `z[0][0]`, the target-1
+            // half `z[1][1]`; the off-diagonal zeros drop out.
+            let e = if k >> wire & 1 == 0 { z[0][0] } else { z[1][1] };
+            let lane = lr.iter_mut().zip(li.iter_mut()).zip(pr).zip(pi).zip(w);
+            for ((((lr, li), xr), xi), w) in lane {
+                if *w != 0.0 {
+                    let (tr, ti) = (e.re * xr - e.im * xi, e.re * xi + e.im * xr);
+                    *lr += tr * w;
+                    *li += ti * w;
+                }
+            }
         }
     }
 }
@@ -741,7 +787,7 @@ impl StateVector {
     pub fn expectation_z(&self, wire: usize) -> f64 {
         assert!(wire < self.n_qubits(), "wire {wire} out of range");
         let mut out = [0.0];
-        expectation_z(&self.lane, wire, &mut out);
+        expectations_z(&self.lane, &[wire], &mut out);
         out[0]
     }
 
@@ -959,7 +1005,7 @@ mod tests {
         apply_controlled(&mut batch, Mats::Shared(&m), 2, 0);
 
         let mut z = vec![0.0; rows];
-        expectation_z(&batch, 1, &mut z);
+        expectations_z(&batch, &[1], &mut z);
         for (r, want) in per_row.iter().enumerate() {
             assert_eq!(batch.row(r), want.amplitudes(), "row {r}");
             assert_eq!(z[r].to_bits(), want.expectation_z(1).to_bits(), "row {r}");
@@ -1226,6 +1272,65 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_z_seed_and_reads_match_per_observable_passes_bitwise() {
+        // A 3-qubit chunk of 5 lanes holding arbitrary finite values and
+        // signed zeros, and weights with `±0`, a NaN and repeated wires:
+        // the one-pass seed must equal copy / apply-`Z` / `add_weighted`
+        // per observable, and the one-pass reads each single-wire fold,
+        // bit for bit. (Non-finite amplitudes give NaN either way; the
+        // optimiser may fold `-1·x` to `-x`, so a NaN's sign is not pinned,
+        // as DESIGN.md §9 sets out.)
+        let (n, lanes) = (3, 5);
+        let mut psi = BatchState::zeroed(n, lanes);
+        let specials = [0.0, -0.0];
+        let (re, im) = psi.parts_mut();
+        for (i, (re, im)) in re.iter_mut().zip(im).enumerate() {
+            *re = specials
+                .get(i % 11)
+                .copied()
+                .unwrap_or(i as f64 * 0.37 - 3.0);
+            *im = specials
+                .get(i % 13)
+                .copied()
+                .unwrap_or(1.1 - i as f64 * 0.21);
+        }
+        let wires = [2, 0, 1, 0];
+        let weights: Vec<f64> = (0..wires.len() * lanes)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                3 => -0.0,
+                5 if i == 12 => f64::NAN,
+                _ => i as f64 * 0.3 - 2.0,
+            })
+            .collect();
+
+        let mut want = BatchState::zeroed(n, lanes);
+        let z = GateKind::Z.matrix(0.0);
+        for (&wire, w) in wires.iter().zip(weights.chunks_exact(lanes)) {
+            let mut term = psi.clone();
+            apply_single(&mut term, Mats::Shared(&z), wire);
+            add_weighted(&mut want, &term, w);
+        }
+        let mut got = BatchState::zeroed(n, lanes);
+        got.parts_mut().0.fill(7.0);
+        seed_z(&mut got, &psi, &wires, &weights);
+        let bits = |b: &BatchState| {
+            let (re, im) = b.parts();
+            re.iter().chain(im).map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&got), bits(&want));
+
+        let mut all = vec![0.0; wires.len() * lanes];
+        expectations_z(&psi, &wires, &mut all);
+        for (&wire, got) in wires.iter().zip(all.chunks_exact(lanes)) {
+            let mut one = vec![0.0; lanes];
+            expectations_z(&psi, &[wire], &mut one);
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&one), "wire {wire}");
         }
     }
 }

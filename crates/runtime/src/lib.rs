@@ -9,9 +9,10 @@
 //! requirements with three rules:
 //!
 //! 1. **Order-preserving map.** [`par_map`]/[`par_map_range`] return results
-//!    indexed exactly like their inputs. Work is distributed dynamically
-//!    (workers pull fixed-boundary chunks from an atomic cursor) but results
-//!    are reassembled in chunk order, so the output is the same `Vec` the
+//!    indexed exactly like their inputs, and [`par_for_each_mut`] updates
+//!    each item in place. Work is distributed dynamically (workers claim
+//!    fixed-boundary chunks in order) but each result lands in its own
+//!    index's slot, so the output is the same `Vec` the
 //!    sequential loop would have produced — bit for bit, because each item's
 //!    computation is independent and f64 accumulation stays *inside* items.
 //!    Callers that reduce across items must fold the returned `Vec`
@@ -21,8 +22,8 @@
 //!    scoped [`with_threads`] override on the calling thread, the
 //!    `HQNN_THREADS` environment variable, then the machine's available
 //!    parallelism. `threads() == 1` runs inline with zero scheduling.
-//! 3. **No unaccounted nested fan-out.** [`par_map`]/[`par_map_range`]
-//!    worker closures run with an implicit `with_threads(1)`, so a parallel
+//! 3. **No unaccounted nested fan-out.** [`par_map`]/[`par_map_range`]/
+//!    [`par_for_each_mut`] worker closures run with an implicit `with_threads(1)`, so a parallel
 //!    search wave doesn't multiply into a parallel batch inside each combo.
 //!    The one sanctioned nesting level is [`par_map_budgeted`]: it splits
 //!    the caller's budget across shards via [`split_budget`] so each
@@ -30,10 +31,10 @@
 //!    `outer_workers × inner_budget ≤ threads()` — the budget stays a real
 //!    upper bound on concurrency even two levels deep.
 //!
-//! Telemetry integrates across the fan-out: workers inherit the spawning
-//! thread's open span path ([`hqnn_telemetry::propagate_span_path`]), so
-//! spans recorded inside workers merge into the same tree one `report()`
-//! prints.
+//! Telemetry integrates across the fan-out: each item inherits the
+//! spawning thread's open span path and causal parent
+//! ([`hqnn_telemetry::propagate_causal_context`]), so spans recorded inside
+//! workers merge into the same tree one `report()` prints.
 //!
 //! # Example
 //!
@@ -55,7 +56,7 @@
 pub mod check;
 mod pool;
 
-pub use pool::{par_map, par_map_budgeted, par_map_range, split_budget};
+pub use pool::{par_for_each_mut, par_map, par_map_budgeted, par_map_range, split_budget};
 
 use std::cell::Cell;
 use std::sync::OnceLock;

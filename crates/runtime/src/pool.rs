@@ -33,19 +33,45 @@ where
 
 /// Maps `f` over `0..len` in parallel, returning `vec![f(0), f(1), …]`.
 ///
-/// Work is split into fixed-boundary chunks that idle workers claim from an
-/// atomic cursor; completed chunks are reassembled in index order, so the
-/// result is independent of which worker ran what. Runs inline (no threads)
-/// when the resolved budget is 1 or `len <= 1`.
-///
-/// A panic inside `f` finishes in-flight chunks on other workers, then
-/// resurfaces on the caller — the same observable behaviour as a panicking
-/// sequential loop, minus any wasted sibling work being visible.
+/// Each result lands in its own index's slot ([`par_for_each_mut`] over
+/// the output), so the result is independent of which worker ran what.
+/// Runs inline (no threads) when the resolved budget is 1 or `len <= 1`,
+/// and a panic inside `f` resurfaces on the caller, as for
+/// [`par_for_each_mut`].
 pub fn par_map_range<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
+    par_for_each_mut(&mut out, |i, slot| *slot = Some(f(i)));
+    out.into_iter()
+        // lint:allow(panic): par_for_each_mut calls the closure once per index
+        .map(|r| r.expect("every index was mapped"))
+        .collect()
+}
+
+/// Runs `f(i, &mut items[i])` for every item in parallel: the in-place
+/// form of [`par_map_range`] (which is built on it), for callers that keep
+/// per-item state — buffers reused across calls — instead of collecting
+/// results.
+///
+/// Work is split into fixed-boundary chunks that idle workers claim in
+/// order; each item is touched by exactly one call, and the caller's span
+/// path and causal parent propagate into each item keyed by its index, so
+/// the items end up bitwise identical, with identical telemetry, at every
+/// thread budget. Runs inline — and allocates nothing — when the resolved
+/// budget is 1 or there is at most one item.
+///
+/// A panic inside `f` finishes in-flight chunks on other workers, then
+/// resurfaces on the caller — the same observable behaviour as a panicking
+/// sequential loop, minus any wasted sibling work being visible.
+pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let len = items.len();
     let threads = crate::threads().min(len.max(1));
     // Workers record spans under the caller's currently-open span path and
     // causal parent, so the profile report shows one merged tree (and the
@@ -55,45 +81,35 @@ where
     // worker — so the inline path installs it too.
     let ctx = hqnn_telemetry::current_causal_context();
     if threads <= 1 || len <= 1 {
-        return (0..len)
-            .map(|i| {
-                let _causal = hqnn_telemetry::propagate_causal_context(&ctx, i as u64);
-                f(i)
-            })
-            .collect();
+        for (i, item) in items.iter_mut().enumerate() {
+            let _causal = hqnn_telemetry::propagate_causal_context(&ctx, i as u64);
+            f(i, item);
+        }
+        return;
     }
 
     let chunk_size = len.div_ceil((threads * CHUNKS_PER_THREAD).min(len));
-    let n_chunks = len.div_ceil(chunk_size);
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(n_chunks));
-
+    let parts = Mutex::new(items.chunks_mut(chunk_size).enumerate());
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
                 // Budget 1 inside workers: the outermost parallel seam owns
                 // the threads; nested par_map calls run inline.
                 crate::with_threads(1, || loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks {
+                    let next = parts.lock().unwrap_or_else(|e| e.into_inner()).next();
+                    let Some((chunk, part)) = next else {
                         break;
+                    };
+                    for (j, item) in part.iter_mut().enumerate() {
+                        let i = chunk * chunk_size + j;
+                        let _causal = hqnn_telemetry::propagate_causal_context(&ctx, i as u64);
+                        f(i, item);
                     }
-                    let start = chunk * chunk_size;
-                    let end = (start + chunk_size).min(len);
-                    let part: Vec<R> = (start..end)
-                        .map(|i| {
-                            let _causal = hqnn_telemetry::propagate_causal_context(&ctx, i as u64);
-                            f(i)
-                        })
-                        .collect();
-                    done.lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((chunk, part));
                 });
                 // Merge this worker's metric shard before the scope joins,
-                // so a snapshot taken right after par_map returns already
-                // sees every worker counter (thread exit would drain too,
-                // but only after TLS destructors run).
+                // so a snapshot taken right after the call returns already
+                // sees every worker counter and span (thread exit would
+                // drain too, but only after TLS destructors run).
                 hqnn_telemetry::drain_local_metrics();
             });
         }
@@ -101,15 +117,6 @@ where
 
     hqnn_telemetry::counter("runtime.par_calls", 1);
     hqnn_telemetry::counter("runtime.par_items", len as u64);
-
-    let mut chunks = done.into_inner().unwrap_or_else(|e| e.into_inner());
-    chunks.sort_unstable_by_key(|(idx, _)| *idx);
-    let mut out = Vec::with_capacity(len);
-    for (_, mut part) in chunks {
-        out.append(&mut part);
-    }
-    debug_assert_eq!(out.len(), len);
-    out
 }
 
 /// Splits a total thread budget across `shards` concurrent work units,
@@ -327,6 +334,19 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn for_each_mut_touches_every_item_once_at_any_budget() {
+        let want: Vec<u64> = (0..37u64).map(|i| i * i + 1).collect();
+        for threads in [1, 2, 5, 64] {
+            let mut items: Vec<u64> = (0..37).collect();
+            with_threads(threads, || {
+                par_for_each_mut(&mut items, |i, x| *x = *x * i as u64 + 1)
+            });
+            assert_eq!(items, want, "threads={threads}");
+        }
+        par_for_each_mut(&mut [] as &mut [u8], |_, _| panic!("no items"));
     }
 
     #[test]

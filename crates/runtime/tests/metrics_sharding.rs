@@ -93,3 +93,70 @@ fn worker_counters_visible_immediately_after_par_map() {
     assert_eq!(snap.counters["shardtest.immediate_ticks"], 300);
     telemetry::reset();
 }
+
+/// Span paths and counts, the per-leaf and all-path totals the benchmark
+/// keys `span:<leaf>` / `span:*`, and the example `span` events per path,
+/// after one fan-out under `threads`, read right after it returns.
+type SpanView = (
+    BTreeMap<String, u64>,
+    BTreeMap<String, u64>,
+    BTreeMap<String, usize>,
+);
+
+fn span_fanout(threads: usize) -> SpanView {
+    telemetry::reset();
+    telemetry::set_level(telemetry::Level::Off);
+    let mem = telemetry::add_memory_sink();
+    hqnn_runtime::with_threads(threads, || {
+        let _root = telemetry::span("shardtest.fanout");
+        hqnn_runtime::par_map_range(23, |i| {
+            let _item = telemetry::span("shardtest.item");
+            for _ in 0..i % 4 {
+                let _leaf = telemetry::span("shardtest.leaf");
+            }
+        });
+        let mut cells = vec![0u8; 9];
+        hqnn_runtime::par_for_each_mut(&mut cells, |_, _| {
+            let _cell = telemetry::span("shardtest.cell");
+        });
+    });
+    let paths: BTreeMap<String, u64> = telemetry::snapshot()
+        .spans
+        .into_iter()
+        .filter(|(path, _)| path.contains("shardtest."))
+        .map(|(path, stats)| (path, stats.count))
+        .collect();
+    let mut leaves = BTreeMap::new();
+    for (path, count) in &paths {
+        let leaf = path.rsplit('/').next().unwrap_or(path);
+        *leaves.entry(format!("span:{leaf}")).or_default() += count;
+        *leaves.entry("span:*".to_string()).or_default() += count;
+    }
+    let mut events = BTreeMap::new();
+    for event in mem.events_named("span") {
+        let path = event.fields[0].1.to_string();
+        *events.entry(path).or_default() += 1;
+    }
+    (paths, leaves, events)
+}
+
+#[test]
+fn worker_span_aggregates_are_identical_at_every_budget() {
+    // Span closes record into per-thread shards; a snapshot taken right
+    // after the fan-out must hold every worker's closes, merged into the
+    // same paths and counts as the one-thread run, with one example event
+    // per path.
+    let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let reference = span_fanout(1);
+    let (paths, leaves, events) = &reference;
+    assert_eq!(paths["shardtest.fanout/shardtest.item"], 23);
+    assert_eq!(paths["shardtest.fanout/shardtest.item/shardtest.leaf"], 33);
+    assert_eq!(paths["shardtest.fanout/shardtest.cell"], 9);
+    assert_eq!(leaves["span:*"], 1 + 23 + 33 + 9);
+    assert_eq!(events.len(), paths.len());
+    assert!(events.values().all(|&n| n == 1), "{events:?}");
+    for threads in [2, 7] {
+        assert_eq!(span_fanout(threads), reference, "threads={threads}");
+    }
+    telemetry::reset();
+}

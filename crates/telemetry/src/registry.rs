@@ -2,20 +2,23 @@
 //!
 //! # Sharded metric cells
 //!
-//! Counters and max-gauges are the workspace's hottest telemetry path
-//! (`qsim.gate_applies` ticks once per gate). Routing every increment
-//! through one global mutex makes parallel workers contend, so each thread
-//! instead owns a private *shard* — registered in a global list on first
-//! use, drained back into the base maps when the thread exits (worker
-//! threads additionally drain at scope exit via
-//! [`crate::drain_local_metrics`]). The hot path locks only its own shard's
-//! uncontended mutex.
+//! Counters, max-gauges and span closes are the workspace's hottest
+//! telemetry paths (`qsim.gate_applies` ticks once per gate, a hybrid
+//! training step closes six spans). Routing every record through one
+//! global mutex makes parallel workers contend, so each thread instead
+//! owns a private *shard* — registered in a global list on first use,
+//! drained back into the base maps when the thread exits (worker threads
+//! additionally drain at scope exit via [`crate::drain_local_metrics`]).
+//! The hot path locks only its own shard's uncontended mutex. A shard's
+//! span aggregates sit in slots the span module interns once per path, so
+//! closing a span at a known path neither hashes its path nor allocates.
 //!
 //! Merging is deterministic regardless of thread count or schedule:
-//! counters merge by sum and max-gauges by max — both commutative and
-//! associative — and [`Registry::snapshot`] holds the shard-list lock while
-//! merging, so a snapshot is an atomic point-in-time view and stays
-//! byte-identical at any `HQNN_THREADS`. Plain last-write-wins gauges stay
+//! counters and span counts, totals, allocation sums and histogram buckets
+//! merge by sum, max-gauges and span maxima by max, span minima by min —
+//! all commutative and associative — and [`Registry::snapshot`] holds the
+//! shard-list lock while merging, so a snapshot is an atomic point-in-time
+//! view and stays byte-identical at any `HQNN_THREADS`. Plain last-write-wins gauges stay
 //! on the base map: their value is schedule-dependent by definition, so
 //! sharding could only make them *less* reproducible.
 
@@ -53,6 +56,36 @@ impl SpanAgg {
         self.count += 1;
         self.total_ns += ns as u128;
         self.hist.record(ns);
+    }
+
+    /// Folds `other`'s occurrences into `self`.
+    fn merge(&mut self, other: &SpanAgg) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            self.min_ns = other.min_ns;
+            self.max_ns = other.max_ns;
+        } else {
+            self.min_ns = self.min_ns.min(other.min_ns);
+            self.max_ns = self.max_ns.max(other.max_ns);
+        }
+        self.count += other.count;
+        self.total_ns += other.total_ns;
+        self.hist.merge(&other.hist);
+        self.alloc_count += other.alloc_count;
+        self.alloc_bytes += other.alloc_bytes;
+        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
+    }
+
+    /// Records one occurrence with its allocation delta.
+    fn record_full(&mut self, ns: u64, alloc: Option<crate::alloc::AllocDelta>) {
+        self.record(ns);
+        if let Some(alloc) = alloc {
+            self.alloc_count += alloc.count;
+            self.alloc_bytes += alloc.bytes;
+            self.peak_bytes = self.peak_bytes.max(alloc.peak_bytes);
+        }
     }
 
     fn stats(&self) -> SpanStats {
@@ -146,6 +179,9 @@ struct ShardData {
     counters: FnvMap<u64>,
     /// High-water-mark gauges ([`crate::gauge_max`]); merged by max.
     max_gauges: FnvMap<f64>,
+    /// Span aggregates by slot ([`span_slot`]). Draining zeroes a slot in
+    /// place, so slot numbers stay valid for the thread's lifetime.
+    spans: Vec<(Arc<str>, SpanAgg)>,
 }
 
 type Shard = Mutex<ShardData>;
@@ -153,6 +189,9 @@ type Shard = Mutex<ShardData>;
 #[derive(Default)]
 pub(crate) struct Registry {
     spans: Mutex<HashMap<String, SpanAgg>>,
+    /// Span paths recorded since the last clear, on any thread — what
+    /// decides the one example `span` event per path.
+    seen: Mutex<std::collections::HashSet<String>>,
     counters: Mutex<HashMap<String, u64>>,
     gauges: Mutex<HashMap<String, f64>>,
     /// Live per-thread shards. Snapshot/drain hold this lock while touching
@@ -226,6 +265,49 @@ pub(crate) fn set_gauge_max_sharded(name: &str, value: f64) {
     }
 }
 
+/// This thread's span slot for `path` — one per path text, registered on
+/// first use — with the shared copy of the path it records under, or
+/// `usize::MAX` during thread teardown (closes then record into the base
+/// map).
+pub(crate) fn span_slot(path: &str) -> (Arc<str>, usize) {
+    with_local_shard(|data| {
+        if let Some(slot) = data.spans.iter().position(|(p, _)| **p == *path) {
+            return (Arc::clone(&data.spans[slot].0), slot);
+        }
+        let path: Arc<str> = Arc::from(path);
+        data.spans.push((Arc::clone(&path), SpanAgg::default()));
+        (path, data.spans.len() - 1)
+    })
+    .unwrap_or_else(|| (Arc::from(path), usize::MAX))
+}
+
+/// Records one close of the span at `path` into this thread's `slot`,
+/// returning `true` when it is the path's first record on any thread. The
+/// hit path takes only the thread's own shard lock and allocates nothing;
+/// a slot that is not this thread's (teardown, or a guard dropped on
+/// another thread) records into the base map by path instead.
+pub(crate) fn record_span_local(
+    slot: usize,
+    path: &Arc<str>,
+    duration: Duration,
+    alloc: Option<crate::alloc::AllocDelta>,
+) -> bool {
+    let ns = duration.as_nanos().min(u64::MAX as u128) as u64;
+    let local = with_local_shard(|data| match data.spans.get_mut(slot) {
+        Some((p, agg)) if Arc::ptr_eq(p, path) => {
+            agg.record_full(ns, alloc);
+            Some(agg.count == 1)
+        }
+        _ => None,
+    })
+    .flatten();
+    match local {
+        Some(true) => global().mark_seen(path),
+        Some(false) => false,
+        None => global().record_span_full(path, duration, alloc),
+    }
+}
+
 /// Drains this thread's shard into the base maps without deregistering it
 /// (the thread keeps recording afterwards).
 pub(crate) fn drain_local() {
@@ -252,21 +334,24 @@ impl Registry {
         alloc: Option<crate::alloc::AllocDelta>,
     ) -> bool {
         let ns = duration.as_nanos().min(u64::MAX as u128) as u64;
-        let record = |agg: &mut SpanAgg| {
-            agg.record(ns);
-            if let Some(alloc) = alloc {
-                agg.alloc_count += alloc.count;
-                agg.alloc_bytes += alloc.bytes;
-                agg.peak_bytes = agg.peak_bytes.max(alloc.peak_bytes);
-            }
+        // Look the path up first so recording a known path allocates nothing.
+        let first = {
+            let mut spans = lock(&self.spans);
+            let agg = match spans.get_mut(path) {
+                Some(agg) => agg,
+                None => spans.entry(path.to_string()).or_default(),
+            };
+            agg.record_full(ns, alloc);
             agg.count == 1
         };
-        // Look the path up first so closing a known span allocates nothing.
-        let mut spans = lock(&self.spans);
-        match spans.get_mut(path) {
-            Some(agg) => record(agg),
-            None => record(spans.entry(path.to_string()).or_default()),
-        }
+        first && self.mark_seen(path)
+    }
+
+    /// Notes that `path` was recorded; `true` the first time since the
+    /// last clear.
+    fn mark_seen(&self, path: &str) -> bool {
+        let mut seen = lock(&self.seen);
+        !seen.contains(path) && seen.insert(path.to_string())
     }
 
     pub(crate) fn add_counter(&self, name: &str, delta: u64) {
@@ -297,16 +382,31 @@ impl Registry {
     /// Empties `shard` into the base maps. Callers must hold the
     /// shard-list lock (or be inside `retire_shard`, which does).
     fn merge_shard_into_base(&self, shard: &Arc<Shard>) {
-        let drained = std::mem::take(&mut *lock(shard));
-        if !drained.counters.is_empty() {
+        let mut data = lock(shard);
+        if data.spans.iter().any(|(_, agg)| agg.count > 0) {
+            let mut spans = lock(&self.spans);
+            for (path, agg) in data.spans.iter_mut().filter(|(_, agg)| agg.count > 0) {
+                let agg = std::mem::take(agg);
+                match spans.get_mut(&**path) {
+                    Some(base) => base.merge(&agg),
+                    None => {
+                        spans.insert(path.to_string(), agg);
+                    }
+                }
+            }
+        }
+        let drained_counters = std::mem::take(&mut data.counters);
+        let drained_gauges = std::mem::take(&mut data.max_gauges);
+        drop(data);
+        if !drained_counters.is_empty() {
             let mut counters = lock(&self.counters);
-            for (name, delta) in drained.counters {
+            for (name, delta) in drained_counters {
                 *counters.entry(name).or_insert(0) += delta;
             }
         }
-        if !drained.max_gauges.is_empty() {
+        if !drained_gauges.is_empty() {
             let mut gauges = lock(&self.gauges);
-            for (name, value) in drained.max_gauges {
+            for (name, value) in drained_gauges {
                 gauges
                     .entry(name)
                     .and_modify(|v| *v = v.max(value))
@@ -349,9 +449,36 @@ impl Registry {
                     .or_insert(*value);
             }
         }
-        let spans = lock(&self.spans)
+        // Every record of a path — the base map's and each shard slot's —
+        // is gathered by reference; only a path recorded in more than one
+        // place is merged into a temporary aggregate.
+        let base = lock(&self.spans);
+        let shard_data: Vec<_> = shards.iter().map(|shard| lock(shard)).collect();
+        let mut parts: HashMap<&str, Vec<&SpanAgg>> = HashMap::new();
+        let shard_slots = shard_data.iter().flat_map(|data| data.spans.iter());
+        let recorded = base
             .iter()
-            .map(|(path, agg)| (path.clone(), agg.stats()))
+            .map(|(path, agg)| (path.as_str(), agg))
+            .chain(shard_slots.map(|(path, agg)| (&**path, agg)))
+            .filter(|(_, agg)| agg.count > 0);
+        for (path, agg) in recorded {
+            parts.entry(path).or_default().push(agg);
+        }
+        let spans = parts
+            .into_iter()
+            .map(|(path, aggs)| {
+                let stats = match aggs[..] {
+                    [one] => one.stats(),
+                    _ => {
+                        let mut merged = SpanAgg::default();
+                        for agg in aggs {
+                            merged.merge(agg);
+                        }
+                        merged.stats()
+                    }
+                };
+                (path.to_string(), stats)
+            })
             .collect();
         Snapshot {
             spans,
@@ -363,9 +490,15 @@ impl Registry {
     pub(crate) fn clear(&self) {
         let shards = lock(&self.shards);
         for shard in shards.iter() {
-            *lock(shard) = ShardData::default();
+            let mut data = lock(shard);
+            data.counters.clear();
+            data.max_gauges.clear();
+            for (_, agg) in &mut data.spans {
+                *agg = SpanAgg::default();
+            }
         }
         lock(&self.spans).clear();
+        lock(&self.seen).clear();
         lock(&self.counters).clear();
         lock(&self.gauges).clear();
     }

@@ -16,10 +16,21 @@
 //! which seeds the item's spans with the caller's span as parent and an
 //! item-indexed sequence base (`(i + 1) << 32`, so item-root sequences can
 //! never collide with the caller's direct children).
+//!
+//! # Interned paths
+//!
+//! A span's path is its parent's path plus its name. Each thread interns
+//! the path once per (parent path, name) — together with the registry slot
+//! its closes record into — so opening and closing a span at a path the
+//! thread has seen before builds no string, allocates nothing and takes no
+//! global lock. Parents are told apart by the address of their interned
+//! path, which the table keeps alive.
 
 use crate::event::{FieldValue, Level};
 use crate::registry;
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,6 +65,74 @@ struct SpanFrame {
     id: u64,
     /// Direct children opened so far — the child sequence counter.
     children: u64,
+    /// The interned full path (inherited prefix included).
+    path: Arc<str>,
+}
+
+/// An interned span path and the registry slot its closes record into.
+struct Interned {
+    path: Arc<str>,
+    slot: usize,
+    /// Keeps the parent path alive, so its address — part of the key —
+    /// cannot be reused by another path while the entry exists.
+    _parent: Option<Arc<str>>,
+}
+
+/// `(parent path address, name address, name length)`: a static name's
+/// address and length identify its text. The compiler may keep more than
+/// one copy of a literal (one per codegen unit a call site lands in); each
+/// copy gets its own entry, all sharing the path's one slot.
+type PathKey = (usize, usize, usize);
+
+/// Multiplicative hashing of the key's three words: the keys are
+/// addresses, never attacker-chosen, and the open path hashes one per span.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// Interns the path of a span named `name` under `parent` on this thread,
+/// returning it with its registry slot.
+fn intern(parent: Option<&Arc<str>>, name: &'static str) -> (Arc<str>, usize) {
+    let key = (
+        parent.map_or(0, |p| Arc::as_ptr(p) as *const u8 as usize),
+        name.as_ptr() as usize,
+        name.len(),
+    );
+    PATHS.with(|paths| {
+        if let Some(hit) = paths.borrow().get(&key) {
+            return (Arc::clone(&hit.path), hit.slot);
+        }
+        let (path, slot) = match parent {
+            Some(p) => registry::span_slot(&format!("{p}/{name}")),
+            None => registry::span_slot(name),
+        };
+        let interned = Interned {
+            path: Arc::clone(&path),
+            slot,
+            _parent: parent.cloned(),
+        };
+        paths.borrow_mut().insert(key, interned);
+        (path, slot)
+    })
 }
 
 /// Inherited causal state installed by [`propagate_span_path`] /
@@ -68,9 +147,12 @@ struct InheritedCtx {
     base_seq: u64,
     /// First-level spans opened under this context so far.
     opened: u64,
-    /// Local stack frames below this install that the context's `path`
-    /// already covers — masked out of path building and parent lookup.
+    /// Local stack frames below this install masked out of the causal
+    /// parent lookup.
     mask_depth: usize,
+    /// Local stack frames below this install that the context's `path`
+    /// already covers — spans opened on top of them extend `path`.
+    path_depth: usize,
 }
 
 thread_local! {
@@ -84,36 +166,41 @@ thread_local! {
     static CTX: RefCell<Option<InheritedCtx>> = const { RefCell::new(None) };
     /// Sequence numbers for spans opened with no parent and no context.
     static ROOT_SEQ: Cell<u64> = const { Cell::new(0) };
+    /// Prefixes installed with [`propagate_span_path`], one copy each.
+    static PREFIXES: RefCell<std::collections::HashSet<Arc<str>>> =
+        RefCell::new(std::collections::HashSet::new());
+    /// This thread's interned span paths.
+    static PATHS: RefCell<HashMap<PathKey, Interned, BuildHasherDefault<WordHasher>>> =
+        RefCell::new(HashMap::default());
 }
 
 fn visible_mask() -> usize {
     CTX.with(|ctx| ctx.borrow().as_ref().map_or(0, |c| c.mask_depth))
 }
 
+fn path_depth() -> usize {
+    CTX.with(|ctx| ctx.borrow().as_ref().map_or(0, |c| c.path_depth))
+}
+
 /// The `/`-joined path of the innermost span currently open on this thread
 /// (including any inherited prefix), or `None` outside every span.
 ///
-/// Thread pools capture this on the spawning thread and install it in their
-/// workers with [`propagate_span_path`], which is what keeps one `report()`
-/// span tree across a fan-out.
+/// Thread pools capture it, with the causal parent, through
+/// [`current_causal_context`] and install it around each work item with
+/// [`propagate_causal_context`], which is what keeps one `report()` span
+/// tree across a fan-out.
 pub fn current_span_path() -> Option<String> {
-    let mask = visible_mask();
+    current_path().map(|p| p.to_string())
+}
+
+/// The interned path of the innermost span visible on this thread.
+fn current_path() -> Option<Arc<str>> {
+    let mask = path_depth();
     let local = STACK.with(|stack| {
         let stack = stack.borrow();
-        if stack.len() <= mask {
-            None
-        } else {
-            let names: Vec<&str> = stack.iter().skip(mask).map(|f| f.name).collect();
-            Some(names.join("/"))
-        }
+        stack.iter().skip(mask).last().map(|f| Arc::clone(&f.path))
     });
-    CTX.with(
-        |ctx| match (ctx.borrow().as_ref().and_then(|c| c.path.as_deref()), local) {
-            (Some(p), Some(l)) => Some(format!("{p}/{l}")),
-            (Some(p), None) => Some(p.to_string()),
-            (None, l) => l,
-        },
-    )
+    local.or_else(|| CTX.with(|ctx| ctx.borrow().as_ref().and_then(|c| c.path.clone())))
 }
 
 /// The causal ID of the innermost span visible on this thread (inherited
@@ -140,7 +227,7 @@ pub struct CausalContext {
 /// pool workers (see [`propagate_causal_context`]).
 pub fn current_causal_context() -> CausalContext {
     CausalContext {
-        path: current_span_path().map(Arc::from),
+        path: current_path(),
         parent_id: current_span_id(),
     }
 }
@@ -159,6 +246,7 @@ pub fn propagate_causal_context(ctx: &CausalContext, task_index: u64) -> Propaga
         base_seq: task_index.wrapping_add(1) << 32,
         opened: 0,
         mask_depth,
+        path_depth: mask_depth,
     })
 }
 
@@ -172,12 +260,37 @@ pub fn propagate_causal_context(ctx: &CausalContext, task_index: u64) -> Propaga
 /// [`propagate_causal_context`] instead.
 #[must_use = "the prefix is removed when the guard drops"]
 pub fn propagate_span_path(path: Option<String>) -> PropagatedPathGuard {
+    // The prefix covers the spans already open here too: they nest under
+    // it from now on, so it is folded into one path over the whole stack.
+    let (path, path_depth) = STACK.with(|stack| {
+        let stack = stack.borrow();
+        let names: Vec<&str> = path
+            .as_deref()
+            .into_iter()
+            .chain(stack.iter().map(|f| f.name))
+            .collect();
+        ((!names.is_empty()).then(|| names.join("/")), stack.len())
+    });
+    // One shared copy per distinct prefix, so repeated installs of the same
+    // path reuse its interned children instead of adding new ones.
+    let path = path.map(|p| {
+        PREFIXES.with(|prefixes| {
+            let mut prefixes = prefixes.borrow_mut();
+            if let Some(known) = prefixes.get(p.as_str()) {
+                return Arc::clone(known);
+            }
+            let p: Arc<str> = Arc::from(p);
+            prefixes.insert(Arc::clone(&p));
+            p
+        })
+    });
     install(InheritedCtx {
-        path: path.map(Arc::from),
+        path,
         parent_id: 0,
         base_seq: 0,
         opened: 0,
         mask_depth: 0,
+        path_depth,
     })
 }
 
@@ -202,7 +315,8 @@ impl Drop for PropagatedPathGuard {
 /// `HQNN_ALLOC=1`, the thread's allocation delta) under the span's full
 /// path when dropped.
 pub struct SpanGuard {
-    path: String,
+    path: Arc<str>,
+    slot: usize,
     name: &'static str,
     id: u64,
     parent_id: u64,
@@ -212,11 +326,12 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     pub(crate) fn enter(name: &'static str) -> SpanGuard {
-        let (id, parent_id, path) = CTX.with(|ctx| {
+        let (id, parent_id, (path, slot)) = CTX.with(|ctx| {
             let mut ctx = ctx.borrow_mut();
             STACK.with(|stack| {
                 let mut stack = stack.borrow_mut();
                 let mask = ctx.as_ref().map_or(0, |c| c.mask_depth).min(stack.len());
+                let path_depth = ctx.as_ref().map_or(0, |c| c.path_depth).min(stack.len());
                 let (parent_id, seq) = if stack.len() > mask {
                     let last = stack.len() - 1;
                     let top = &mut stack[last];
@@ -236,18 +351,19 @@ impl SpanGuard {
                     (0, seq)
                 };
                 let id = derive_span_id(parent_id, name, seq);
+                let parent = if stack.len() > path_depth {
+                    stack.last().map(|f| &f.path)
+                } else {
+                    ctx.as_ref().and_then(|c| c.path.as_ref())
+                };
+                let interned = intern(parent, name);
                 stack.push(SpanFrame {
                     name,
                     id,
                     children: 0,
+                    path: Arc::clone(&interned.0),
                 });
-                let names: Vec<&str> = stack.iter().skip(mask).map(|f| f.name).collect();
-                let local = names.join("/");
-                let path = match ctx.as_ref().and_then(|c| c.path.as_deref()) {
-                    Some(p) => format!("{p}/{local}"),
-                    None => local,
-                };
-                (id, parent_id, path)
+                (id, parent_id, interned)
             })
         });
         crate::trace::record(true, name, id, parent_id);
@@ -257,6 +373,7 @@ impl SpanGuard {
         let alloc_start = crate::alloc::window_start();
         SpanGuard {
             path,
+            slot,
             name,
             id,
             parent_id,
@@ -291,14 +408,14 @@ impl Drop for SpanGuard {
             stack.borrow_mut().pop();
         });
         crate::trace::record(false, self.name, self.id, self.parent_id);
-        let first = registry::global().record_span_full(&self.path, elapsed, alloc);
+        let first = registry::record_span_local(self.slot, &self.path, elapsed, alloc);
         // Every occurrence is visible at debug level; below that, the first
         // completion per path still emits one event so recording sinks
         // (JSONL/memory) always capture an example of every span path
         // without drowning in per-sample records.
         if first || crate::enabled(Level::Debug) {
             let mut fields = vec![
-                ("path", FieldValue::Str(self.path.clone())),
+                ("path", FieldValue::Str(self.path.to_string())),
                 ("dur_us", FieldValue::U64(elapsed.as_micros() as u64)),
             ];
             if let Some(alloc) = alloc {

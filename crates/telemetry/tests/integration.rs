@@ -355,3 +355,35 @@ fn report_renders_nested_tree_with_percentiles() {
         assert!(report.contains("flops.winner"), "{report}");
     });
 }
+
+/// Two nested spans around `pause`. Never inlined, so each span name is
+/// one string in one place: interning keys on the name's address.
+#[inline(never)]
+fn nested_spans(pause: Duration) {
+    let _outer = telemetry::span("alloc.outer");
+    let _inner = telemetry::span("alloc.inner");
+    std::thread::sleep(pause);
+}
+
+#[test]
+fn spans_at_a_known_path_allocate_nothing() {
+    // The first occurrence interns both paths and their slots, and its slow
+    // close sizes their histograms. After that, opening and closing spans
+    // at the same paths builds no string, records into this thread's shard
+    // and allocates nothing.
+    with_clean_state(|| {
+        nested_spans(Duration::from_millis(20));
+        let was_enabled = telemetry::alloc::is_enabled();
+        telemetry::alloc::set_enabled(true);
+        let (_, delta) = telemetry::alloc::measure(|| {
+            for _ in 0..1000 {
+                nested_spans(Duration::ZERO);
+            }
+        });
+        telemetry::alloc::set_enabled(was_enabled);
+        let delta = delta.expect("allocation counting was enabled");
+        assert_eq!(delta.count, 0, "{delta:?}");
+        let snap = telemetry::snapshot();
+        assert_eq!(snap.spans["alloc.outer/alloc.inner"].count, 1001);
+    });
+}

@@ -1,18 +1,28 @@
 //! Compare the three differentiation engines on one variational circuit:
 //! adjoint, parameter-shift, and central finite differences. All three must
-//! agree; the interesting part is the cost gap (adjoint is linear in gate
-//! count, parameter-shift re-simulates twice per parameter).
+//! agree — the example exits non-zero when the adjoint gradients differ from
+//! the shift rule by more than 1e-9 or from finite differences by more than
+//! 1e-6 — and the interesting part is the cost gap (adjoint is linear in
+//! gate count, parameter-shift re-simulates twice per parameter).
 //!
 //! ```sh
 //! cargo run -p hqnn-core --release --example quantum_gradients
 //! ```
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use hqnn_core::prelude::*;
 use hqnn_qsim::{adjoint, finite_diff, parameter_shift};
 
-fn main() {
+/// Largest admissible max |adjoint − parameter-shift|: both are exact, so
+/// they differ only by rounding.
+const SHIFT_TOL: f64 = 1e-9;
+/// Largest admissible max |adjoint − finite-diff|: central differences with
+/// step 1e-5 carry O(1e-10) truncation and rounding error.
+const FD_TOL: f64 = 1e-6;
+
+fn main() -> ExitCode {
     let template = QnnTemplate::new(4, 6, EntanglerKind::Strong);
     let circuit = template.build();
     let mut rng = SeededRng::new(11);
@@ -73,6 +83,16 @@ fn main() {
          ({:.1}× adjoint)",
         shift_flops as f64 / adj_flops as f64
     );
+
+    // `!(dev <= tol)` also fails a NaN deviation.
+    if !(max_dev_shift <= SHIFT_TOL && max_dev_fd <= FD_TOL) {
+        eprintln!(
+            "error: the engines disagree (allowed: {SHIFT_TOL:e} against the shift rule, \
+             {FD_TOL:e} against finite differences)"
+        );
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 fn max_abs_dev(a: &Matrix, b: &Matrix) -> f64 {
