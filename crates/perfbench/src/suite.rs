@@ -586,8 +586,8 @@ pub fn default_suite() -> Vec<Benchmark> {
 
     // -- telemetry.counter_hot: metric hot path ---------------------------
     // Four workers hammering one counter name — the contention shape of
-    // `qsim.gate_applies` under the parallel runtime. Each increment lands
-    // in the calling thread's shard behind an uncontended per-thread lock.
+    // `qsim.gate_applies` under the parallel runtime. Each increment adds
+    // to the calling thread's own slot for the name, with no lock.
     {
         const WORKERS: u64 = 4;
         const INCS_PER_WORKER: u64 = 50_000;

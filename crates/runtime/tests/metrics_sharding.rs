@@ -160,3 +160,78 @@ fn worker_span_aggregates_are_identical_at_every_budget() {
     }
     telemetry::reset();
 }
+
+#[test]
+fn interned_counter_slots_reset_and_drain_without_lost_counts() {
+    // Counter names are interned to per-thread slots that outlive a reset
+    // or a drain. Each round adds a known total from pool items and from
+    // the calling thread; a drain of the calling thread's slots must move
+    // its counts, not lose or repeat them, and a reset must zero slots
+    // interned before it.
+    let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let read = || {
+        telemetry::snapshot()
+            .counters
+            .get("shardtest.slot_ticks")
+            .copied()
+    };
+    for threads in [1usize, 2, 7] {
+        telemetry::reset();
+        telemetry::set_level(telemetry::Level::Off);
+        for round in 1..=3u64 {
+            hqnn_runtime::with_threads(threads, || {
+                hqnn_runtime::par_map_range(40, |i| {
+                    telemetry::counter("shardtest.slot_ticks", i as u64 + 1)
+                })
+            });
+            telemetry::counter("shardtest.slot_ticks", 1000);
+            let before = read();
+            telemetry::drain_local_metrics();
+            assert_eq!(read(), before, "threads={threads} round={round}");
+            assert_eq!(
+                before,
+                Some(round * 1820),
+                "threads={threads} round={round}"
+            );
+        }
+        telemetry::reset();
+        assert_eq!(read(), None, "threads={threads}: reset left a count");
+        telemetry::counter("shardtest.slot_ticks", 5);
+        assert_eq!(read(), Some(5), "threads={threads}: count after reset");
+    }
+    telemetry::reset();
+}
+
+#[test]
+fn flush_drains_a_live_thread_without_lost_counts() {
+    // `flush` drains every live thread's slots from the flushing thread
+    // while their owners may keep counting; counts made before and after
+    // the drain all arrive, once.
+    let _g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::reset();
+    telemetry::set_level(telemetry::Level::Off);
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+    let worker = std::thread::spawn(move || {
+        for _ in 0..1000 {
+            telemetry::counter("shardtest.live_ticks", 1);
+        }
+        ready_tx.send(()).unwrap();
+        for _ in 0..100_000 {
+            telemetry::counter("shardtest.live_ticks", 1);
+        }
+        go_rx.recv().unwrap();
+        telemetry::counter("shardtest.live_ticks", 7);
+    });
+    ready_rx.recv().unwrap();
+    telemetry::flush();
+    let mid = telemetry::snapshot().counters["shardtest.live_ticks"];
+    assert!((1000..=101_000).contains(&mid), "{mid}");
+    go_tx.send(()).unwrap();
+    worker.join().unwrap();
+    assert_eq!(
+        telemetry::snapshot().counters["shardtest.live_ticks"],
+        101_007
+    );
+    telemetry::reset();
+}

@@ -177,3 +177,54 @@ fn classical_epoch_stays_within_the_allocation_budget() {
         delta.count as f64 / STEPS as f64
     );
 }
+
+#[test]
+fn training_past_adams_exact_bias_correction_matches_the_pinned_fingerprints() {
+    // Three epochs are 450 Adam steps. From t ≈ 356 on, `1 − β₁ᵗ` rounds
+    // to exactly 1.0 and Adam skips dividing by it; the two-epoch pins
+    // above stop at step 300 and never get there.
+    let cfg = config(3);
+    let data = prepare_level_data(&cfg, FEATURES);
+    // Captured before the optimizer skipped the exact-one division.
+    let cases: [(ModelSpec, [u64; 6]); 2] = [
+        (
+            ClassicalSpec::new(FEATURES, vec![10, 10, 10], CLASSES).into(),
+            [
+                0x3fef7e4b17e4b17e,
+                0x3fee147ae147ae14,
+                0x3fef7e4b17e4b17e,
+                0x3fee147ae147ae14,
+                0x3fb1378e5590cb35,
+                0x5d161f217cfa1a20,
+            ],
+        ),
+        (
+            HybridSpec::new(
+                FEATURES,
+                CLASSES,
+                QnnTemplate::new(3, 2, EntanglerKind::Basic),
+            )
+            .into(),
+            [
+                0x3feb7e4b17e4b17e,
+                0x3fe9b4e81b4e81b5,
+                0x3feb7e4b17e4b17e,
+                0x3fe9b4e81b4e81b5,
+                0x3fe1a5a08ce1c748,
+                0x3e87b4610097a4a1,
+            ],
+        ),
+    ];
+    for (salt, (spec, want)) in cases.iter().enumerate() {
+        let (mut model, mut rng) = build(spec, salt as u64, &cfg);
+        let report = fit(&mut model, &mut rng, &cfg, &data);
+        let got = fingerprint(&report, &mut model);
+        assert_eq!(
+            got,
+            *want,
+            "{}: trained bits moved; got [{}]",
+            spec.label(),
+            got.map(|b| format!("{b:#018x}")).join(", ")
+        );
+    }
+}

@@ -282,8 +282,11 @@ pub fn record_duration(path: &str, duration: Duration) {
 /// The increment lands in the calling thread's private shard (uncontended
 /// even with many parallel workers) and is merged — by exact integer sum,
 /// so the result is schedule-independent — into [`snapshot`]s, [`flush`],
-/// and thread exit.
-pub fn counter(name: &str, delta: u64) {
+/// and thread exit. Each thread interns `name` once; after that an
+/// increment adds to the thread's own slot for it, with no hash of the
+/// text, no lock and no allocation. Names are keyed by their text, so two
+/// copies of the same literal count into one key.
+pub fn counter(name: &'static str, delta: u64) {
     registry::add_counter_sharded(name, delta);
     if enabled(Level::Trace) {
         event(

@@ -13,6 +13,14 @@
 //! span aggregates sit in slots the span module interns once per path, so
 //! closing a span at a known path neither hashes its path nor allocates.
 //!
+//! Counters take no lock at all. Each thread interns a counter name once
+//! per `&'static str` — keyed by the literal's address and length, the
+//! way span paths are keyed — to a slot of its shard: an atomic total only
+//! that thread writes. Snapshots read the slots, drains empty them and
+//! clears zero them, all under the shard-list lock, by moving a per-slot
+//! "drained" mark rather than writing the total; only a name's first
+//! increment on a thread locks the shard to register its slot.
+//!
 //! Merging is deterministic regardless of thread count or schedule:
 //! counters and span counts, totals, allocation sums and histogram buckets
 //! merge by sum, max-gauges and span maxima by max, span minima by min —
@@ -23,8 +31,10 @@
 //! sharding could only make them *less* reproducible.
 
 use crate::hist::LogHistogram;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -173,10 +183,90 @@ impl Hasher for Fnv1a {
 
 type FnvMap<V> = HashMap<String, V, BuildHasherDefault<Fnv1a>>;
 
+/// Multiplicative hashing of machine words, for the per-thread tables
+/// keyed by addresses: the keys are never attacker-chosen, and the hot
+/// paths hash one key per span open or counter increment.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// One thread's share of one counter. Only its own thread writes `total`,
+/// so an increment is a plain load and store, not a locked read-modify-
+/// write; drains and clears, which may run on any thread, never touch
+/// `total` but move the `drained` mark up to it, so neither can lose an
+/// increment racing with them. The slot publishes no data but its own
+/// counts, and readers see a complete count only after the pool's join or
+/// the shard-list lock; its release stores pair with the acquire loads of
+/// the reading paths, which on x86-64 are plain moves like relaxed ones.
+#[derive(Default)]
+struct CounterSlot {
+    /// Everything the thread has added to this counter.
+    total: AtomicU64,
+    /// `total` as of the last drain or clear (written under the
+    /// shard-list lock only).
+    drained: AtomicU64,
+    /// Set by every increment and cleared by drains and clears, so a
+    /// counter bumped only by zero since then still shows up as a key.
+    live: AtomicBool,
+}
+
+impl CounterSlot {
+    fn add(&self, delta: u64) {
+        let total = self.total.load(Ordering::Acquire);
+        self.total
+            .store(total.wrapping_add(delta), Ordering::Release);
+        self.live.store(true, Ordering::Release);
+    }
+
+    /// The count since the last drain or clear, or `None` when nothing was
+    /// added since then.
+    fn load(&self) -> Option<u64> {
+        let live = self.live.load(Ordering::Acquire);
+        let total = self.total.load(Ordering::Acquire);
+        let count = total.wrapping_sub(self.drained.load(Ordering::Acquire));
+        (count > 0 || live).then_some(count)
+    }
+
+    /// Empties the slot, returning what [`CounterSlot::load`] would have.
+    fn take(&self) -> Option<u64> {
+        let live = self.live.swap(false, Ordering::SeqCst);
+        let total = self.total.load(Ordering::Acquire);
+        let count = total.wrapping_sub(self.drained.swap(total, Ordering::SeqCst));
+        (count > 0 || live).then_some(count)
+    }
+
+    fn zero(&self) {
+        self.live.store(false, Ordering::Release);
+        self.drained
+            .store(self.total.load(Ordering::Acquire), Ordering::Release);
+    }
+}
+
 /// One thread's private metric cell.
 #[derive(Default)]
 struct ShardData {
-    counters: FnvMap<u64>,
+    /// Counter slots by name text, one per name however many copies of
+    /// the literal a thread increments it through.
+    counters: Vec<(&'static str, Arc<CounterSlot>)>,
     /// High-water-mark gauges ([`crate::gauge_max`]); merged by max.
     max_gauges: FnvMap<f64>,
     /// Span aggregates by slot ([`span_slot`]). Draining zeroes a slot in
@@ -209,10 +299,17 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// `(address, length)` of a counter name: a static name's address and
+/// length identify its text. The compiler may keep more than one copy of
+/// a literal; each copy gets its own key, all sharing the name's one slot.
+type NameKey = (usize, usize);
+
 /// Owns one thread's registration in the shard list; dropping (thread exit)
 /// drains the shard into the base maps and deregisters it.
 struct ShardHandle {
     shard: Arc<Shard>,
+    /// This thread's interned counter names.
+    counters: RefCell<HashMap<NameKey, Arc<CounterSlot>, BuildHasherDefault<WordHasher>>>,
 }
 
 impl Drop for ShardHandle {
@@ -235,18 +332,38 @@ fn with_local_shard<R>(f: impl FnOnce(&mut ShardData) -> R) -> Option<R> {
 }
 
 /// Adds `delta` to `name` in this thread's shard (base map during teardown).
-/// The hit path (every call after a name's first) is allocation-free: the
-/// `String` key is only materialised when the slot doesn't exist yet.
-pub(crate) fn add_counter_sharded(name: &str, delta: u64) {
-    let direct = with_local_shard(|data| {
-        if let Some(slot) = data.counters.get_mut(name) {
-            *slot += delta;
-        } else {
-            data.counters.insert(name.to_string(), delta);
+/// The hit path (every call after a name's first on this thread) hashes
+/// two words, takes no lock and allocates nothing: it adds to the slot the
+/// name was interned to with a plain atomic load and store.
+pub(crate) fn add_counter_sharded(name: &'static str, delta: u64) {
+    let key = (name.as_ptr() as usize, name.len());
+    let direct = LOCAL_SHARD.try_with(|handle| {
+        let hit = handle
+            .counters
+            .borrow()
+            .get(&key)
+            .map(|slot| slot.add(delta));
+        if hit.is_none() {
+            let slot = handle.counter_slot(name);
+            slot.add(delta);
+            handle.counters.borrow_mut().insert(key, slot);
         }
     });
-    if direct.is_none() {
+    if direct.is_err() {
         global().add_counter(name, delta);
+    }
+}
+
+impl ShardHandle {
+    /// The shard's slot for the text of `name`, registered on first use.
+    fn counter_slot(&self, name: &'static str) -> Arc<CounterSlot> {
+        let mut data = lock(&self.shard);
+        if let Some((_, slot)) = data.counters.iter().find(|(n, _)| *n == name) {
+            return Arc::clone(slot);
+        }
+        let slot = Arc::new(CounterSlot::default());
+        data.counters.push((name, Arc::clone(&slot)));
+        slot
     }
 }
 
@@ -376,7 +493,10 @@ impl Registry {
     fn register_shard(&self) -> ShardHandle {
         let shard = Arc::new(Mutex::new(ShardData::default()));
         lock(&self.shards).push(Arc::clone(&shard));
-        ShardHandle { shard }
+        ShardHandle {
+            shard,
+            counters: RefCell::default(),
+        }
     }
 
     /// Empties `shard` into the base maps. Callers must hold the
@@ -395,13 +515,17 @@ impl Registry {
                 }
             }
         }
-        let drained_counters = std::mem::take(&mut data.counters);
+        let drained_counters: Vec<_> = data
+            .counters
+            .iter()
+            .filter_map(|(name, slot)| Some((*name, slot.take()?)))
+            .collect();
         let drained_gauges = std::mem::take(&mut data.max_gauges);
         drop(data);
         if !drained_counters.is_empty() {
             let mut counters = lock(&self.counters);
             for (name, delta) in drained_counters {
-                *counters.entry(name).or_insert(0) += delta;
+                *counters.entry(name.to_string()).or_insert(0) += delta;
             }
         }
         if !drained_gauges.is_empty() {
@@ -439,8 +563,10 @@ impl Registry {
         let mut gauges = lock(&self.gauges).clone();
         for shard in shards.iter() {
             let data = lock(shard);
-            for (name, delta) in &data.counters {
-                *counters.entry(name.clone()).or_insert(0) += delta;
+            for (name, slot) in &data.counters {
+                if let Some(delta) = slot.load() {
+                    *counters.entry(name.to_string()).or_insert(0) += delta;
+                }
             }
             for (name, value) in &data.max_gauges {
                 gauges
@@ -491,7 +617,9 @@ impl Registry {
         let shards = lock(&self.shards);
         for shard in shards.iter() {
             let mut data = lock(shard);
-            data.counters.clear();
+            for (_, slot) in &data.counters {
+                slot.zero();
+            }
             data.max_gauges.clear();
             for (_, agg) in &mut data.spans {
                 *agg = SpanAgg::default();

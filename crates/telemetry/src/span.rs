@@ -27,10 +27,10 @@
 //! path, which the table keeps alive.
 
 use crate::event::{FieldValue, Level};
-use crate::registry;
+use crate::registry::{self, WordHasher};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,31 +83,6 @@ struct Interned {
 /// one copy of a literal (one per codegen unit a call site lands in); each
 /// copy gets its own entry, all sharing the path's one slot.
 type PathKey = (usize, usize, usize);
-
-/// Multiplicative hashing of the key's three words: the keys are
-/// addresses, never attacker-chosen, and the open path hashes one per span.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-}
 
 /// Interns the path of a span named `name` under `parent` on this thread,
 /// returning it with its registry slot.

@@ -387,3 +387,50 @@ fn spans_at_a_known_path_allocate_nothing() {
         assert_eq!(snap.spans["alloc.outer/alloc.inner"].count, 1001);
     });
 }
+
+/// Increments `alloc.counter_ticks` through the literal in this one
+/// function, which is never inlined.
+#[inline(never)]
+fn tick() {
+    telemetry::counter("alloc.counter_ticks", 1);
+}
+
+#[test]
+fn counter_hits_allocate_nothing() {
+    // The first increment interns the name; after that an increment is
+    // an add to this thread's slot, with no string built.
+    with_clean_state(|| {
+        tick();
+        let was_enabled = telemetry::alloc::is_enabled();
+        telemetry::alloc::set_enabled(true);
+        let (_, delta) = telemetry::alloc::measure(|| {
+            for _ in 0..1000 {
+                tick();
+            }
+        });
+        telemetry::alloc::set_enabled(was_enabled);
+        let delta = delta.expect("allocation counting was enabled");
+        assert_eq!(delta.count, 0, "{delta:?}");
+        assert_eq!(telemetry::snapshot().counters["alloc.counter_ticks"], 1001);
+    });
+}
+
+#[test]
+fn counters_with_the_same_text_share_one_key() {
+    // Slots are interned per name address, but a second copy of the text
+    // at another address must count into the same key, on this thread and
+    // across threads.
+    with_clean_state(|| {
+        let copy: &'static str = Box::leak(String::from("test.same_text").into_boxed_str());
+        assert_ne!(copy.as_ptr(), "test.same_text".as_ptr());
+        telemetry::counter("test.same_text", 2);
+        telemetry::counter(copy, 3);
+        std::thread::spawn(move || {
+            telemetry::counter(copy, 5);
+            telemetry::counter("test.same_text", 7);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(telemetry::snapshot().counters["test.same_text"], 17);
+    });
+}

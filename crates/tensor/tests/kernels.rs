@@ -2,10 +2,10 @@
 //!
 //! `Matrix::matmul` dispatches right operands up to 16 columns wide to
 //! register-resident fixed-width kernels and wider ones to a general loop;
-//! `Matrix::matmul_tn` computes `selfᵀ·other` without a transpose. Every
-//! path must produce exactly the fold written out below: ascending `k`,
-//! starting from `0.0`, skipping exact zeros of the left operand, each step
-//! `acc += a · b`.
+//! `Matrix::matmul_tn` computes `selfᵀ·other` without a transpose, several
+//! output rows per register tile for the same widths. Every path must
+//! produce exactly the fold written out below: ascending `k`, starting from
+//! `0.0`, skipping exact zeros of the left operand, each step `acc += a · b`.
 
 use hqnn_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
@@ -108,6 +108,24 @@ proptest! {
         // A stale, wrongly shaped buffer: matmul_tn must reshape and
         // overwrite every entry.
         let mut out = Matrix::filled(3, 5, f64::NAN);
+        x.matmul_tn(&g, &mut out);
+        let want = reference_matmul(&reference_transpose(&x), &g);
+        assert_same_bits(&out, &want, "matmul_tn");
+    }
+
+    #[test]
+    fn matmul_tn_at_layer_zero_widths_matches_reference_bitwise(
+        cols in 100usize..=120,
+        batch in 1usize..=9,
+        width in 1usize..=18,
+        seed in 0u64..1_000_000,
+    ) {
+        // Layer 0's `dW = xᵀ·g` has 110 output rows: widths around it hit
+        // every tile height's full tiles and each length of its tail.
+        let mut rng = SeededRng::new(seed);
+        let x = mixed(batch, cols, false, &mut rng);
+        let g = mixed(batch, width, true, &mut rng);
+        let mut out = Matrix::filled(2, 7, f64::NAN);
         x.matmul_tn(&g, &mut out);
         let want = reference_matmul(&reference_transpose(&x), &g);
         assert_same_bits(&out, &want, "matmul_tn");
