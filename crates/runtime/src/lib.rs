@@ -50,8 +50,18 @@
 //! let n = hqnn_runtime::with_threads(1, hqnn_runtime::threads);
 //! assert_eq!(n, 1);
 //! ```
+//!
+//! The crate also owns the one run-time CPU dispatch of the workspace:
+//! [`simd`] runs a kernel body compiled for AVX2 when the CPU has it (see
+//! its docs for why that never changes a bit).
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied, not forbidden: [`simd`] must call a
+// `#[target_feature]` function, which only `unsafe` can do, and it is the
+// one item here that allows it. `hqnn-alloc` is the only other crate whose
+// root does not forbid it (`crates/lint/tests/unsafe_confined.rs` pins both).
+// lint:allow(forbid-unsafe): simd() calls the AVX2 copy of a kernel only after is_x86_feature_detected!("avx2") returned true
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod check;
 mod pool;
@@ -123,6 +133,61 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Whether the CPU running this process has AVX2: the rule [`simd`]
+/// dispatches on, which run manifests record as `"avx2"` or `"baseline"`.
+/// `std` caches the CPUID probe, so each call is one atomic load.
+#[inline(always)]
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Runs `f`, compiled with AVX2 enabled when the CPU has it.
+///
+/// The compiler builds two copies of `f`'s body: one inside a
+/// `#[target_feature(enable = "avx2")]` function, whose vector loops use
+/// 4 f64 lanes, and the baseline one (2 lanes on x86-64). Each call runs
+/// the AVX2 copy if the CPU has AVX2. Only code *inlined* into `f` is
+/// compiled twice, so the closure needs `#[inline(always)]`, and so does
+/// every kernel it calls; a call through a function pointer stays a call
+/// into the baseline copy.
+///
+/// Both copies return the same bits. Rust never contracts `a * b + c` into
+/// an FMA, and LLVM does not reorder strict floating-point arithmetic, so
+/// a vectorised loop computes each lane's value with the same IEEE-rounded
+/// operations in the same order at any lane width.
+///
+/// ```
+/// let dot = hqnn_runtime::simd(
+///     #[inline(always)]
+///     || [1.0, 2.0].iter().zip(&[3.0, 4.0]).fold(0.0, |acc, (a, b)| acc + a * b),
+/// );
+/// assert_eq!(dot, 11.0);
+/// ```
+#[inline(always)]
+#[allow(unsafe_code)]
+pub fn simd<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        if has_avx2() {
+            // SAFETY: `avx2` is compiled for AVX2, so calling it is sound
+            // exactly when the CPU has AVX2, which `has_avx2` just checked.
+            return unsafe { avx2(f) };
+        }
+    }
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +218,22 @@ mod tests {
         let result = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
         assert!(result.is_err());
         assert_eq!(threads(), ambient);
+    }
+
+    #[test]
+    fn run_manifests_record_the_kernel_set_simd_dispatches_to() {
+        let expected = if has_avx2() { "avx2" } else { "baseline" };
+        assert_eq!(hqnn_telemetry::RunManifest::capture("simd").simd, expected);
+    }
+
+    #[test]
+    fn simd_runs_the_closure_once_and_returns_its_value() {
+        let owned = vec![1.0, 2.0, 3.0];
+        let total = simd(
+            #[inline(always)]
+            move || owned.into_iter().fold(0.0, |acc, v| acc + v),
+        );
+        assert_eq!(total, 6.0);
     }
 
     #[test]

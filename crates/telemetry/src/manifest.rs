@@ -46,6 +46,13 @@ pub struct RunManifest {
     /// Defaults to `""` when absent (pre-sharding manifests).
     #[serde(default)]
     pub shard_plan: String,
+    /// Kernel set the dense matmuls ran on: `"avx2"` when the CPU has AVX2,
+    /// else `"baseline"` (`hqnn_runtime::simd`'s dispatch rule). The kernels
+    /// return the same bits either way, but published wall-clock numbers
+    /// are only comparable between runs with equal `simd`. Defaults to `""`
+    /// when absent (manifests from before the dispatch).
+    #[serde(default)]
+    pub simd: String,
     /// FNV-1a hash of the run's configuration JSON (`"-"` when not set).
     pub config_hash: String,
     /// Seconds since the Unix epoch at capture time.
@@ -74,6 +81,7 @@ impl RunManifest {
             threads: configured_threads(),
             alloc: configured_alloc(),
             shard_plan: String::new(),
+            simd: simd_level().to_string(),
             config_hash: "-".to_string(),
             timestamp_unix: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
@@ -110,6 +118,7 @@ impl RunManifest {
             ("threads", self.threads.into()),
             ("alloc", self.alloc.into()),
             ("shard_plan", self.shard_plan.clone().into()),
+            ("simd", self.simd.clone().into()),
             ("config_hash", self.config_hash.clone().into()),
             ("timestamp_unix", self.timestamp_unix.into()),
         ]
@@ -143,6 +152,17 @@ fn configured_threads() -> usize {
     crate::env::var("HQNN_THREADS")
         .and_then(|raw| crate::env::parse_threads(&raw))
         .unwrap_or_else(crate::env::hardware_parallelism)
+}
+
+/// Kernel set the run's dense matmuls use. Mirrors the rule
+/// `hqnn_runtime::simd` dispatches on (this crate sits below the runtime, so
+/// it cannot call it); a runtime test pins the two to the same answer.
+fn simd_level() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
 }
 
 fn git_stdout(args: &[&str]) -> Option<String> {
@@ -202,7 +222,14 @@ mod tests {
         let m = RunManifest::capture("f");
         let fields = m.fields();
         let names: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
-        for key in ["git_sha", "profile", "threads", "alloc", "config_hash"] {
+        for key in [
+            "git_sha",
+            "profile",
+            "threads",
+            "alloc",
+            "simd",
+            "config_hash",
+        ] {
             assert!(names.contains(&key), "missing {key}");
         }
     }
@@ -236,6 +263,7 @@ mod tests {
             // Pre-sharding manifests default to "" — those studies ran
             // sequentially.
             assert_eq!(m.shard_plan, "");
+            assert_eq!(m.simd, "");
         }
     }
 

@@ -279,7 +279,9 @@ impl Matrix {
     /// count: ascending `k` from `0.0`, skipping exact zeros of `self`, each
     /// step `acc += a · b` (Rust never contracts it to an FMA). Right
     /// operands up to 16 columns wide run a kernel that keeps the row's
-    /// accumulators in registers; the fold, and so every bit, is unchanged.
+    /// accumulators in registers, and every kernel runs on AVX2 where the
+    /// CPU has it ([`hqnn_runtime::simd`]); the fold, and so every bit, is
+    /// unchanged.
     ///
     /// # Panics
     ///
@@ -297,29 +299,27 @@ impl Matrix {
         );
         let n = other.cols;
         let mut out = Self::zeros(self.rows, n);
-        let kernel = row_kernel(n);
+        let (a, k, b) = (&self.data[..], self.cols, &other.data[..]);
         // Output rows are independent, so large products fan rows out across
-        // the runtime; each row runs the identical kernel either way, so
-        // the gate only changes wall-clock, never a single bit of the result.
-        // Small products stay inline — thread spawn would dominate them.
-        let work = self.rows * self.cols * n;
+        // the runtime, each written in place by the same dispatched kernel
+        // as the inline loop, so the gate only changes wall-clock, never a
+        // single bit of the result. Small products stay inline — thread
+        // spawn would dominate them. A product this large has `n ≥ 1`.
+        let work = self.rows * k * n;
         if self.rows > 1 && work >= PAR_MATMUL_MIN_WORK && hqnn_runtime::threads() > 1 {
-            let rows = hqnn_runtime::par_map_range(self.rows, |r| {
-                let mut dst = vec![0.0; n];
-                kernel(self.row(r).iter().copied(), &other.data, &mut dst);
-                dst
-            });
-            for (r, row) in rows.iter().enumerate() {
-                out.data[r * n..(r + 1) * n].copy_from_slice(row);
-            }
-        } else {
-            for r in 0..self.rows {
-                kernel(
-                    self.row(r).iter().copied(),
-                    &other.data,
-                    &mut out.data[r * n..(r + 1) * n],
+            let mut rows: Vec<&mut [f64]> = out.data.chunks_exact_mut(n).collect();
+            hqnn_runtime::par_for_each_mut(&mut rows, |r, dst| {
+                let a = &a[r * k..(r + 1) * k];
+                hqnn_runtime::simd(
+                    #[inline(always)]
+                    || matmul_rows(a, k, b, n, dst),
                 );
-            }
+            });
+        } else {
+            hqnn_runtime::simd(
+                #[inline(always)]
+                || matmul_rows(a, k, b, n, &mut out.data),
+            );
         }
         out
     }
@@ -331,9 +331,10 @@ impl Matrix {
     /// operands up to 16 columns wide run a register-tiled kernel that
     /// accumulates several output rows at once, reading each row of `other`
     /// once per tile; the fold of every entry, and so every bit, is the
-    /// same. Runs sequentially and bills the same `tensor.*` counters as
-    /// the product it replaces. `out` is reshaped to
-    /// `self.cols() × other.cols()`, reusing its allocation.
+    /// same, also on AVX2 ([`hqnn_runtime::simd`]). Runs sequentially and
+    /// bills the same `tensor.*` counters as the product it replaces.
+    /// `out` is reshaped to `self.cols() × other.cols()`, reusing its
+    /// allocation.
     ///
     /// # Panics
     ///
@@ -351,26 +352,9 @@ impl Matrix {
         );
         let n = other.cols;
         out.resize(self.cols, n);
-        let (x, g, dst) = (&self.data[..], &other.data[..], &mut out.data[..]);
-        // Width `n` → tile height: as many output rows per tile as keep
-        // the tile's accumulators in registers (measured on 8-row batches
-        // at 10 and 110 input columns).
-        macro_rules! tiled {
-            ($($n:literal => $t:literal)+) => {
-                match n {
-                    $($n => tn_tiled::<$t, $n>(x, self.cols, g, dst),)+
-                    _ => {
-                        for i in 0..self.cols {
-                            let column = x.iter().skip(i).step_by(self.cols).copied();
-                            row_any(column, g, &mut dst[i * n..(i + 1) * n]);
-                        }
-                    }
-                }
-            };
-        }
-        tiled!(
-            1 => 8 2 => 8 3 => 8 4 => 8 5 => 4 6 => 4 7 => 2 8 => 2
-            9 => 2 10 => 2 11 => 2 12 => 2 13 => 2 14 => 2 15 => 2 16 => 2
+        hqnn_runtime::simd(
+            #[inline(always)]
+            || matmul_tn_rows(&self.data, self.cols, &other.data, n, &mut out.data),
         );
     }
 
@@ -570,28 +554,34 @@ impl Matrix {
     }
 }
 
-/// A row kernel: overwrites `dst` with `Σ_k a_k · other[k, ..]` for the
-/// sequence `a`, where `other` is row-major with `dst.len()` columns.
-type RowKernel<I> = fn(I, &[f64], &mut [f64]);
-
-/// The row kernel for a right operand `width` columns wide: a
-/// register-resident one up to 16 columns, else the general loop.
-fn row_kernel<I: Iterator<Item = f64>>(width: usize) -> RowKernel<I> {
+/// `dst = a · b` for a row-major `a` with `k` columns and a row-major `b`
+/// with `n`: the body both of [`Matrix::matmul`]'s branches dispatch. One
+/// `match` on `n` picks the kernel, then every row of `dst` runs through it.
+#[inline(always)]
+fn matmul_rows(a: &[f64], k: usize, b: &[f64], n: usize, dst: &mut [f64]) {
+    if n == 0 {
+        return;
+    }
+    let dst = dst.chunks_exact_mut(n);
     macro_rules! fixed {
         ($($n:literal)+) => {
-            match width {
-                $($n => row_fixed::<$n, I>,)+
-                _ => row_any::<I>,
+            match n {
+                $($n => for (r, d) in dst.enumerate() {
+                    row_fixed::<$n, _>(a[r * k..(r + 1) * k].iter().copied(), b, d);
+                },)+
+                _ => for (r, d) in dst.enumerate() {
+                    row_any(a[r * k..(r + 1) * k].iter().copied(), b, d);
+                },
             }
         };
     }
-    fixed!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    fixed!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
 }
 
 /// `N`-wide row kernel: the `N` accumulators live in registers for the
 /// whole fold instead of being reloaded and stored on every `k`. Same sum,
 /// same order as [`row_any`].
-#[inline]
+#[inline(always)]
 fn row_fixed<const N: usize, I: Iterator<Item = f64>>(a: I, other: &[f64], dst: &mut [f64]) {
     let mut acc = [0.0; N];
     for (a, src) in a.zip(other.as_chunks::<N>().0) {
@@ -606,6 +596,7 @@ fn row_fixed<const N: usize, I: Iterator<Item = f64>>(a: I, other: &[f64], dst: 
 }
 
 /// Any-width row kernel, accumulating in `dst` itself.
+#[inline(always)]
 fn row_any<I: Iterator<Item = f64>>(a: I, other: &[f64], dst: &mut [f64]) {
     dst.fill(0.0);
     if dst.is_empty() {
@@ -621,12 +612,39 @@ fn row_any<I: Iterator<Item = f64>>(a: I, other: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// `xᵀ·g` into `out` for a row-major `x` with `cols` columns and a `g`
-/// `N` columns wide: output rows in tiles of `T`, then one at a time.
-fn tn_tiled<const T: usize, const N: usize>(x: &[f64], cols: usize, g: &[f64], out: &mut [f64]) {
-    if cols == 0 {
+/// `xᵀ·g` into `out` for a row-major `x` with `cols` columns and a
+/// row-major `g` with `n`: the body [`Matrix::matmul_tn`] dispatches.
+/// Width `n` → tile height: as many output rows per tile as keep the
+/// tile's accumulators in registers (measured on 8-row batches at 10 and
+/// 110 input columns); wider `g` runs [`row_any`] per output row.
+#[inline(always)]
+fn matmul_tn_rows(x: &[f64], cols: usize, g: &[f64], n: usize, out: &mut [f64]) {
+    if cols == 0 || n == 0 {
         return;
     }
+    macro_rules! tiled {
+        ($($n:literal => $t:literal)+) => {
+            match n {
+                $($n => tn_tiled::<$t, $n>(x, cols, g, out),)+
+                _ => {
+                    for (i, dst) in out.chunks_exact_mut(n).enumerate() {
+                        let column = x.iter().skip(i).step_by(cols).copied();
+                        row_any(column, g, dst);
+                    }
+                }
+            }
+        };
+    }
+    tiled!(
+        1 => 8 2 => 8 3 => 8 4 => 8 5 => 4 6 => 4 7 => 2 8 => 2
+        9 => 2 10 => 2 11 => 2 12 => 2 13 => 2 14 => 2 15 => 2 16 => 2
+    );
+}
+
+/// `xᵀ·g` into `out` for a row-major `x` with `cols` columns and a `g`
+/// `N` columns wide: output rows in tiles of `T`, then one at a time.
+#[inline(always)]
+fn tn_tiled<const T: usize, const N: usize>(x: &[f64], cols: usize, g: &[f64], out: &mut [f64]) {
     let g = g.as_chunks::<N>().0;
     let mut i = 0;
     while i + T <= cols {
@@ -936,6 +954,62 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         assert!(format!("{}", sample()).contains("Matrix 2x3"));
+    }
+
+    /// A `rows × cols` matrix of values in `[-3, 3)` with exact `±0.0`
+    /// (the zero skip) and, when `special` is set, `±inf` and `NaN`.
+    fn mixed(rows: usize, cols: usize, special: bool, rng: &mut SeededRng) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        for v in &mut m.data {
+            let pick = rng.uniform(0.0, 1.0);
+            *v = match pick {
+                p if p < 0.15 => 0.0,
+                p if p < 0.25 => -0.0,
+                p if special && p < 0.28 => f64::INFINITY,
+                p if special && p < 0.31 => f64::NEG_INFINITY,
+                p if special && p < 0.33 => f64::NAN,
+                _ => rng.uniform(-3.0, 3.0),
+            };
+        }
+        m
+    }
+
+    #[test]
+    fn undispatched_kernel_bodies_match_the_entry_points_bitwise() {
+        // Called directly, `matmul_rows` and `matmul_tn_rows` are inlined
+        // here and compiled for the baseline target; through the entry
+        // points they run inside `hqnn_runtime::simd`, which on an AVX2
+        // host is the AVX2 copy. Shapes: a single row, training batches,
+        // the 1200-row evaluation set (row-parallel at 2+ threads) and an
+        // empty inner dimension, at every fixed width and past them.
+        let mut rng = SeededRng::new(24);
+        for (rows, inner) in [(1, 110), (8, 10), (8, 110), (1200, 110), (8, 0)] {
+            for n in 1..=18 {
+                let a = mixed(rows, inner, false, &mut rng);
+                let b = mixed(inner, n, true, &mut rng);
+                let mut want = vec![f64::NAN; rows * n];
+                matmul_rows(&a.data, inner, &b.data, n, &mut want);
+                assert_same_bits(a.matmul(&b).as_slice(), &want, "matmul", rows, n);
+
+                let g = mixed(rows, n, true, &mut rng);
+                let mut want = vec![f64::NAN; inner * n];
+                matmul_tn_rows(&a.data, inner, &g.data, n, &mut want);
+                let mut got = Matrix::zeros(0, 0);
+                a.matmul_tn(&g, &mut got);
+                assert_same_bits(got.as_slice(), &want, "matmul_tn", rows, n);
+            }
+        }
+    }
+
+    /// Equal bits, or both NaN (a NaN's payload is unspecified).
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str, rows: usize, n: usize) {
+        assert_eq!(got.len(), want.len(), "{what} {rows}x{n}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what} {rows}x{n}: entry {i} is {g:e}, baseline kernel {w:e}"
+            );
+        }
     }
 
     #[test]

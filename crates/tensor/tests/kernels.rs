@@ -6,6 +6,9 @@
 //! output rows per register tile for the same widths. Every path must
 //! produce exactly the fold written out below: ascending `k`, starting from
 //! `0.0`, skipping exact zeros of the left operand, each step `acc += a · b`.
+//! Both products run on AVX2 where the CPU has it, so on such a host these
+//! tests check the AVX2 copy of every kernel, and the unit tests in
+//! `matrix.rs` check the baseline copy on the same inputs.
 
 use hqnn_tensor::{Matrix, SeededRng};
 use proptest::prelude::*;
@@ -129,5 +132,42 @@ proptest! {
         x.matmul_tn(&g, &mut out);
         let want = reference_matmul(&reference_transpose(&x), &g);
         assert_same_bits(&out, &want, "matmul_tn");
+    }
+}
+
+proptest! {
+    // Fewer cases: a 1200-row product costs the naive reference ~2M steps.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn matmul_at_the_studys_shapes_matches_reference_bitwise(
+        rows in prop_oneof![1usize..=9, Just(1200usize)],
+        inner in 100usize..=120,
+        width in 1usize..=18,
+        seed in 0u64..1_000_000,
+    ) {
+        // A training batch (1–9 rows) or the 1200-row evaluation set
+        // through a first dense layer of 100–120 inputs: every fixed width
+        // and the general loop, and on the evaluation batch the row-parallel
+        // branch whenever the thread budget allows it.
+        let mut rng = SeededRng::new(seed);
+        let a = mixed(rows, inner, false, &mut rng);
+        let b = mixed(inner, width, true, &mut rng);
+        assert_same_bits(&a.matmul(&b), &reference_matmul(&a, &b), "matmul");
+    }
+
+    #[test]
+    fn input_gradient_product_matches_reference_bitwise(
+        inner in 2usize..=16,
+        width in 100usize..=120,
+        seed in 0u64..1_000_000,
+    ) {
+        // A first dense layer's `dL/dx = g·Wᵀ`: an 8-row batch gradient
+        // times a transposed weight 100–120 columns wide, which runs the
+        // general loop.
+        let mut rng = SeededRng::new(seed);
+        let g = mixed(8, inner, false, &mut rng);
+        let wt = mixed(inner, width, true, &mut rng);
+        assert_same_bits(&g.matmul(&wt), &reference_matmul(&g, &wt), "g·Wᵀ");
     }
 }
