@@ -3,7 +3,7 @@
 CARGO ?= cargo
 PROFILE_DIR ?= experiment-results
 
-.PHONY: build test repro profile smoke obs-smoke bench bench-check bench-smoke bench-baseline bench-trend lint sched-check fmt clippy clean
+.PHONY: build test repro profile smoke obs-smoke lint sched-check fmt clippy clean
 
 build:
 	$(CARGO) build --release --workspace
@@ -43,29 +43,6 @@ obs-smoke:
 	$(CARGO) run -q -p hqnn-obs --release --bin hqnn-obs -- flamegraph-diff \
 		$(OBS_DIR)/trace.jsonl $(OBS_DIR)/trace.jsonl --weight bytes
 	@echo "obs-smoke artifacts in $(OBS_DIR)"
-
-# Microbenchmark suite: appends bench/history/BENCH_<stamp>.json with run
-# manifest, median/MAD timings, throughput, and measured-vs-analytic FLOPs
-# efficiency. Commit the new entry to extend the repo's perf record.
-bench:
-	$(CARGO) run -p hqnn-perfbench --release --bin perfbench -- --out bench/history
-
-# Same run, then gate against the committed baseline: exits non-zero when
-# any benchmark regresses beyond its noise-aware threshold.
-bench-check:
-	$(CARGO) run -p hqnn-perfbench --release --bin perfbench -- --check
-
-# CI scale: identical workloads, minimum iterations (seconds total).
-bench-smoke:
-	$(CARGO) run -p hqnn-perfbench --release --bin perfbench -- --smoke
-
-# Rewrite bench/baseline.json from a fresh full-scale run on this machine.
-bench-baseline:
-	$(CARGO) run -p hqnn-perfbench --release --bin perfbench -- --update-baseline
-
-# Per-benchmark trajectory report over the committed bench/history/ series.
-bench-trend:
-	$(CARGO) run -p hqnn-perfbench --release --bin perfbench -- --trend
 
 # Static analysis gate: the workspace invariant linter (determinism, panic
 # hygiene, env registry, span naming — see `hqnn-lint --list-rules`), the

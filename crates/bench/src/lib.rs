@@ -491,7 +491,7 @@ mod tests {
     fn load_study_reports_an_out_of_range_winner_and_starts_fresh() {
         let cli = smoke_cli_in_temp_dir("bad-winner-cache");
         let mut cached = StudyResult::new(ExperimentConfig::smoke());
-        cached.run_classical();
+        cached.run_family(Family::Classical, &mut |_, _, _| {});
         cached.classical[0].repetitions[0].winner = Some(999);
         cached.save(cli.study_path()).expect("save cache");
         let mem = telemetry::add_memory_sink();
@@ -507,7 +507,7 @@ mod tests {
     fn load_study_treats_a_cache_without_numerics_stamp_as_stale() {
         let cli = smoke_cli_in_temp_dir("unstamped-cache");
         let mut cached = StudyResult::new(ExperimentConfig::smoke());
-        cached.run_classical();
+        cached.run_family(Family::Classical, &mut |_, _, _| {});
         // Drop the stamp, as in a study saved before it existed.
         let mut json = serde_json::to_value(&cached).expect("study serializes");
         if let serde_json::Value::Map(fields) = &mut json {
@@ -571,7 +571,7 @@ mod tests {
         for level in [1u64, 2] {
             let cli = smoke_cli_in_temp_dir(&format!("fusion-{level}-cache"));
             let mut cached = StudyResult::new(ExperimentConfig::smoke());
-            cached.run_classical();
+            cached.run_family(Family::Classical, &mut |_, _, _| {});
             let mut json = serde_json::to_value(&cached).expect("study serializes");
             if let serde_json::Value::Map(fields) = &mut json {
                 let stamp = fields
@@ -630,7 +630,7 @@ mod tests {
     fn load_study_reuses_a_current_cache() {
         let cli = smoke_cli_in_temp_dir("current-cache");
         let mut cached = StudyResult::new(ExperimentConfig::smoke());
-        cached.run_classical();
+        cached.run_family(Family::Classical, &mut |_, _, _| {});
         cached.save(cli.study_path()).expect("save cache");
         let mem = telemetry::add_memory_sink();
         let study = cli.load_study();
@@ -643,7 +643,7 @@ mod tests {
     #[test]
     fn ensure_families_shards_only_the_missing_ones() {
         let mut study = StudyResult::new(ExperimentConfig::smoke());
-        study.run_classical();
+        study.run_family(Family::Classical, &mut |_, _, _| {});
         let cached = study.clone();
         let plan = ensure_families(&mut study, &[Family::Classical, Family::HybridBel])
             .expect("BEL was missing, a search must run");

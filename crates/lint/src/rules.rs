@@ -15,7 +15,7 @@ use crate::parse;
 pub const NUMERIC_CRATES: &[&str] = &["tensor", "qsim", "nn", "search", "autodiff"];
 
 /// Crates allowed to read wall-clock time.
-pub const WALLCLOCK_CRATES: &[&str] = &["telemetry", "perfbench"];
+pub const WALLCLOCK_CRATES: &[&str] = &["telemetry"];
 
 /// Crates allowed to branch on thread identity.
 pub const THREAD_ID_CRATES: &[&str] = &["runtime"];
@@ -70,7 +70,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "wall-clock",
-        summary: "Instant/SystemTime outside telemetry and perfbench",
+        summary: "Instant/SystemTime outside telemetry",
         rationale: "timing reads in numeric code invite time-dependent control flow; route timing through hqnn-telemetry",
     },
     Rule {
@@ -293,7 +293,7 @@ fn check_wall_clock(lexed: &Lexed, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                 "wall-clock",
                 t.line,
                 format!(
-                    "{} outside telemetry/perfbench; route timing through hqnn-telemetry spans so numeric code stays time-independent",
+                    "{} outside telemetry; route timing through hqnn-telemetry spans so numeric code stays time-independent",
                     t.text
                 ),
             );

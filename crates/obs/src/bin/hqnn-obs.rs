@@ -9,7 +9,6 @@
 //! ```
 
 use hqnn_obs::{critical_path, diff, flamegraph_diff, grep, tree, Filter, FlameWeight, Trace};
-use hqnn_perfbench::GateConfig;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -33,7 +32,7 @@ fn run(argv: &[String]) -> Result<String, String> {
     match (sub, &argv[1..]) {
         ("critical-path", [trace]) => Ok(critical_path(&load(trace)?)),
         ("tree", [trace]) => Ok(tree(&load(trace)?)),
-        ("diff", [a, b]) => Ok(diff(&load(a)?, &load(b)?, &GateConfig::default())),
+        ("diff", [a, b]) => Ok(diff(&load(a)?, &load(b)?)),
         ("grep", [trace, specs @ ..]) if !specs.is_empty() => {
             let filters = specs
                 .iter()

@@ -1,20 +1,24 @@
 //! Per-span-path median comparison of two traces, with a MAD noise band.
 
 use crate::model::{fmt_us, mad_u64, median_u64, Trace};
-use hqnn_perfbench::GateConfig;
 use std::collections::BTreeSet;
+
+/// Relative delta below which a path is never flagged (`0.10` = 10 %).
+const REL_FLOOR: f64 = 0.10;
+/// How many MADs (the larger of the two traces', relative to the baseline
+/// median) of slack the noise term grants.
+const MAD_MULTIPLIER: f64 = 4.0;
 
 /// Compares span durations between a baseline and a current trace.
 ///
 /// For every span path present in either trace, the per-occurrence duration
-/// medians are compared; the relative delta is judged against the same
-/// noise band the perfbench regression gate uses —
-/// `max(rel_threshold, mad_multiplier × max(MAD_a, MAD_b) / median_a)` with
-/// the default [`GateConfig`] (±10 %, 4×MAD). Paths outside the band are
-/// flagged `REGRESSION`/`IMPROVEMENT`; inside it, `within noise`. Paths on
-/// only one side are listed as `new`/`gone` (never flagged: a renamed span
-/// is not a perf change).
-pub fn diff(baseline: &Trace, current: &Trace, config: &GateConfig) -> String {
+/// medians are compared; the relative delta is judged against the noise band
+/// `max(REL_FLOOR, MAD_MULTIPLIER × max(MAD_a, MAD_b) / median_a)`
+/// (±10 %, 4×MAD): a path must move by more than its own jitter. Paths
+/// outside the band are flagged `REGRESSION`/`IMPROVEMENT`; inside it,
+/// `within noise`. Paths on only one side are listed as `new`/`gone` (never
+/// flagged: a renamed span is not a perf change).
+pub fn diff(baseline: &Trace, current: &Trace) -> String {
     let base = baseline.durations_by_path();
     let cur = current.durations_by_path();
     let paths: BTreeSet<&str> = base.keys().chain(cur.keys()).copied().collect();
@@ -35,7 +39,7 @@ pub fn diff(baseline: &Trace, current: &Trace, config: &GateConfig) -> String {
             (Some(a), Some(b)) => {
                 let med_a = median_u64(a);
                 let med_b = median_u64(b);
-                let (rel, allowed) = band(a, b, med_a, med_b, config);
+                let (rel, allowed) = band(a, b, med_a, med_b);
                 let verdict = if rel > allowed {
                     regressions += 1;
                     "REGRESSION"
@@ -88,17 +92,15 @@ pub fn diff(baseline: &Trace, current: &Trace, config: &GateConfig) -> String {
 }
 
 /// `(relative delta, allowed band)` for one path's sample sets.
-fn band(a: &[u64], b: &[u64], med_a: u64, med_b: u64, config: &GateConfig) -> (f64, f64) {
+fn band(a: &[u64], b: &[u64], med_a: u64, med_b: u64) -> (f64, f64) {
     if med_a == 0 {
         // A zero baseline median (sub-µs spans) makes relative deltas
         // meaningless; call everything noise rather than divide by zero.
-        return (0.0, config.rel_threshold);
+        return (0.0, REL_FLOOR);
     }
     let rel = (med_b as f64 - med_a as f64) / med_a as f64;
     let mad = mad_u64(a).max(mad_u64(b)) as f64;
-    let allowed = config
-        .rel_threshold
-        .max(config.mad_multiplier * mad / med_a as f64);
+    let allowed = REL_FLOOR.max(MAD_MULTIPLIER * mad / med_a as f64);
     (rel, allowed)
 }
 
@@ -123,7 +125,7 @@ mod tests {
     fn flags_large_deltas_and_tolerates_noise() {
         let a = trace_of(&[("run/hot", 100), ("run/hot", 102), ("run/cold", 50)]);
         let b = trace_of(&[("run/hot", 160), ("run/hot", 158), ("run/cold", 52)]);
-        let report = diff(&a, &b, &GateConfig::default());
+        let report = diff(&a, &b);
         assert!(report.contains("REGRESSION"), "{report}");
         assert!(report.contains("within noise"), "{report}");
         assert!(
@@ -136,7 +138,7 @@ mod tests {
     fn improvements_and_membership_changes_are_reported() {
         let a = trace_of(&[("run/slow", 200), ("run/gone", 10)]);
         let b = trace_of(&[("run/slow", 100), ("run/new", 10)]);
-        let report = diff(&a, &b, &GateConfig::default());
+        let report = diff(&a, &b);
         assert!(report.contains("IMPROVEMENT"), "{report}");
         assert!(report.contains("new"), "{report}");
         assert!(report.contains("gone"), "{report}");
@@ -149,16 +151,30 @@ mod tests {
         // a 50% delta stays within noise.
         let a = trace_of(&[("p", 60), ("p", 100), ("p", 140)]);
         let b = trace_of(&[("p", 150), ("p", 150), ("p", 150)]);
-        let report = diff(&a, &b, &GateConfig::default());
+        let report = diff(&a, &b);
         assert!(report.contains("within noise"), "{report}");
+    }
+
+    #[test]
+    fn zero_baseline_median_is_within_noise() {
+        // Sub-µs spans record 0; no relative delta exists, so even a jump
+        // to 500 µs is reported at 0% against the floor, never flagged.
+        let a = trace_of(&[("run/tiny", 0), ("run/tiny", 0), ("run/tiny", 3)]);
+        let b = trace_of(&[("run/tiny", 500), ("run/tiny", 500)]);
+        let report = diff(&a, &b);
+        assert!(
+            report.contains("    0.0%    10.0%  within noise"),
+            "{report}"
+        );
+        assert!(
+            report.contains("summary: 0 regression(s), 0 improvement(s)"),
+            "{report}"
+        );
     }
 
     #[test]
     fn empty_traces_say_so() {
         let empty = Trace::parse("").expect("parse");
-        assert_eq!(
-            diff(&empty, &empty, &GateConfig::default()),
-            "no spans in either trace\n"
-        );
+        assert_eq!(diff(&empty, &empty), "no spans in either trace\n");
     }
 }

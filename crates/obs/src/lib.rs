@@ -14,8 +14,8 @@
 //!   written before causal IDs existed.
 //! - [`tree::tree`] — the span tree with per-path count, total, p50/p95/p99,
 //!   allocation columns (when `HQNN_ALLOC=1` was set), and counter deltas.
-//! - [`diff::diff`] — per-span-path median deltas between two traces, gated
-//!   by the same MAD-based noise band the perfbench regression gate uses.
+//! - [`diff::diff`] — per-span-path median deltas between two traces,
+//!   judged against a noise band of max(10 %, 4×MAD / baseline median).
 //! - [`grep::grep`] — structured field filtering (`key=value`), re-emitting
 //!   matching records as canonical JSONL.
 //! - [`flame::flamegraph_diff`] — collapsed-stack output with base/current

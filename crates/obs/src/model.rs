@@ -94,8 +94,14 @@ impl Trace {
     /// Parses a JSONL trace from text. Blank lines are skipped; any other
     /// unparsable line is an error (truncated tails should be fixed at the
     /// source, not silently dropped from analyses).
+    ///
+    /// A trace whose `dur_us`, `alloc_bytes` or `alloc_count` sum over all
+    /// spans overflows `u64` is rejected too: every per-path and per-parent
+    /// total the analyses take is bounded by these sums, so none of them can
+    /// overflow once parsing succeeds.
     pub fn parse(text: &str) -> Result<Trace, ObsError> {
         let mut trace = Trace::default();
+        let mut totals = [0u64; 3];
         for (idx, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -104,7 +110,15 @@ impl Trace {
                 line: idx + 1,
                 error: e.to_string(),
             })?;
+            let spans_before = trace.spans.len();
             trace.index(&ev);
+            if let Some(s) = trace.spans.get(spans_before) {
+                totals = add_span(totals, s).ok_or_else(|| ObsError::Parse {
+                    line: idx + 1,
+                    error: "span dur_us, alloc_bytes or alloc_count totals overflow u64"
+                        .to_string(),
+                })?;
+            }
             trace.events.push(ev);
         }
         Ok(trace)
@@ -179,6 +193,16 @@ impl Trace {
         }
         by_path
     }
+}
+
+/// `totals` (`dur_us`, `alloc_bytes`, `alloc_count`) plus one span's, or
+/// `None` on overflow.
+fn add_span(totals: [u64; 3], s: &SpanRecord) -> Option<[u64; 3]> {
+    Some([
+        totals[0].checked_add(s.dur_us)?,
+        totals[1].checked_add(s.alloc_bytes)?,
+        totals[2].checked_add(s.alloc_count)?,
+    ])
 }
 
 /// A `u64`-ish field value (accepts the integer encodings JSON round-trips
@@ -309,6 +333,21 @@ mod tests {
         match Trace::parse(bad) {
             Err(ObsError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn span_totals_past_u64_are_rejected_not_wrapped() {
+        for field in ["dur_us", "alloc_bytes", "alloc_count"] {
+            let line = format!(
+                r#"{{"ts_us":1,"level":"debug","event":"span","path":"run","{field}":{}}}"#,
+                u64::MAX
+            );
+            assert!(Trace::parse(&line).is_ok(), "{field}: one span fits");
+            match Trace::parse(&format!("{line}\n\n{line}\n")) {
+                Err(ObsError::Parse { line, .. }) => assert_eq!(line, 3, "{field}"),
+                other => panic!("{field}: expected overflow error, got {other:?}"),
+            }
         }
     }
 

@@ -3,7 +3,6 @@
 //! logs must keep loading.
 
 use hqnn_obs::{critical_path, diff, flamegraph_diff, grep, tree, Filter, FlameWeight, Trace};
-use hqnn_perfbench::GateConfig;
 use hqnn_telemetry::Event;
 use std::path::PathBuf;
 
@@ -41,7 +40,7 @@ fn critical_path_legacy_fallback_matches_golden() {
 
 #[test]
 fn diff_matches_golden() {
-    let report = diff(&load("a.jsonl"), &load("b.jsonl"), &GateConfig::default());
+    let report = diff(&load("a.jsonl"), &load("b.jsonl"));
     assert_eq!(report, golden("diff_a_b.txt"));
 }
 
@@ -61,10 +60,7 @@ fn analyses_are_deterministic_across_repeated_runs() {
     let (a, b) = (load("a.jsonl"), load("b.jsonl"));
     for _ in 0..3 {
         assert_eq!(critical_path(&a), critical_path(&a));
-        assert_eq!(
-            diff(&a, &b, &GateConfig::default()),
-            diff(&a, &b, &GateConfig::default())
-        );
+        assert_eq!(diff(&a, &b), diff(&a, &b));
     }
 }
 

@@ -18,8 +18,7 @@
 //!   benchmarks and property tests use, and
 //! * [`gradient::parameter_shift`] — the textbook two-term shift rule, used to
 //!   cross-check the adjoint engines and for the gradient-cost
-//!   comparisons (the `quantum_gradients` example, perfbench's
-//!   `qsim.param_shift_grad`).
+//!   comparisons (the `quantum_gradients` example and ablation 2).
 //!
 //! Qubit ordering is **little-endian**: wire `q` corresponds to bit `q` of the
 //! amplitude index, so `|q1 q0⟩ = |10⟩` is amplitude index `2`.

@@ -2,15 +2,16 @@
 //!
 //! | Paper artifact | Driver |
 //! |----------------|--------|
-//! | Fig. 6 (classical FLOPs scaling)   | [`StudyResult::run_classical`] |
-//! | Fig. 7 (hybrid BEL FLOPs scaling)  | [`StudyResult::run_bel`] |
-//! | Fig. 8 (hybrid SEL FLOPs scaling)  | [`StudyResult::run_sel`] |
+//! | Fig. 6 (classical FLOPs scaling)   | [`StudyResult::run_study_sharded`] over [`Family::Classical`] |
+//! | Fig. 7 (hybrid BEL FLOPs scaling)  | [`StudyResult::run_study_sharded`] over [`Family::HybridBel`] |
+//! | Fig. 8 (hybrid SEL FLOPs scaling)  | [`StudyResult::run_study_sharded`] over [`Family::HybridSel`] |
 //! | Fig. 9 (parameter counts)          | winners of the above |
 //! | Fig. 10 (comparative rates)        | smallest winners of the above |
 //! | Table I (Enc/CL/QL ablation)       | [`table_one_paper_combos`], [`table_one_from_study`] |
 //!
 //! A [`StudyResult`] is serialisable; the figure binaries cache it as JSON
-//! so Fig. 9/10 reuse the searches Figs. 6–8 ran.
+//! so Fig. 9/10 reuse the searches Figs. 6–8 ran. [`StudyResult::run_family`]
+//! is the sequential oracle the sharded study is tested against.
 
 use std::fs;
 use std::io;
@@ -197,9 +198,14 @@ impl StudyResult {
         }
     }
 
-    /// Runs one family's search over every configured level, storing (and
-    /// returning a reference to) its per-level results. `progress` receives
-    /// `(n_features, repetition, combo)` after each evaluation.
+    /// Runs one family's search over every configured level, one level after
+    /// another, storing (and returning a reference to) its per-level results.
+    /// `progress` receives `(n_features, repetition, combo)` after each
+    /// evaluation.
+    ///
+    /// This is the sequential oracle: no figure binary calls it, but
+    /// [`StudyResult::run_study_sharded`] must reproduce its results byte for
+    /// byte at every thread budget, and the tests compare the two.
     pub fn run_family(
         &mut self,
         family: Family,
@@ -323,21 +329,6 @@ impl StudyResult {
             *slot = results;
         }
         plan
-    }
-
-    /// Runs the classical search (Fig. 6) quietly.
-    pub fn run_classical(&mut self) -> &[LevelResult] {
-        self.run_family(Family::Classical, &mut |_, _, _| {})
-    }
-
-    /// Runs the BEL-hybrid search (Fig. 7) quietly.
-    pub fn run_bel(&mut self) -> &[LevelResult] {
-        self.run_family(Family::HybridBel, &mut |_, _, _| {})
-    }
-
-    /// Runs the SEL-hybrid search (Fig. 8) quietly.
-    pub fn run_sel(&mut self) -> &[LevelResult] {
-        self.run_family(Family::HybridSel, &mut |_, _, _| {})
     }
 
     /// The stored results for a family (may be empty if not run).
@@ -558,9 +549,9 @@ mod tests {
     #[test]
     fn smoke_study_runs_all_families() {
         let mut study = StudyResult::new(ExperimentConfig::smoke());
-        study.run_classical();
-        study.run_bel();
-        study.run_sel();
+        study.run_family(Family::Classical, &mut |_, _, _| {});
+        study.run_family(Family::HybridBel, &mut |_, _, _| {});
+        study.run_family(Family::HybridSel, &mut |_, _, _| {});
         assert_eq!(study.classical.len(), 2);
         assert_eq!(study.hybrid_bel.len(), 2);
         assert_eq!(study.hybrid_sel.len(), 2);
@@ -574,7 +565,7 @@ mod tests {
     #[test]
     fn study_round_trips_through_json() {
         let mut study = StudyResult::new(ExperimentConfig::smoke());
-        study.run_classical();
+        study.run_family(Family::Classical, &mut |_, _, _| {});
         let dir = std::env::temp_dir().join("hqnn-search-test");
         let path = dir.join("study.json");
         study.save(&path).expect("save study");
@@ -586,7 +577,7 @@ mod tests {
     #[test]
     fn load_rejects_a_winner_that_is_not_a_passing_combo() {
         let mut study = StudyResult::new(ExperimentConfig::smoke());
-        study.run_classical();
+        study.run_family(Family::Classical, &mut |_, _, _| {});
         let path = std::env::temp_dir().join(format!(
             "hqnn-search-bad-winner-{}.json",
             std::process::id()
@@ -636,7 +627,7 @@ mod tests {
     #[test]
     fn table_one_from_study_uses_winners() {
         let mut study = StudyResult::new(ExperimentConfig::smoke());
-        study.run_sel();
+        study.run_family(Family::HybridSel, &mut |_, _, _| {});
         let rows = table_one_from_study(&study);
         // Smoke protocol may or may not find winners; rows must be
         // structurally valid either way.

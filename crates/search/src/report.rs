@@ -252,13 +252,13 @@ pub fn winners_csv(study: &StudyResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{table_one_paper_combos, ExperimentConfig, StudyResult};
+    use crate::experiments::{table_one_paper_combos, ExperimentConfig, Family, StudyResult};
     use hqnn_flops::CostModel;
 
     fn smoke_study() -> StudyResult {
         let mut study = StudyResult::new(ExperimentConfig::smoke());
-        study.run_classical();
-        study.run_sel();
+        study.run_family(Family::Classical, &mut |_, _, _| {});
+        study.run_family(Family::HybridSel, &mut |_, _, _| {});
         study
     }
 

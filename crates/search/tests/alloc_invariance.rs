@@ -3,6 +3,7 @@
 //! the same study with counting disabled — the instrumented allocator may
 //! count, but it must never change a number.
 
+use hqnn_search::experiments::Family;
 use hqnn_search::{ExperimentConfig, StudyResult};
 use hqnn_telemetry as telemetry;
 
@@ -17,8 +18,8 @@ fn study_json(alloc_counting: bool) -> String {
         let mut config = ExperimentConfig::smoke();
         config.levels = vec![4];
         let mut study = StudyResult::new(config);
-        study.run_classical();
-        study.run_bel();
+        study.run_family(Family::Classical, &mut |_, _, _| {});
+        study.run_family(Family::HybridBel, &mut |_, _, _| {});
         serde_json::to_string_pretty(&study).expect("serialize study")
     };
     telemetry::alloc::set_enabled(was_enabled);

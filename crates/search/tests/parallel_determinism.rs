@@ -25,8 +25,8 @@ fn study_json(threads: usize, sharded: bool) -> String {
                 &mut |_, _, _, _| {},
             );
         } else {
-            study.run_classical();
-            study.run_bel();
+            study.run_family(Family::Classical, &mut |_, _, _| {});
+            study.run_family(Family::HybridBel, &mut |_, _, _| {});
         }
         serde_json::to_string_pretty(&study).expect("serialize study")
     })

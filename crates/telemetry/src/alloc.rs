@@ -69,8 +69,9 @@ pub(crate) fn window_end(start: WindowStart) -> AllocDelta {
 }
 
 /// Runs `f` inside a measurement window and returns its result plus the
-/// allocation delta (`None` when counting is disabled). The hook perfbench
-/// uses to add alloc columns around its timed loops.
+/// allocation delta (`None` when counting is disabled). The hook the
+/// allocation-budget tests (`training_pins`, the quantum layer's) put around
+/// the code they bound.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Option<AllocDelta>) {
     let start = window_start();
     let out = f();
