@@ -8,6 +8,9 @@ const REL_FLOOR: f64 = 0.10;
 /// How many MADs (the larger of the two traces', relative to the baseline
 /// median) of slack the noise term grants.
 const MAD_MULTIPLIER: f64 = 4.0;
+/// Median (µs) past which a path whose baseline median is 0 µs is flagged:
+/// a relative delta from zero is undefined, so an absolute floor stands in.
+const ZERO_BASELINE_FLOOR_US: u64 = 10;
 
 /// Compares span durations between a baseline and a current trace.
 ///
@@ -16,8 +19,11 @@ const MAD_MULTIPLIER: f64 = 4.0;
 /// `max(REL_FLOOR, MAD_MULTIPLIER × max(MAD_a, MAD_b) / median_a)`
 /// (±10 %, 4×MAD): a path must move by more than its own jitter. Paths
 /// outside the band are flagged `REGRESSION`/`IMPROVEMENT`; inside it,
-/// `within noise`. Paths on only one side are listed as `new`/`gone` (never
-/// flagged: a renamed span is not a perf change).
+/// `within noise`. A path whose baseline median is 0 µs (sub-µs spans) has
+/// no relative delta: it is flagged `REGRESSION` (delta `inf`) once its
+/// current median exceeds 10 µs, else `within noise`. Paths on only one
+/// side are listed as `new`/`gone` (never flagged: a renamed span is not a
+/// perf change).
 pub fn diff(baseline: &Trace, current: &Trace) -> String {
     let base = baseline.durations_by_path();
     let cur = current.durations_by_path();
@@ -94,9 +100,14 @@ pub fn diff(baseline: &Trace, current: &Trace) -> String {
 /// `(relative delta, allowed band)` for one path's sample sets.
 fn band(a: &[u64], b: &[u64], med_a: u64, med_b: u64) -> (f64, f64) {
     if med_a == 0 {
-        // A zero baseline median (sub-µs spans) makes relative deltas
-        // meaningless; call everything noise rather than divide by zero.
-        return (0.0, REL_FLOOR);
+        // A zero baseline median (sub-µs spans) has no relative delta, so
+        // growth is judged against an absolute floor instead.
+        let rel = if med_b > ZERO_BASELINE_FLOOR_US {
+            f64::INFINITY
+        } else {
+            0.0
+        };
+        return (rel, REL_FLOOR);
     }
     let rel = (med_b as f64 - med_a as f64) / med_a as f64;
     let mad = mad_u64(a).max(mad_u64(b)) as f64;
@@ -156,11 +167,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_baseline_median_is_within_noise() {
-        // Sub-µs spans record 0; no relative delta exists, so even a jump
-        // to 500 µs is reported at 0% against the floor, never flagged.
+    fn zero_baseline_median_that_grows_past_the_floor_is_a_regression() {
+        // Sub-µs spans record 0; no relative delta exists, so a jump to
+        // 500 µs is judged against the absolute floor and flagged.
         let a = trace_of(&[("run/tiny", 0), ("run/tiny", 0), ("run/tiny", 3)]);
         let b = trace_of(&[("run/tiny", 500), ("run/tiny", 500)]);
+        let report = diff(&a, &b);
+        assert!(report.contains("    inf%    10.0%  REGRESSION"), "{report}");
+        assert!(
+            report.contains("summary: 1 regression(s), 0 improvement(s)"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn zero_baseline_median_that_stays_zero_is_within_noise() {
+        let a = trace_of(&[("run/tiny", 0), ("run/tiny", 0), ("run/tiny", 3)]);
+        let b = trace_of(&[("run/tiny", 0), ("run/tiny", 0)]);
         let report = diff(&a, &b);
         assert!(
             report.contains("    0.0%    10.0%  within noise"),

@@ -14,7 +14,8 @@
 
 use crate::complex::C64;
 use crate::gates::Matrix2;
-use crate::state::{apply_controlled, apply_single, apply_swap, Mats};
+use crate::kernels::baseline::{apply_controlled, apply_single};
+use crate::state::{apply_swap, Mats};
 use crate::{StateVector, MAX_QUBITS};
 
 /// A chunk of batch rows in the row-lane split-complex layout, each row
@@ -214,7 +215,7 @@ mod tests {
     fn per_row_applies_touch_only_their_row() {
         let mut batch = BatchState::new(2, 3);
         let (x, id) = (GateKind::X.matrix(0.0), GateKind::I.matrix(0.0));
-        apply_single(&mut batch, Mats::PerLane(&[id, x, id]), 0);
+        apply_single(&mut batch, Mats::per_lane(&[id, x, id]), 0);
         assert_eq!(batch.row(0)[0], C64::ONE);
         assert_eq!(batch.row(1)[1], C64::ONE);
         assert_eq!(batch.row(1)[0], C64::ZERO);

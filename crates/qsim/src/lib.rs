@@ -46,6 +46,7 @@ pub mod circuit;
 pub mod complex;
 pub mod gates;
 pub mod gradient;
+mod kernels;
 pub mod metrics;
 pub mod observable;
 pub mod plan;

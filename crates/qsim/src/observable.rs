@@ -164,7 +164,7 @@ impl Observable {
     pub(crate) fn expectations_into(&self, batch: &BatchState, out: &mut [f64]) {
         // Fast path: a single-Z observable has a closed form.
         if let Some(wire) = self.single_z(batch.n_qubits()) {
-            return crate::state::expectations_z(batch, &[wire], out);
+            return crate::kernels::baseline::expectations_z(batch, &[wire], out);
         }
         let mut applied = batch.clone();
         self.apply_to_batch(&mut applied);

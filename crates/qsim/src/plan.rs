@@ -18,6 +18,11 @@
 //! its buffers across batches of the same shape and the sweep's working
 //! memory is kept per thread, so a warmed-up training step allocates
 //! nothing here.
+//!
+//! The chunk routines are `#[inline(always)]` bodies that take their
+//! kernels as closures; `crate::kernels` compiles them into a baseline
+//! and an AVX2 set, and each chunk of a forward or backward runs the set
+//! [`hqnn_runtime::simd`] picks.
 
 use std::cell::RefCell;
 
@@ -27,11 +32,9 @@ use crate::batch_state::BatchState;
 use crate::circuit::{Circuit, ParamSource, Wires};
 use crate::gates::{dagger, GateKind, Matrix2};
 use crate::gradient::Vjp;
+use crate::kernels::{avx2, baseline};
 use crate::observable::Observable;
-use crate::state::{
-    add_weighted, apply_controlled, apply_single, expectations_z, inner_controlled_projected,
-    inner_single, seed_z, Mats,
-};
+use crate::state::{add_weighted, Mats};
 
 /// Amplitudes per gate-major chunk. At 2⁹ an 8-row training batch of a
 /// 3–5-qubit circuit is one chunk, so each row-independent matrix is swept
@@ -120,7 +123,7 @@ pub struct Plan {
 /// One chunk of a batch: its rows' states and the per-row matrices of
 /// every input-fed gate, `row_ms[g·rows + j]` for gate `g` and row `j`.
 #[derive(Clone, Debug)]
-struct Chunk {
+pub(crate) struct Chunk {
     row0: usize,
     psi: BatchState,
     row_ms: Vec<Matrix2>,
@@ -181,7 +184,7 @@ fn with_work<R>(n_qubits: usize, rows: usize, f: impl FnOnce(&mut Work) -> R) ->
 
 /// Working memory of one chunk's reverse sweep.
 #[derive(Debug)]
-struct Work {
+pub(crate) struct Work {
     psi: BatchState,
     lambda: BatchState,
     /// `O|ψ⟩` of one observable, for seeds that are not all single-`Z`.
@@ -420,10 +423,18 @@ impl Plan {
     }
 
     /// Sweeps the plan across one chunk whose states are `|0…0⟩`, keeping
-    /// each input-fed gate's per-row matrices. Telemetry is emitted at
-    /// chunk granularity with the same totals a per-row [`Circuit::run`]
-    /// loop would produce.
-    fn sweep(&self, bound: &[Matrix2], inputs: &Matrix, chunk: &mut Chunk) {
+    /// each input-fed gate's per-row matrices, with `apply(state, mats,
+    /// wires)` applying each non-SWAP op — what [`Circuit::run`] does to
+    /// each row alone, bitwise. Telemetry is emitted at chunk granularity
+    /// with the same totals a per-row [`Circuit::run`] loop would produce.
+    #[inline(always)]
+    pub(crate) fn sweep_with(
+        &self,
+        bound: &[Matrix2],
+        inputs: &Matrix,
+        chunk: &mut Chunk,
+        apply: impl Fn(&mut BatchState, Mats, Wires),
+    ) {
         let rows = chunk.rows();
         hqnn_telemetry::counter("qsim.circuit_runs", rows as u64);
         hqnn_telemetry::counter("qsim.gate_applies", (self.steps.len() * rows) as u64);
@@ -431,8 +442,8 @@ impl Plan {
         let psi = &mut chunk.psi;
         for step in &self.steps {
             match *step {
-                Step::Fixed { f, wires } => apply_gate(psi, Mats::Shared(&self.fixed[f].0), wires),
-                Step::Trainable { wires, b, .. } => apply_gate(psi, Mats::Shared(&bound[b]), wires),
+                Step::Fixed { f, wires } => apply(psi, Mats::Shared(&self.fixed[f].0), wires),
+                Step::Trainable { wires, b, .. } => apply(psi, Mats::Shared(&bound[b]), wires),
                 Step::Swap { a, b } => psi.apply_swap_all(a, b),
                 Step::Input {
                     kind,
@@ -445,7 +456,7 @@ impl Plan {
                     for (j, m) in ms.iter_mut().enumerate() {
                         *m = kind.matrix(inputs[(chunk.row0 + j, slot)]);
                     }
-                    apply_gate(psi, Mats::PerLane(ms), wires);
+                    apply(psi, Mats::per_lane(ms), wires);
                 }
             }
         }
@@ -453,7 +464,8 @@ impl Plan {
 
     /// Sweeps one chunk under a `qsim.batch_sweep` span, then reads every
     /// observable of every row into `chunk.values` — all single-`Z`
-    /// readouts in one pass over the states.
+    /// readouts in one pass over the states — on the AVX2 kernel set when
+    /// the CPU has AVX2, else on the baseline set.
     fn forward_chunk(
         &self,
         bound: &[Matrix2],
@@ -461,9 +473,26 @@ impl Plan {
         observables: &[Observable],
         chunk: &mut Chunk,
     ) {
+        hqnn_runtime::simd(
+            (self, bound, inputs, observables, chunk),
+            baseline::forward_chunk,
+            avx2::forward_chunk,
+        )
+    }
+
+    /// [`Plan::forward_chunk`]'s body: `sweep(chunk)` sweeps the chunk,
+    /// `read_z(state, wires, out)` reads single-`Z` expectations.
+    #[inline(always)]
+    pub(crate) fn forward_chunk_with(
+        &self,
+        observables: &[Observable],
+        chunk: &mut Chunk,
+        sweep: impl FnOnce(&mut Chunk),
+        read_z: impl FnOnce(&BatchState, &[usize], &mut [f64]),
+    ) {
         {
             let _span = hqnn_telemetry::span("qsim.batch_sweep");
-            self.sweep(bound, inputs, chunk);
+            sweep(chunk);
         }
         let rows = chunk.rows();
         chunk.values.resize(rows * observables.len(), 0.0);
@@ -473,7 +502,7 @@ impl Plan {
             .iter()
             .all(|o| o.single_z(n).map(|w| chunk.wires.push(w)).is_some())
         {
-            expectations_z(&chunk.psi, &chunk.wires, &mut chunk.values);
+            read_z(&chunk.psi, &chunk.wires, &mut chunk.values);
         } else {
             for (obs, out) in observables.iter().zip(chunk.values.chunks_exact_mut(rows)) {
                 obs.expectations_into(&chunk.psi, out);
@@ -658,7 +687,8 @@ impl Plan {
 
     /// Vector-Jacobian products of one chunk's rows into `work`: sums each
     /// row's seed `λ = Σ_o w_o·O_o|ψ⟩` (zero weights skipped) and runs one
-    /// reverse sweep.
+    /// reverse sweep, on the AVX2 kernel set when the CPU has AVX2, else on
+    /// the baseline set.
     fn vjp_chunk(
         &self,
         bound: &[Matrix2],
@@ -666,6 +696,25 @@ impl Plan {
         observables: &[Observable],
         weights: &Matrix,
         work: &mut Work,
+    ) {
+        hqnn_runtime::simd(
+            (self, bound, chunk, observables, weights, work),
+            baseline::vjp_chunk,
+            avx2::vjp_chunk,
+        )
+    }
+
+    /// [`Plan::vjp_chunk`]'s body: `seed(λ, ψ, wires, weights)` builds an
+    /// all-single-`Z` seed, `reverse(work)` runs the reverse sweep.
+    #[inline(always)]
+    pub(crate) fn vjp_chunk_with(
+        &self,
+        chunk: &Chunk,
+        observables: &[Observable],
+        weights: &Matrix,
+        work: &mut Work,
+        seed: impl FnOnce(&mut BatchState, &BatchState, &[usize], &[f64]),
+        reverse: impl FnOnce(&mut Work),
     ) {
         let _span = hqnn_telemetry::span("qsim.adjoint");
         let rows = chunk.rows();
@@ -681,7 +730,7 @@ impl Plan {
             .iter()
             .all(|o| o.single_z(n).map(|w| work.wires.push(w)).is_some())
         {
-            seed_z(&mut work.lambda, &chunk.psi, &work.wires, &work.w);
+            seed(&mut work.lambda, &chunk.psi, &work.wires, &work.w);
         } else {
             work.lambda.zero();
             let term = work.term.get_or_insert_with(|| BatchState::zeroed(n, rows));
@@ -694,7 +743,7 @@ impl Plan {
                 add_weighted(&mut work.lambda, term, w);
             }
         }
-        self.reverse(bound, chunk, work);
+        reverse(work);
     }
 
     /// The adjoint reverse sweep over one chunk, from its recorded final
@@ -707,14 +756,23 @@ impl Plan {
     /// the seed along. `U†` and `dU` of parametrized gates come from the
     /// recorded `U` — no trigonometry — and each row sees the matrices,
     /// per-pair expressions and accumulation order of the textbook per-row
-    /// sweep.
-    fn reverse(&self, bound: &[Matrix2], chunk: &Chunk, work: &mut Work) {
+    /// sweep. `apply(state, mats, wires)` applies a non-SWAP op and
+    /// `inner(λ, ψ, dU, wires, out)` writes every row's `Re⟨λ|dU|ψ⟩`.
+    #[inline(always)]
+    pub(crate) fn reverse_with(
+        &self,
+        bound: &[Matrix2],
+        chunk: &Chunk,
+        work: &mut Work,
+        apply: impl Fn(&mut BatchState, Mats, Wires),
+        inner: impl Fn(&BatchState, &BatchState, Mats, Wires, &mut [f64]),
+    ) {
         let rows = chunk.rows();
         let (nt, ni) = (self.n_trainable, self.n_inputs);
         let Work {
             psi,
             lambda,
-            inner,
+            inner: products,
             invs,
             dms,
             d_params,
@@ -733,9 +791,9 @@ impl Plan {
                     lambda.apply_swap_all(a, b);
                 }
                 Step::Fixed { f, wires } => {
-                    let inv = &self.fixed[f].1;
-                    apply_gate(psi, Mats::Shared(inv), wires);
-                    apply_gate(lambda, Mats::Shared(inv), wires);
+                    let inv = Mats::Shared(&self.fixed[f].1);
+                    apply(psi, inv, wires);
+                    apply(lambda, inv, wires);
                 }
                 Step::Trainable {
                     kind,
@@ -744,12 +802,12 @@ impl Plan {
                     b,
                 } => {
                     let (inv, dm) = reverse_pair(kind, &bound[b]);
-                    apply_gate(psi, Mats::Shared(&inv), wires);
-                    adjoint_inner(lambda, psi, Mats::Shared(&dm), wires, inner);
-                    for (j, inner) in inner.iter().enumerate() {
-                        d_params[j * nt + slot] += 2.0 * inner;
+                    apply(psi, Mats::Shared(&inv), wires);
+                    inner(lambda, psi, Mats::Shared(&dm), wires, products);
+                    for (j, p) in products.iter().enumerate() {
+                        d_params[j * nt + slot] += 2.0 * p;
                     }
-                    apply_gate(lambda, Mats::Shared(&inv), wires);
+                    apply(lambda, Mats::Shared(&inv), wires);
                 }
                 Step::Input {
                     kind,
@@ -764,19 +822,21 @@ impl Plan {
                         invs.push(inv);
                         dms.push(dm);
                     }
-                    apply_gate(psi, Mats::PerLane(invs), wires);
-                    adjoint_inner(lambda, psi, Mats::PerLane(dms), wires, inner);
-                    for (j, inner) in inner.iter().enumerate() {
-                        d_inputs[j * ni + slot] += 2.0 * inner;
+                    let inv = Mats::per_lane(invs);
+                    apply(psi, inv, wires);
+                    inner(lambda, psi, Mats::per_lane(dms), wires, products);
+                    for (j, p) in products.iter().enumerate() {
+                        d_inputs[j * ni + slot] += 2.0 * p;
                     }
-                    apply_gate(lambda, Mats::PerLane(invs), wires);
+                    apply(lambda, inv, wires);
                 }
             }
         }
     }
 
     /// [`crate::adjoint`]'s Jacobian of one row (`x` is `1 × inputs`):
-    /// per observable, one reverse sweep seeded with `λ = O|ψ⟩`.
+    /// per observable, one reverse sweep seeded with `λ = O|ψ⟩`, on the
+    /// baseline kernel set.
     pub(crate) fn jacobian_row(
         &self,
         x: &Matrix,
@@ -792,7 +852,7 @@ impl Plan {
                 grads.expectations.push(e[0]);
                 work.lambda.copy_from(&chunk.psi);
                 obs.apply_to_batch(&mut work.lambda);
-                self.reverse(&bound, &chunk, work);
+                baseline::reverse(self, &bound, &chunk, work);
                 grads.d_params.row_mut(o).copy_from_slice(&work.d_params);
                 grads.d_inputs.row_mut(o).copy_from_slice(&work.d_inputs);
             }
@@ -800,7 +860,8 @@ impl Plan {
     }
 
     /// [`crate::adjoint_vjp`] of one row (`x` is `1 × inputs`, `weights`
-    /// `1 × observables`): the batch seam's chunk routine with one lane.
+    /// `1 × observables`): the batch seam's chunk routine with one lane,
+    /// on the baseline kernel set like every single-row oracle.
     pub(crate) fn vjp_row(
         &self,
         x: &Matrix,
@@ -810,17 +871,18 @@ impl Plan {
     ) -> Vjp {
         let (bound, chunk) = self.forward_row(x, params);
         with_work(self.n_qubits, 1, |work| {
-            self.vjp_chunk(&bound, &chunk, observables, weights, work);
+            baseline::vjp_chunk((self, &bound, &chunk, observables, weights, work));
             work.row_vjp(self, 0)
         })
     }
 
-    /// One row's final state and bound matrices, swept without a span.
+    /// One row's final state and bound matrices, swept without a span on
+    /// the baseline kernel set.
     fn forward_row(&self, x: &Matrix, params: &[f64]) -> (Vec<Matrix2>, Chunk) {
         let mut bound = Vec::with_capacity(self.n_bound);
         self.bind(params, &mut bound);
         let mut chunk = Chunk::new(self, 0, 1, true);
-        self.sweep(&bound, x, &mut chunk);
+        baseline::sweep(self, &bound, x, &mut chunk);
         (bound, chunk)
     }
 }
@@ -834,29 +896,118 @@ fn reverse_pair(kind: GateKind, u: &Matrix2) -> (Matrix2, Matrix2) {
     (dagger(u), dm)
 }
 
-/// Applies a non-SWAP op's matrices to every lane — what
-/// [`Circuit::run`] does to each row alone, bitwise.
-fn apply_gate(batch: &mut BatchState, mats: Mats, wires: Wires) {
-    match wires {
-        Wires::One(w) => apply_single(batch, mats, w),
-        Wires::Two(c, t) => apply_controlled(batch, mats, c, t),
-    }
-}
-
-/// `Re⟨λ|dU|ψ⟩` of every row into `out`; d(controlled-U)/dθ acts as
-/// `|1⟩⟨1| ⊗ dU`.
-fn adjoint_inner(lambda: &BatchState, psi: &BatchState, dm: Mats, wires: Wires, out: &mut [f64]) {
-    match wires {
-        Wires::One(w) => inner_single(lambda, psi, dm, w, out),
-        Wires::Two(c, t) => inner_controlled_projected(lambda, psi, dm, c, t, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ansatz::{EntanglerKind, QnnTemplate, RotationAxis};
     use crate::circuit::Op;
+    use crate::kernels::tests::assert_bits_or_nan;
     use std::f64::consts::{FRAC_PI_2, PI, TAU};
+
+    /// [`Plan::record`]'s outputs and [`Plan::vjp_into`]'s `(d_params,
+    /// d_inputs)` computed chunk by chunk on the baseline kernel set only.
+    fn baseline_record_and_vjp(
+        plan: &Plan,
+        x: &Matrix,
+        params: &[f64],
+        obs: &[Observable],
+        w: &Matrix,
+    ) -> (Matrix, Vec<f64>, Matrix) {
+        let (nt, ni) = (plan.n_trainable, plan.n_inputs);
+        let mut bound = Vec::new();
+        plan.bind(params, &mut bound);
+        let mut out = Matrix::zeros(x.rows(), obs.len());
+        let (mut d_params, mut d_inputs) = (vec![0.0; nt], Matrix::zeros(x.rows(), ni));
+        for (row0, rows) in plan.layout(x.rows()) {
+            let mut chunk = Chunk::new(plan, row0, rows, true);
+            baseline::forward_chunk((plan, &bound, x, obs, &mut chunk));
+            Plan::scatter(row0, &chunk.values, &mut out);
+            with_work(plan.n_qubits, rows, |work| {
+                baseline::vjp_chunk((plan, &bound, &chunk, obs, w, work));
+                for j in 0..rows {
+                    let row = &work.d_params[j * nt..(j + 1) * nt];
+                    for (acc, g) in d_params.iter_mut().zip(row) {
+                        *acc += g;
+                    }
+                    d_inputs.row_mut(row0 + j)[..ni]
+                        .copy_from_slice(&work.d_inputs[j * ni..(j + 1) * ni]);
+                }
+            });
+        }
+        (out, d_params, d_inputs)
+    }
+
+    #[test]
+    fn dispatched_chunks_match_the_baseline_set_bitwise() {
+        // `record`, `vjp_into` and `expectations` pick a kernel set per
+        // chunk through `hqnn_runtime::simd` — the AVX2 set on a CPU that
+        // has it — and must return the baseline set's bits: BEL and SEL
+        // templates of 1–7 qubits and depth 1–3, X/Y/Z encodings, one
+        // chunk or several, Z readouts (the one-pass seed) or Pauli
+        // strings, inputs with a ±inf or NaN row.
+        let kinds = [EntanglerKind::Basic, EntanglerKind::Strong];
+        let axes = [RotationAxis::X, RotationAxis::Y, RotationAxis::Z];
+        for (i, (q, depth, rows)) in [
+            (1, 1, 3),
+            (2, 3, 8),
+            (3, 2, 8),
+            (4, 2, 40),
+            (5, 1, 17),
+            (7, 3, 9),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for kind in kinds {
+                let template =
+                    QnnTemplate::new(q, depth, kind).with_encoding_axis(axes[(i + q) % 3]);
+                let plan = Plan::new(&template.build());
+                let angle = |k: usize| ((k * 37 + i) as f64 * 0.618_033_988_75).fract() * 6.0 - 3.0;
+                let params: Vec<f64> = (0..template.param_count()).map(angle).collect();
+                let mut x =
+                    Matrix::from_vec(rows, q, (0..rows * q).map(|k| angle(k + 101)).collect());
+                if rows > 8 {
+                    x[(rows - 1, 0)] = f64::INFINITY;
+                    x[(rows - 2, q - 1)] = f64::NAN;
+                }
+                let z: Vec<_> = (0..q).map(Observable::z).collect();
+                let strings = vec![Observable::x(0), Observable::y(q - 1), Observable::z(q / 2)];
+                for obs in [&z, &strings] {
+                    let w = Matrix::from_vec(
+                        rows,
+                        obs.len(),
+                        (0..rows * obs.len())
+                            .map(|k| if k % 5 == 0 { 0.0 } else { angle(k + 7) })
+                            .collect(),
+                    );
+                    let at = format!(
+                        "{} {q}q depth {depth}, {rows} rows, {} observables",
+                        kind.short_name(),
+                        obs.len()
+                    );
+                    let (want, want_dp, want_di) =
+                        baseline_record_and_vjp(&plan, &x, &params, obs, &w);
+                    let got = plan.expectations(&x, &params, obs);
+                    assert_bits_or_nan(
+                        got.as_slice(),
+                        want.as_slice(),
+                        &format!("{at}: expectations"),
+                    );
+                    let mut tape = BatchTape::default();
+                    let got = plan.record(&mut tape, &x, &params, obs);
+                    assert_bits_or_nan(got.as_slice(), want.as_slice(), &format!("{at}: record"));
+                    let (mut dp, mut di) = (vec![0.0; params.len()], Matrix::zeros(rows, q));
+                    plan.vjp_into(&mut tape, obs, &w, &mut dp, &mut di);
+                    assert_bits_or_nan(&dp, &want_dp, &format!("{at}: d_params"));
+                    assert_bits_or_nan(
+                        di.as_slice(),
+                        want_di.as_slice(),
+                        &format!("{at}: d_inputs"),
+                    );
+                }
+            }
+        }
+    }
 
     fn bits(m: &Matrix2) -> Vec<u64> {
         m.iter()

@@ -10,24 +10,29 @@
 //!
 //! The kernels here are the only ones: [`crate::Circuit::run`] (one lane),
 //! the gate-major batch sweeps, the observables and the adjoint reverse
-//! pass all call them. A kernel takes its matrices as [`Mats`] — one shared
-//! by every lane, or one per lane for input-fed gates. Each lane runs the
-//! exact per-pair expressions a lone row would, and every fold
-//! (expectations, inner products) accumulates per lane in amplitude-index
-//! order, so a lane's bits never depend on the lanes beside it.
+//! pass all call them. The main ones are `#[inline(always)]` bodies that
+//! `crate::kernels` compiles into a baseline and an AVX2 set; callers
+//! go through a set, never a body. A kernel takes its matrices as
+//! [`Mats`] — one shared by every lane, or one per lane for input-fed
+//! gates. Each lane runs the exact per-pair expressions a lone row would,
+//! and every fold (expectations, inner products) accumulates per lane in
+//! amplitude-index order, so a lane's bits never depend on the lanes
+//! beside it.
 //!
 //! The 2×2 kernels pick their per-pair arithmetic from the matrix values
 //! ([`Shape`]): a diagonal, real, or imaginary-off-diagonal matrix skips
 //! the products its zero entries would contribute. A sweep runs one shape
 //! for all its lanes — for per-lane matrices, the shape they all share, or
-//! [`Shape::General`] when they differ. Callers never choose, so a gate
-//! takes the same path in every caller.
+//! [`Shape::General`] when they differ, classified once when the matrices
+//! are made (`Mats::per_lane`). Callers never choose, so a gate takes the
+//! same path in every caller.
 
 use std::fmt;
 
 use crate::batch_state::BatchState;
 use crate::complex::C64;
 use crate::gates::{GateKind, Matrix2};
+use crate::kernels::baseline;
 use crate::MAX_QUBITS;
 
 /// Which of `m`'s products are structurally zero, read from its entry
@@ -63,6 +68,19 @@ impl Shape {
             Shape::General
         }
     }
+
+    /// The one shape a sweep of per-lane matrices `ms` runs: the shape
+    /// they all share, or [`Shape::General`] when any two differ (so a NaN
+    /// lane makes the whole sweep general).
+    fn common(ms: &[Matrix2]) -> Self {
+        let mut shapes = ms.iter().map(Shape::of);
+        let first = shapes.next().unwrap_or(Shape::General);
+        if shapes.all(|s| s == first) {
+            first
+        } else {
+            Shape::General
+        }
+    }
 }
 
 /// The matrices one kernel call applies.
@@ -70,32 +88,33 @@ impl Shape {
 pub(crate) enum Mats<'a> {
     /// Every lane applies the same matrix.
     Shared(&'a Matrix2),
-    /// Lane `r` applies `ms[r]`; one matrix per lane.
-    PerLane(&'a [Matrix2]),
+    /// Lane `r` applies `ms[r]`; one matrix per lane, with their
+    /// [`Shape::common`] shape. Made by [`Mats::per_lane`].
+    PerLane(&'a [Matrix2], Shape),
 }
 
-impl Mats<'_> {
+impl<'a> Mats<'a> {
+    /// One matrix per lane, classified once for every kernel call that
+    /// applies them.
+    pub(crate) fn per_lane(ms: &'a [Matrix2]) -> Self {
+        Mats::PerLane(ms, Shape::common(ms))
+    }
+
     /// Checks that per-lane matrices come one per lane of `state`.
     fn check(self, state: &BatchState) {
-        if let Mats::PerLane(ms) = self {
+        if let Mats::PerLane(ms, _) = self {
             assert_eq!(ms.len(), state.rows(), "one matrix per lane");
         }
     }
 
-    /// The one shape the sweep runs: the matrix's own, or for per-lane
-    /// matrices the shape they all share — [`Shape::General`] when any two
-    /// differ (so a NaN lane makes the whole sweep general).
+    /// The one shape the sweep runs: the matrix's own, or the per-lane
+    /// matrices' common shape they carry.
     fn shape(self) -> Shape {
         match self {
             Mats::Shared(m) => Shape::of(m),
-            Mats::PerLane(ms) => {
-                let mut shapes = ms.iter().map(Shape::of);
-                let first = shapes.next().unwrap_or(Shape::General);
-                if shapes.all(|s| s == first) {
-                    first
-                } else {
-                    Shape::General
-                }
+            Mats::PerLane(ms, shape) => {
+                debug_assert_eq!(shape, Shape::common(ms), "stale per-lane shape");
+                shape
             }
         }
     }
@@ -186,7 +205,7 @@ fn pair_run(
                 [*xr, *xi, *yr, *yi] = pair(&m, *xr, *xi, *yr, *yi);
             }
         }
-        Mats::PerLane(ms) => {
+        Mats::PerLane(ms, _) => {
             let lanes = ms.len();
             let groups = xr
                 .chunks_exact_mut(lanes)
@@ -205,6 +224,7 @@ fn pair_run(
 
 /// Applies a single-qubit gate on wire `target` to every lane of `state`,
 /// with the per-pair arithmetic of the matrices' [`Shape`].
+#[inline(always)]
 pub(crate) fn apply_single(state: &mut BatchState, mats: Mats, target: usize) {
     mats.check(state);
     with_pair_transform!(mats.shape(), |pair| single_walk(state, mats, target, pair))
@@ -213,6 +233,7 @@ pub(crate) fn apply_single(state: &mut BatchState, mats: Mats, target: usize) {
 /// Walks `2·stride` amplitude blocks, splitting each into its target-0 /
 /// target-1 halves — two runs of `stride·R` contiguous `f64`s per
 /// component, with no per-iteration bounds checks.
+#[inline(always)]
 fn single_walk(
     state: &mut BatchState,
     mats: Mats,
@@ -238,6 +259,7 @@ fn single_walk(
 /// set and the target bit clear, in every lane — the walk behind
 /// controlled gates and [`StateVector::apply_controlled_projected`]. Only
 /// control-1 pairs (a quarter of the state) are enumerated.
+#[inline(always)]
 pub(crate) fn apply_controlled(state: &mut BatchState, mats: Mats, control: usize, target: usize) {
     mats.check(state);
     with_pair_transform!(mats.shape(), |pair| control1_walk(
@@ -252,6 +274,7 @@ pub(crate) fn apply_controlled(state: &mut BatchState, mats: Mats, control: usiz
 /// Enumerates the control-1 pairs as runs: blocks of twice the larger
 /// pinned-bit stride, sub-blocks of twice the smaller one, and in each a
 /// run of `min(stride)·R` contiguous `f64`s on either side of the pair.
+#[inline(always)]
 fn control1_walk(
     state: &mut BatchState,
     mats: Mats,
@@ -277,6 +300,7 @@ fn control1_walk(
 }
 
 /// The `len`-long runs of `v` at `at` and at `at + gap`.
+#[inline(always)]
 fn pair_halves(v: &mut [f64], at: usize, gap: usize, len: usize) -> (&mut [f64], &mut [f64]) {
     let (lo, hi) = v[at..].split_at_mut(gap);
     (&mut lo[..len], &mut hi[..len])
@@ -353,7 +377,7 @@ fn inner_run(
                     *acc += lr * mr - (-li) * mi;
                 }
             }
-            Mats::PerLane(ms) => {
+            Mats::PerLane(ms, _) => {
                 for (((((((acc, lr), li), xr), xi), yr), yi), m) in lane.zip(ms) {
                     let (mr, mi) = mu(m, *xr, *xi, *yr, *yi);
                     *acc += lr * mr - (-li) * mi;
@@ -370,6 +394,7 @@ fn inner_run(
 /// lane folds its products from `+0` in amplitude-index order (each
 /// `2·stride` block's target-0 half, then its target-1 half), as the real
 /// part of [`StateVector::inner`] over the `M`-applied copy would.
+#[inline(always)]
 pub(crate) fn inner_single(
     lambda: &BatchState,
     psi: &BatchState,
@@ -387,6 +412,7 @@ pub(crate) fn inner_single(
 
 /// The block walk of [`inner_single`]. Each half uses one output of
 /// `pair`; the other is dead code once the transform is inlined.
+#[inline(always)]
 fn inner_single_walk(
     lambda: &BatchState,
     psi: &BatchState,
@@ -427,6 +453,7 @@ fn inner_single_walk(
 /// index order: a control-0 index adds `Re(conj(λ_k)·0)`, a control-1 one
 /// the exact [`apply_controlled`] expression — bitwise the
 /// copy-apply-inner result.
+#[inline(always)]
 pub(crate) fn inner_controlled_projected(
     lambda: &BatchState,
     psi: &BatchState,
@@ -506,6 +533,7 @@ pub(crate) fn inner_re(a: &BatchState, b: &BatchState, out: &mut [f64]) {
 /// `wires[o]`. Each accumulator starts at `+0` and adds
 /// `±(re² + im²)` in amplitude-index order, so every wire gets the bits
 /// of a fold over the state for that wire alone.
+#[inline(always)]
 pub(crate) fn expectations_z(state: &BatchState, wires: &[usize], out: &mut [f64]) {
     let lanes = state.rows();
     debug_assert_eq!(out.len(), wires.len() * lanes);
@@ -537,6 +565,7 @@ pub(crate) fn expectations_z(state: &BatchState, wires: &[usize], out: &mut [f64
 /// and a zero weight leaves the lane untouched. So every lane holds the
 /// three-pass bits while `ψ` is finite; a non-finite amplitude gives NaN
 /// either way.
+#[inline(always)]
 pub(crate) fn seed_z(lambda: &mut BatchState, psi: &BatchState, wires: &[usize], weights: &[f64]) {
     let lanes = psi.rows();
     debug_assert_eq!(weights.len(), wires.len() * lanes);
@@ -728,7 +757,7 @@ impl StateVector {
             target < self.n_qubits(),
             "target wire {target} out of range"
         );
-        apply_single(&mut self.lane, Mats::Shared(m), target);
+        baseline::apply_single(&mut self.lane, Mats::Shared(m), target);
     }
 
     /// Applies a single-qubit unitary to `target`, conditioned on `control`
@@ -742,7 +771,7 @@ impl StateVector {
     /// Panics if the wires coincide or are out of range.
     pub fn apply_controlled(&mut self, m: &Matrix2, control: usize, target: usize) {
         self.check_pair(control, target);
-        apply_controlled(&mut self.lane, Mats::Shared(m), control, target);
+        baseline::apply_controlled(&mut self.lane, Mats::Shared(m), control, target);
     }
 
     /// Applies `(|1⟩⟨1| on control) ⊗ M` — the controlled *derivative*
@@ -756,7 +785,7 @@ impl StateVector {
     pub fn apply_controlled_projected(&mut self, m: &Matrix2, control: usize, target: usize) {
         self.check_pair(control, target);
         zero_control0(&mut self.lane, control);
-        apply_controlled(&mut self.lane, Mats::Shared(m), control, target);
+        baseline::apply_controlled(&mut self.lane, Mats::Shared(m), control, target);
     }
 
     fn check_pair(&self, control: usize, target: usize) {
@@ -787,7 +816,7 @@ impl StateVector {
     pub fn expectation_z(&self, wire: usize) -> f64 {
         assert!(wire < self.n_qubits(), "wire {wire} out of range");
         let mut out = [0.0];
-        expectations_z(&self.lane, &[wire], &mut out);
+        baseline::expectations_z(&self.lane, &[wire], &mut out);
         out[0]
     }
 
@@ -996,16 +1025,16 @@ mod tests {
             s.apply_controlled_projected(&m, 2, 0);
         }
         let mut batch = BatchState::from_states(&(0..rows).map(mk_row).collect::<Vec<_>>());
-        apply_single(&mut batch, Mats::Shared(&m), 1);
-        apply_controlled(&mut batch, Mats::Shared(&m), 0, 2);
+        baseline::apply_single(&mut batch, Mats::Shared(&m), 1);
+        baseline::apply_controlled(&mut batch, Mats::Shared(&m), 0, 2);
         apply_swap(&mut batch, 0, 1);
-        apply_single(&mut batch, Mats::PerLane(&lane_ms), 2);
-        apply_controlled(&mut batch, Mats::PerLane(&lane_ms), 1, 0);
+        baseline::apply_single(&mut batch, Mats::per_lane(&lane_ms), 2);
+        baseline::apply_controlled(&mut batch, Mats::per_lane(&lane_ms), 1, 0);
         zero_control0(&mut batch, 2);
-        apply_controlled(&mut batch, Mats::Shared(&m), 2, 0);
+        baseline::apply_controlled(&mut batch, Mats::Shared(&m), 2, 0);
 
         let mut z = vec![0.0; rows];
-        expectations_z(&batch, &[1], &mut z);
+        baseline::expectations_z(&batch, &[1], &mut z);
         for (r, want) in per_row.iter().enumerate() {
             assert_eq!(batch.row(r), want.amplitudes(), "row {r}");
             assert_eq!(z[r].to_bits(), want.expectation_z(1).to_bits(), "row {r}");
@@ -1036,13 +1065,13 @@ mod tests {
             let mut mu = psi.clone();
             mu.apply_single(&dm, t);
             let want = lambda.inner(&mu).re;
-            inner_single(lambda.lane(), psi.lane(), Mats::Shared(&dm), t, &mut got);
+            baseline::inner_single(lambda.lane(), psi.lane(), Mats::Shared(&dm), t, &mut got);
             assert_eq!(got[0].to_bits(), want.to_bits(), "t={t}");
             for c in (0..n).filter(|&c| c != t) {
                 let mut mu = psi.clone();
                 mu.apply_controlled_projected(&dm, c, t);
                 let want = lambda.inner(&mu).re;
-                inner_controlled_projected(
+                baseline::inner_controlled_projected(
                     lambda.lane(),
                     psi.lane(),
                     Mats::Shared(&dm),
@@ -1085,16 +1114,16 @@ mod tests {
             let mut got = vec![0.0; angles.len()];
             let mut one = [0.0];
             for t in 0..n {
-                inner_single(&lambda, &psi, Mats::PerLane(&dms), t, &mut got);
+                baseline::inner_single(&lambda, &psi, Mats::per_lane(&dms), t, &mut got);
                 for (r, dm) in dms.iter().enumerate() {
                     let mut mu = psis[r].clone();
                     mu.apply_single(dm, t);
                     let want = lambdas[r].inner(&mu).re;
                     assert_eq!(bits(got[r]), bits(want), "{kind:?} t={t} lane {r}");
                 }
-                inner_single(&lambda, &psi, Mats::Shared(&dms[3]), t, &mut got);
+                baseline::inner_single(&lambda, &psi, Mats::Shared(&dms[3]), t, &mut got);
                 for r in 0..angles.len() {
-                    inner_single(
+                    baseline::inner_single(
                         lambdas[r].lane(),
                         psis[r].lane(),
                         Mats::Shared(&dms[3]),
@@ -1108,7 +1137,14 @@ mod tests {
                     );
                 }
                 for c in (0..n).filter(|&c| c != t) {
-                    inner_controlled_projected(&lambda, &psi, Mats::PerLane(&dms), c, t, &mut got);
+                    baseline::inner_controlled_projected(
+                        &lambda,
+                        &psi,
+                        Mats::per_lane(&dms),
+                        c,
+                        t,
+                        &mut got,
+                    );
                     for (r, dm) in dms.iter().enumerate() {
                         let mut mu = psis[r].clone();
                         mu.apply_controlled_projected(dm, c, t);
@@ -1262,11 +1298,18 @@ mod tests {
                     let (ll, pl) = (lambda.lane(), psi.lane());
                     for t in 0..n {
                         let want = reference_inner_single(l, p, m, t).re;
-                        inner_single(ll, pl, Mats::Shared(m), t, &mut got);
+                        baseline::inner_single(ll, pl, Mats::Shared(m), t, &mut got);
                         assert_eq!(got[0].to_bits(), want.to_bits(), "{kind:?} t={t}");
                         for c in (0..n).filter(|&c| c != t) {
                             let want = reference_inner_controlled_projected(l, p, m, c, t).re;
-                            inner_controlled_projected(ll, pl, Mats::Shared(m), c, t, &mut got);
+                            baseline::inner_controlled_projected(
+                                ll,
+                                pl,
+                                Mats::Shared(m),
+                                c,
+                                t,
+                                &mut got,
+                            );
                             assert_eq!(got[0].to_bits(), want.to_bits(), "{kind:?} c={c} t={t}");
                         }
                     }
@@ -1312,12 +1355,12 @@ mod tests {
         let z = GateKind::Z.matrix(0.0);
         for (&wire, w) in wires.iter().zip(weights.chunks_exact(lanes)) {
             let mut term = psi.clone();
-            apply_single(&mut term, Mats::Shared(&z), wire);
+            baseline::apply_single(&mut term, Mats::Shared(&z), wire);
             add_weighted(&mut want, &term, w);
         }
         let mut got = BatchState::zeroed(n, lanes);
         got.parts_mut().0.fill(7.0);
-        seed_z(&mut got, &psi, &wires, &weights);
+        baseline::seed_z(&mut got, &psi, &wires, &weights);
         let bits = |b: &BatchState| {
             let (re, im) = b.parts();
             re.iter().chain(im).map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -1325,10 +1368,10 @@ mod tests {
         assert_eq!(bits(&got), bits(&want));
 
         let mut all = vec![0.0; wires.len() * lanes];
-        expectations_z(&psi, &wires, &mut all);
+        baseline::expectations_z(&psi, &wires, &mut all);
         for (&wire, got) in wires.iter().zip(all.chunks_exact(lanes)) {
             let mut one = vec![0.0; lanes];
-            expectations_z(&psi, &[wire], &mut one);
+            baseline::expectations_z(&psi, &[wire], &mut one);
             let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(&one), "wire {wire}");
         }

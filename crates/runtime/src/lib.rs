@@ -52,13 +52,14 @@
 //! ```
 //!
 //! The crate also owns the one run-time CPU dispatch of the workspace:
-//! [`simd`] runs a kernel body compiled for AVX2 when the CPU has it (see
-//! its docs for why that never changes a bit).
+//! [`simd`] runs the AVX2 copy of a kernel when the CPU has AVX2, else its
+//! baseline copy (see its docs for why that never changes a bit).
 
 // `unsafe` is denied, not forbidden: [`simd`] must call a
-// `#[target_feature]` function, which only `unsafe` can do, and it is the
-// one item here that allows it. `hqnn-alloc` is the only other crate whose
-// root does not forbid it (`crates/lint/tests/unsafe_confined.rs` pins both).
+// `#[target_feature]` function through an `unsafe fn` pointer, which only
+// `unsafe` can do, and it is the one item here that allows it.
+// `hqnn-alloc` is the only other crate whose root does not forbid it
+// (`crates/lint/tests/unsafe_confined.rs` pins both).
 // lint:allow(forbid-unsafe): simd() calls the AVX2 copy of a kernel only after is_x86_feature_detected!("avx2") returned true
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -148,44 +149,56 @@ fn has_avx2() -> bool {
     }
 }
 
-/// Runs `f`, compiled with AVX2 enabled when the CPU has it.
+/// Runs `base(args)`, or `avx2(args)` when the CPU has AVX2: the one
+/// run-time CPU dispatch of the workspace.
 ///
-/// The compiler builds two copies of `f`'s body: one inside a
-/// `#[target_feature(enable = "avx2")]` function, whose vector loops use
-/// 4 f64 lanes, and the baseline one (2 lanes on x86-64). Each call runs
-/// the AVX2 copy if the CPU has AVX2. Only code *inlined* into `f` is
-/// compiled twice, so the closure needs `#[inline(always)]`, and so does
-/// every kernel it calls; a call through a function pointer stays a call
-/// into the baseline copy.
+/// A kernel that wants an AVX2 copy is compiled twice from one source:
+/// once as an ordinary function, `base`, and once as a
+/// `#[target_feature(enable = "avx2")]` function, `avx2`, whose vector
+/// loops use 4 f64 lanes instead of the baseline's 2. A safe
+/// `#[target_feature]` function coerces to an `unsafe fn` pointer, so the
+/// crate that defines the pair needs no `unsafe` of its own. What `avx2`
+/// inlines runs on AVX2, and so do the `#[target_feature]` functions it
+/// calls and the closures defined inside them; those calls keep their
+/// function boundaries, so a large kernel set stays as many functions as
+/// its baseline build.
 ///
 /// Both copies return the same bits. Rust never contracts `a * b + c` into
 /// an FMA, and LLVM does not reorder strict floating-point arithmetic, so
 /// a vectorised loop computes each lane's value with the same IEEE-rounded
 /// operations in the same order at any lane width.
 ///
+/// On other architectures `base` always runs.
+///
 /// ```
-/// let dot = hqnn_runtime::simd(
-///     #[inline(always)]
-///     || [1.0, 2.0].iter().zip(&[3.0, 4.0]).fold(0.0, |acc, (a, b)| acc + a * b),
-/// );
-/// assert_eq!(dot, 11.0);
+/// fn dot((a, b): (&[f64], &[f64])) -> f64 {
+///     a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y)
+/// }
+/// #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+/// fn dot_avx2(args: (&[f64], &[f64])) -> f64 {
+///     dot(args)
+/// }
+/// let total = hqnn_runtime::simd((&[1.0, 2.0][..], &[3.0, 4.0][..]), dot, dot_avx2);
+/// assert_eq!(total, 11.0);
 /// ```
+///
+/// # Soundness
+///
+/// `avx2` must be `base` compiled for AVX2: a function whose only
+/// precondition beyond `base`'s is that the CPU has AVX2. The signature
+/// cannot tell such a function from any other `unsafe fn`, so passing one
+/// with other preconditions is unsound; every caller in the workspace
+/// passes a safe `#[target_feature]` function.
 #[inline(always)]
 #[allow(unsafe_code)]
-pub fn simd<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        fn avx2<R>(f: impl FnOnce() -> R) -> R {
-            f()
-        }
-        if has_avx2() {
-            // SAFETY: `avx2` is compiled for AVX2, so calling it is sound
-            // exactly when the CPU has AVX2, which `has_avx2` just checked.
-            return unsafe { avx2(f) };
-        }
+pub fn simd<A, R>(args: A, base: fn(A) -> R, avx2: unsafe fn(A) -> R) -> R {
+    if has_avx2() {
+        // SAFETY: `avx2` is `base` compiled for AVX2 (`# Soundness`), so
+        // calling it is sound exactly when the CPU has AVX2, which
+        // `has_avx2` just checked.
+        return unsafe { avx2(args) };
     }
-    f()
+    base(args)
 }
 
 #[cfg(test)]
@@ -226,14 +239,20 @@ mod tests {
         assert_eq!(hqnn_telemetry::RunManifest::capture("simd").simd, expected);
     }
 
+    fn sum_of(v: Vec<f64>) -> (f64, &'static str) {
+        (v.into_iter().fold(0.0, |acc, v| acc + v), "baseline")
+    }
+
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+    fn sum_of_avx2(v: Vec<f64>) -> (f64, &'static str) {
+        (sum_of(v).0, "avx2")
+    }
+
     #[test]
-    fn simd_runs_the_closure_once_and_returns_its_value() {
-        let owned = vec![1.0, 2.0, 3.0];
-        let total = simd(
-            #[inline(always)]
-            move || owned.into_iter().fold(0.0, |acc, v| acc + v),
-        );
+    fn simd_runs_the_avx2_set_exactly_when_the_cpu_has_avx2() {
+        let (total, set) = simd(vec![1.0, 2.0, 3.0], sum_of, sum_of_avx2);
         assert_eq!(total, 6.0);
+        assert_eq!(set, if has_avx2() { "avx2" } else { "baseline" });
     }
 
     #[test]

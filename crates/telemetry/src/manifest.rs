@@ -46,7 +46,8 @@ pub struct RunManifest {
     /// Defaults to `""` when absent (pre-sharding manifests).
     #[serde(default)]
     pub shard_plan: String,
-    /// Kernel set the dense matmuls ran on: `"avx2"` when the CPU has AVX2,
+    /// Kernel set the dense matmuls and qsim kernels ran on: `"avx2"` when
+    /// the CPU has AVX2,
     /// else `"baseline"` (`hqnn_runtime::simd`'s dispatch rule). The kernels
     /// return the same bits either way, but published wall-clock numbers
     /// are only comparable between runs with equal `simd`. Defaults to `""`

@@ -311,14 +311,16 @@ impl Matrix {
             hqnn_runtime::par_for_each_mut(&mut rows, |r, dst| {
                 let a = &a[r * k..(r + 1) * k];
                 hqnn_runtime::simd(
-                    #[inline(always)]
-                    || matmul_rows(a, k, b, n, dst),
+                    (a, k, b, n, &mut **dst),
+                    baseline::matmul_rows,
+                    avx2::matmul_rows,
                 );
             });
         } else {
             hqnn_runtime::simd(
-                #[inline(always)]
-                || matmul_rows(a, k, b, n, &mut out.data),
+                (a, k, b, n, &mut out.data[..]),
+                baseline::matmul_rows,
+                avx2::matmul_rows,
             );
         }
         out
@@ -353,8 +355,15 @@ impl Matrix {
         let n = other.cols;
         out.resize(self.cols, n);
         hqnn_runtime::simd(
-            #[inline(always)]
-            || matmul_tn_rows(&self.data, self.cols, &other.data, n, &mut out.data),
+            (
+                &self.data[..],
+                self.cols,
+                &other.data[..],
+                n,
+                &mut out.data[..],
+            ),
+            baseline::matmul_tn_rows,
+            avx2::matmul_tn_rows,
         );
     }
 
@@ -639,6 +648,38 @@ fn matmul_tn_rows(x: &[f64], cols: usize, g: &[f64], n: usize, out: &mut [f64]) 
         1 => 8 2 => 8 3 => 8 4 => 8 5 => 4 6 => 4 7 => 2 8 => 2
         9 => 2 10 => 2 11 => 2 12 => 2 13 => 2 14 => 2 15 => 2 16 => 2
     );
+}
+
+/// The arguments of [`matmul_rows`] and [`matmul_tn_rows`], as one tuple.
+type RowsArgs<'a> = (&'a [f64], usize, &'a [f64], usize, &'a mut [f64]);
+
+/// Emits one kernel set: [`matmul_rows`] and [`matmul_tn_rows`] as the
+/// functions [`hqnn_runtime::simd`] picks between, each inlining its whole
+/// body. Invoked once for the baseline target and once for AVX2.
+macro_rules! kernel_set {
+    ($(#[$feature:meta])*) => {
+        use super::RowsArgs;
+
+        $(#[$feature])*
+        pub(super) fn matmul_rows((a, k, b, n, dst): RowsArgs) {
+            super::matmul_rows(a, k, b, n, dst)
+        }
+
+        $(#[$feature])*
+        pub(super) fn matmul_tn_rows((x, cols, g, n, out): RowsArgs) {
+            super::matmul_tn_rows(x, cols, g, n, out)
+        }
+    };
+}
+
+/// The kernels compiled for the x86-64 baseline (SSE2).
+mod baseline {
+    kernel_set!();
+}
+
+/// The kernels compiled for AVX2, run only on a CPU that has it.
+mod avx2 {
+    kernel_set!(#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]);
 }
 
 /// `xᵀ·g` into `out` for a row-major `x` with `cols` columns and a `g`
@@ -978,10 +1019,10 @@ mod tests {
     fn undispatched_kernel_bodies_match_the_entry_points_bitwise() {
         // Called directly, `matmul_rows` and `matmul_tn_rows` are inlined
         // here and compiled for the baseline target; through the entry
-        // points they run inside `hqnn_runtime::simd`, which on an AVX2
-        // host is the AVX2 copy. Shapes: a single row, training batches,
-        // the 1200-row evaluation set (row-parallel at 2+ threads) and an
-        // empty inner dimension, at every fixed width and past them.
+        // points `hqnn_runtime::simd` runs the `avx2` kernel set on an
+        // AVX2 host. Shapes: a single row, training batches, the 1200-row
+        // evaluation set (row-parallel at 2+ threads) and an empty inner
+        // dimension, at every fixed width and past them.
         let mut rng = SeededRng::new(24);
         for (rows, inner) in [(1, 110), (8, 10), (8, 110), (1200, 110), (8, 0)] {
             for n in 1..=18 {
