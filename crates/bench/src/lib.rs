@@ -349,9 +349,9 @@ impl Default for Cli {
 
 /// Ensures every listed family's search results are present in the study,
 /// running all the missing ones together as one sharded study — their
-/// (family × level) cells fan out over `hqnn_runtime::par_map_budgeted`, so
-/// a multi-family regeneration parallelises across the study's outermost
-/// loop instead of only within levels. Bitwise identical to running
+/// (family × level × repetition) shards fan out over
+/// `hqnn_runtime::par_map_budgeted`, so a regeneration parallelises across
+/// the study's outermost loops instead of only within repetitions. Bitwise identical to running
 /// [`StudyResult::run_family`] per family, at any thread budget.
 ///
 /// Returns the [`ShardPlan`] the missing families were scheduled with, or
@@ -647,9 +647,12 @@ mod tests {
         let cached = study.clone();
         let plan = ensure_families(&mut study, &[Family::Classical, Family::HybridBel])
             .expect("BEL was missing, a search must run");
-        // Only BEL's cells were scheduled; classical results are untouched.
-        assert!(plan.cells.iter().all(|c| c.family == Family::HybridBel));
-        assert_eq!(plan.cells.len(), study.config.levels.len());
+        // Only BEL's shards were scheduled; classical results are untouched.
+        assert!(plan.shards.iter().all(|s| s.family == Family::HybridBel));
+        assert_eq!(
+            plan.shards.len(),
+            study.config.levels.len() * study.config.search.repetitions
+        );
         assert_eq!(study.classical, cached.classical);
         assert!(!study.hybrid_bel.is_empty());
         // Second call: everything present, nothing runs.

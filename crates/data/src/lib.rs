@@ -178,6 +178,8 @@ impl Dataset {
         let n = per_class * config.n_classes;
         let noise = config.effective_noise();
 
+        let derived: Vec<DerivedFeature> =
+            (2..config.n_features).map(DerivedFeature::new).collect();
         let mut x = Matrix::zeros(n, config.n_features);
         let mut y = Vec::with_capacity(n);
         let mut row = 0;
@@ -188,20 +190,22 @@ impl Dataset {
                 let phi = config.turns * r + phase;
                 let base0 = r * phi.cos();
                 let base1 = r * phi.sin();
-                x[(row, 0)] = base0;
-                x[(row, 1)] = base1;
-                for j in 2..config.n_features {
-                    x[(row, j)] = config.signal_amplitude * signal_feature(j, base0, base1)
-                        + config.distractor_amplitude * distractor_feature(j, base0, base1);
+                let (rho, t3) = polar(base0, base1);
+                let out = x.row_mut(row);
+                out[0] = base0;
+                out[1] = base1;
+                for (value, feature) in out[2..].iter_mut().zip(&derived) {
+                    *value = config.signal_amplitude * feature.signal(base0, base1)
+                        + config.distractor_amplitude * feature.distractor(rho, t3);
                 }
                 // The base coordinates carry a fixed jitter; the derived
                 // features carry the complexity-scaled noise, so adding
                 // features makes the task higher-dimensional *and* noisier
                 // without erasing the underlying spiral (§III-A).
-                x[(row, 0)] += rng.normal(0.0, BASE_NOISE);
-                x[(row, 1)] += rng.normal(0.0, BASE_NOISE);
-                for j in 2..config.n_features {
-                    x[(row, j)] += rng.normal(0.0, noise);
+                out[0] += rng.normal(0.0, BASE_NOISE);
+                out[1] += rng.normal(0.0, BASE_NOISE);
+                for value in &mut out[2..] {
+                    *value += rng.normal(0.0, noise);
                 }
                 y.push(class);
                 row += 1;
@@ -314,35 +318,66 @@ impl Dataset {
 /// feature carries (noisy, redundant) non-linear views of the same spiral —
 /// raising dimensionality without adding class information, as §III-A
 /// describes ("subtle variations through non-linear transformations of the
-/// existing features").
-/// The class-informative component of derived feature `j`: a sinusoidally
-/// warped projection of the clean base coordinates onto a `j`-dependent
-/// direction — a "subtle variation through non-linear transformation of the
-/// existing features" (§III-A) that still carries (redundant) class signal.
-fn signal_feature(j: usize, x0: f64, x1: f64) -> f64 {
-    let alpha = 0.9 * j as f64; // direction varies per feature
-    let proj = alpha.cos() * x0 + alpha.sin() * x1;
-    (2.0 * proj + 0.5 * alpha).sin()
+/// existing features"). A value holds member `j`'s constants, computed once
+/// per dataset rather than once per sample.
+struct DerivedFeature {
+    /// `cos α` and `sin α` of the projection direction `α = 0.9·j`.
+    cos_alpha: f64,
+    sin_alpha: f64,
+    /// `0.5·α`, the signal's phase offset.
+    half_alpha: f64,
+    /// The distractor's frequency `w`, and `w·π`.
+    w: f64,
+    w_pi: f64,
+    /// `j mod 6`: which distractor term member `j` uses.
+    kind: usize,
 }
 
-/// The class-symmetric component of derived feature `j`. Built from `r` and
-/// `3θ`, both invariant under the 2π/3 rotation that maps one spiral arm
-/// onto the next, so it has the *same* distribution for every class —
-/// structured non-linear distraction the model must learn to ignore, which
-/// together with the complexity-scaled noise is what makes higher feature
-/// counts genuinely harder.
-fn distractor_feature(j: usize, x0: f64, x1: f64) -> f64 {
-    let w = 1.0 + (j / 6) as f64; // frequency grows every full cycle
-    let r = (x0 * x0 + x1 * x1).sqrt();
-    let t3 = 3.0 * x1.atan2(x0);
-    match j % 6 {
-        0 => (w * t3).sin() * r,
-        1 => (w * t3).cos() * r,
-        2 => (w * std::f64::consts::PI * r).sin(),
-        3 => 2.0 * r * r - 1.0,
-        4 => (w * t3 + 4.0 * r).sin(),
-        _ => (w * std::f64::consts::PI * r).cos(),
+impl DerivedFeature {
+    fn new(j: usize) -> Self {
+        let alpha = 0.9 * j as f64; // direction varies per feature
+        let w = 1.0 + (j / 6) as f64; // frequency grows every full cycle
+        Self {
+            cos_alpha: alpha.cos(),
+            sin_alpha: alpha.sin(),
+            half_alpha: 0.5 * alpha,
+            w,
+            w_pi: w * std::f64::consts::PI,
+            kind: j % 6,
+        }
     }
+
+    /// The class-informative component: a sinusoidally warped projection of
+    /// the clean base coordinates onto a `j`-dependent direction — a
+    /// "subtle variation through non-linear transformation of the existing
+    /// features" (§III-A) that still carries (redundant) class signal.
+    fn signal(&self, x0: f64, x1: f64) -> f64 {
+        let proj = self.cos_alpha * x0 + self.sin_alpha * x1;
+        (2.0 * proj + self.half_alpha).sin()
+    }
+
+    /// The class-symmetric component, from the base coordinates' [`polar`]
+    /// invariants `r` and `3θ`. Both are invariant under the 2π/3 rotation
+    /// that maps one spiral arm onto the next, so it has the *same*
+    /// distribution for every class — structured non-linear distraction the
+    /// model must learn to ignore, which together with the complexity-scaled
+    /// noise is what makes higher feature counts genuinely harder.
+    fn distractor(&self, r: f64, t3: f64) -> f64 {
+        match self.kind {
+            0 => (self.w * t3).sin() * r,
+            1 => (self.w * t3).cos() * r,
+            2 => (self.w_pi * r).sin(),
+            3 => 2.0 * r * r - 1.0,
+            4 => (self.w * t3 + 4.0 * r).sin(),
+            _ => (self.w_pi * r).cos(),
+        }
+    }
+}
+
+/// The radius `r = √(x0² + x1²)` and the tripled angle `3·atan2(x1, x0)` of
+/// a base point: what every distractor of its row reads.
+fn polar(x0: f64, x1: f64) -> (f64, f64) {
+    ((x0 * x0 + x1 * x1).sqrt(), 3.0 * x1.atan2(x0))
 }
 
 /// Per-column standardisation (z-scoring) fitted on training data and
@@ -527,6 +562,15 @@ mod tests {
     fn standardizer_rejects_width_mismatch() {
         let s = Standardizer::fit(&Matrix::zeros(2, 3));
         let _ = s.transform(&Matrix::zeros(2, 4));
+    }
+
+    fn signal_feature(j: usize, x0: f64, x1: f64) -> f64 {
+        DerivedFeature::new(j).signal(x0, x1)
+    }
+
+    fn distractor_feature(j: usize, x0: f64, x1: f64) -> f64 {
+        let (r, t3) = polar(x0, x1);
+        DerivedFeature::new(j).distractor(r, t3)
     }
 
     #[test]

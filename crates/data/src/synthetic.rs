@@ -1,7 +1,7 @@
 //! Additional synthetic classification benchmarks.
 //!
 //! The spiral is the paper's workload, but the QML benchmarking literature
-//! it builds on (Bowles et al. 2024, cited as [27]) evaluates across a
+//! it builds on (Bowles et al. 2024, cited as \[27\]) evaluates across a
 //! family of controllable toy tasks. This module supplies the common ones —
 //! two moons, concentric circles, Gaussian blobs and noisy XOR — all
 //! returning the same [`Dataset`] type, so every model/search facility in

@@ -6,7 +6,7 @@
 //! token position: *is this a method call, and where are its arguments?*,
 //! *does the receiver chain pass through an iterator adapter?*, and *what
 //! type evidence surrounds this statement?*. All three are answerable with
-//! balanced-delimiter scans over the existing [`Tok`](crate::lexer::Tok)
+//! balanced-delimiter scans over the existing [`Tok`]
 //! stream, keeping the linter dependency-free and robust to half-broken
 //! source.
 

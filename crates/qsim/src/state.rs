@@ -13,17 +13,17 @@
 //! pass all call them. The main ones are `#[inline(always)]` bodies that
 //! `crate::kernels` compiles into a baseline and an AVX2 set; callers
 //! go through a set, never a body. A kernel takes its matrices as
-//! [`Mats`] — one shared by every lane, or one per lane for input-fed
+//! `Mats` — one shared by every lane, or one per lane for input-fed
 //! gates. Each lane runs the exact per-pair expressions a lone row would,
 //! and every fold (expectations, inner products) accumulates per lane in
 //! amplitude-index order, so a lane's bits never depend on the lanes
 //! beside it.
 //!
 //! The 2×2 kernels pick their per-pair arithmetic from the matrix values
-//! ([`Shape`]): a diagonal, real, or imaginary-off-diagonal matrix skips
+//! (`Shape`): a diagonal, real, or imaginary-off-diagonal matrix skips
 //! the products its zero entries would contribute. A sweep runs one shape
 //! for all its lanes — for per-lane matrices, the shape they all share, or
-//! [`Shape::General`] when they differ, classified once when the matrices
+//! `Shape::General` when they differ, classified once when the matrices
 //! are made (`Mats::per_lane`). Callers never choose, so a gate takes the
 //! same path in every caller.
 
@@ -36,7 +36,7 @@ use crate::kernels::baseline;
 use crate::MAX_QUBITS;
 
 /// Which of `m`'s products are structurally zero, read from its entry
-/// values. Each shape's per-pair transform (see [`with_pair_transform`])
+/// values. Each shape's per-pair transform (see `with_pair_transform!`)
 /// drops exactly the products with a zero matrix factor; the general
 /// shape keeps every product.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -143,10 +143,12 @@ pub fn split_budget(total: usize, shards: usize) -> (usize, usize) {
 /// `par_map_range` still fans out while total concurrency stays ≤ the
 /// caller's budget (`outer * inner <= threads()`).
 ///
-/// Items are claimed one at a time from an atomic cursor (shards are few
-/// and uneven — e.g. hybrid levels cost more than classical ones — so
-/// dynamic item-granular scheduling matters more than chunk bookkeeping),
-/// and results are reassembled in index order: output is bitwise identical
+/// Items are claimed one at a time from an atomic cursor, in index order
+/// (shards are few and uneven — e.g. hybrid levels cost more than
+/// classical ones — so dynamic item-granular scheduling matters more than
+/// chunk bookkeeping). A caller that wants the longest shards started
+/// first lists them first, as the sharded study does. Results are
+/// reassembled in index order: output is bitwise identical
 /// to the sequential loop at every budget, exactly like [`par_map_range`].
 /// The caller's span path and causal parent propagate into each shard keyed
 /// by its index, so shard telemetry is schedule-independent too.

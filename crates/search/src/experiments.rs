@@ -17,13 +17,16 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use hqnn_core::HybridSpec;
+use hqnn_core::{HybridSpec, ModelSpec};
 use hqnn_flops::CostModel;
 use hqnn_qsim::{EntanglerKind, QnnTemplate};
 use hqnn_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::protocol::{search_level, ComboOutcome, LevelResult, SearchConfig};
+use crate::protocol::{
+    flops_order, level_start_event, prepare_level_data, search_level, search_repetition,
+    ComboOutcome, LevelResult, PreparedData, RepetitionOutcome, SearchConfig,
+};
 use crate::space::{classical_space, hybrid_space};
 
 /// Number of classes in the study's task (3-arm spiral).
@@ -63,26 +66,39 @@ impl Family {
     }
 }
 
-/// One independent (family × level) cell of a sharded study run.
+/// One independent (family × level × repetition) shard of a sharded study
+/// run: one protocol repetition of one family at one level.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardCell {
+pub struct Shard {
     /// The model family this shard searches.
     pub family: Family,
     /// The complexity level (feature count) it searches at.
     pub n_features: usize,
+    /// The protocol repetition it runs.
+    pub repetition: usize,
+    /// Its position in sequential replay order: family-major, levels
+    /// ascending, repetitions ascending.
+    pub index: usize,
+    /// Analytic upper bound on its training cost: the per-sample FLOPs of
+    /// every architecture the repetition may train (the first
+    /// `min(max_combos_per_repetition, |space|)` in FLOPs order), ×
+    /// `runs_per_combo`. Every shard of a study trains on the same number
+    /// of samples for the same epochs, so this ranks shards by cost.
+    pub estimated_flops: u64,
 }
 
-/// The schedule a sharded study executed with: the ordered cell list plus
-/// the [`hqnn_runtime::split_budget`] factors that bounded its concurrency
-/// (`outer` concurrent shards × `inner` threads each ≤ the thread budget).
-/// Recorded into [`hqnn_telemetry::RunManifest::shard_plan`] via
-/// [`ShardPlan::descriptor`] so cached studies state how they were
-/// scheduled.
+/// The schedule a sharded study executed with: its shards in claim order
+/// plus the [`hqnn_runtime::split_budget`] factors that bounded its
+/// concurrency (`outer` concurrent shards × `inner` threads each ≤ the
+/// thread budget). The claim order depends only on the study's
+/// configuration, never on the thread budget. Recorded into
+/// [`hqnn_telemetry::RunManifest::shard_plan`] via [`ShardPlan::descriptor`]
+/// so cached studies state how they were scheduled.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardPlan {
-    /// Every (family, level) cell, in sequential replay order
-    /// (family-major, levels ascending within a family).
-    pub cells: Vec<ShardCell>,
+    /// Every shard, in the order the workers claim them: largest
+    /// [`Shard::estimated_flops`] first, ties by [`Shard::index`].
+    pub shards: Vec<Shard>,
     /// Concurrent shard workers the run fanned out.
     pub outer: usize,
     /// Thread budget each shard's nested parallel maps ran under.
@@ -90,17 +106,70 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Compact provenance string (`"cells=6;outer=4;inner=2"`) stamped into
-    /// run manifests. Sharding is bitwise neutral, so the plan qualifies
-    /// wall-clock claims only — see EXPERIMENTS.md.
+    /// Lists `repetitions` shards per cell, in claim order, and splits
+    /// `threads` across them. `cells` holds each (family, level, estimate)
+    /// in sequential order.
+    fn new(cells: &[(Family, usize, u64)], repetitions: usize, threads: usize) -> Self {
+        let mut shards: Vec<Shard> = cells
+            .iter()
+            .flat_map(|&(family, n_features, estimated_flops)| {
+                (0..repetitions)
+                    .map(move |repetition| (family, n_features, repetition, estimated_flops))
+            })
+            .enumerate()
+            .map(
+                |(index, (family, n_features, repetition, estimated_flops))| Shard {
+                    family,
+                    n_features,
+                    repetition,
+                    index,
+                    estimated_flops,
+                },
+            )
+            .collect();
+        // Longest first. The sort is stable, so ties keep sequential order.
+        shards.sort_by_key(|s| std::cmp::Reverse(s.estimated_flops));
+        let (outer, inner) = hqnn_runtime::split_budget(threads, shards.len());
+        ShardPlan {
+            shards,
+            outer,
+            inner,
+        }
+    }
+
+    /// Compact provenance string (`"shards=18;outer=2;inner=1"`) stamped
+    /// into run manifests. Sharding is bitwise neutral, so the plan
+    /// qualifies wall-clock claims only — see EXPERIMENTS.md.
     pub fn descriptor(&self) -> String {
         format!(
-            "cells={};outer={};inner={}",
-            self.cells.len(),
+            "shards={};outer={};inner={}",
+            self.shards.len(),
             self.outer,
             self.inner
         )
     }
+
+    /// The shards in claim order as `family@level#repetition` labels
+    /// (e.g. `hybrid (BEL)@110#0`), space-separated.
+    fn claim_order(&self) -> String {
+        let labels: Vec<String> = self
+            .shards
+            .iter()
+            .map(|s| format!("{}@{}#{}", s.family.name(), s.n_features, s.repetition))
+            .collect();
+        labels.join(" ")
+    }
+}
+
+/// Analytic upper bound on one repetition's training cost over a
+/// FLOPs-ordered space (see [`Shard::estimated_flops`]).
+fn repetition_flops_bound(sorted: &[&ModelSpec], search: &SearchConfig, cost: &CostModel) -> u64 {
+    let trained = sorted.len().min(search.max_combos_per_repetition);
+    let per_run: u64 = sorted[..trained]
+        .iter()
+        .map(|s| s.flops(cost).total())
+        .sum();
+    per_run.saturating_mul(search.runs_per_combo as u64)
 }
 
 /// Configuration of a full study (all levels, one or more families).
@@ -224,35 +293,37 @@ impl StudyResult {
             );
             results.push(result);
         }
-        let slot = match family {
-            Family::Classical => &mut self.classical,
-            Family::HybridBel => &mut self.hybrid_bel,
-            Family::HybridSel => &mut self.hybrid_sel,
-        };
+        let slot = self.family_mut(family);
         *slot = results;
         slot
     }
 
     /// Runs the given families across every configured level as independent
-    /// (family × level) shards fanned out over
-    /// [`hqnn_runtime::par_map_budgeted`] — the study's outermost (and
-    /// longest) loop parallelised, while each shard's inner combo waves
-    /// still get threads through the nested budget split.
+    /// (family × level × repetition) shards, in two phases over
+    /// [`hqnn_runtime::par_map_budgeted`]:
+    ///
+    /// 1. every distinct level's data is prepared once, largest level
+    ///    first, and shared read-only by all of that level's shards;
+    /// 2. the shards fan out, claimed longest first by
+    ///    [`Shard::estimated_flops`] (see [`ShardPlan`]), while each shard's
+    ///    inner combo waves still get threads through the nested budget
+    ///    split.
     ///
     /// **Bitwise-determinism guarantee**: every stored number is identical
     /// to the sequential [`StudyResult::run_family`] loop at every thread
     /// budget. Per-combo `(level, repetition, combo)` RNG salts make each
-    /// outcome independent of scheduling, `search_level`'s evaluated
+    /// outcome independent of scheduling, [`search_repetition`]'s evaluated
     /// list/winner are wave-size invariant, and shard results are
-    /// reassembled in cell order — so study JSON is byte-identical between
-    /// sequential and sharded execution (pinned by
+    /// reassembled by [`Shard::index`] — so study JSON is byte-identical
+    /// between sequential and sharded execution (pinned by
     /// `crates/search/tests/parallel_determinism.rs`).
     ///
     /// `progress` receives `(family, n_features, repetition, combo)` for
     /// every retained evaluation. Shards buffer their callbacks and this
     /// method replays them after the fan-out in sequential order
-    /// (family-major, levels ascending, FLOPs-ascending combos within a
-    /// level) — the exact sequence the sequential loop would have emitted.
+    /// (family-major, levels ascending, repetitions ascending,
+    /// FLOPs-ascending combos within a repetition) — the exact sequence the
+    /// sequential loop would have emitted.
     ///
     /// Returns the [`ShardPlan`] the run was scheduled with, for manifest
     /// provenance.
@@ -262,73 +333,115 @@ impl StudyResult {
         progress: &mut dyn FnMut(Family, usize, usize, &ComboOutcome),
     ) -> ShardPlan {
         let config = self.config.clone();
-        let cells: Vec<ShardCell> = families
+        let _study_span = telemetry::span("search.study");
+        // Cells in sequential order, each with its FLOPs-ordered space,
+        // which every repetition of the cell shares, and its estimate.
+        let spaces: Vec<Vec<ModelSpec>> = families
             .iter()
-            .flat_map(|&family| {
-                config
-                    .levels
-                    .iter()
-                    .map(move |&n_features| ShardCell { family, n_features })
+            .flat_map(|&family| config.levels.iter().map(move |&n| family.space(n)))
+            .collect();
+        let sorted: Vec<Vec<&ModelSpec>> = spaces
+            .iter()
+            .map(|space| flops_order(space, &config.cost))
+            .collect();
+        let cells: Vec<(Family, usize, u64)> = families
+            .iter()
+            .flat_map(|&family| config.levels.iter().map(move |&n| (family, n)))
+            .zip(&sorted)
+            .map(|((family, n), order)| {
+                let estimate = repetition_flops_bound(order, &config.search, &config.cost);
+                (family, n, estimate)
             })
             .collect();
-        let (outer, inner) = hqnn_runtime::split_budget(hqnn_runtime::threads(), cells.len());
-        let plan = ShardPlan {
-            cells,
-            outer,
-            inner,
-        };
-        let _study_span = telemetry::span("search.study");
+        let repetitions = config.search.repetitions;
+        let plan = ShardPlan::new(&cells, repetitions, hqnn_runtime::threads());
         telemetry::event(
             telemetry::Level::Info,
             "search.shard_plan",
             &[
-                ("cells", plan.cells.len().into()),
+                ("shards", plan.shards.len().into()),
                 ("families", families.len().into()),
                 ("levels", config.levels.len().into()),
+                ("repetitions", repetitions.into()),
                 ("outer", plan.outer.into()),
                 ("inner", plan.inner.into()),
                 ("plan", plan.descriptor().into()),
+                ("order", plan.claim_order().into()),
             ],
         );
-        // Fan the cells out. Each shard buffers its progress callbacks
-        // (retained combos only, cheap next to training) so they can be
-        // replayed in sequential order below.
-        let sharded: Vec<(LevelResult, Vec<(usize, ComboOutcome)>)> =
-            hqnn_runtime::par_map_budgeted(plan.cells.len(), |i| {
-                let cell = plan.cells[i];
+
+        // Phase 1: each distinct level's data, largest level first.
+        let mut levels: Vec<usize> = cells.iter().map(|&(_, n, _)| n).collect();
+        levels.sort_unstable_by(|a, b| b.cmp(a));
+        levels.dedup();
+        let data: Vec<PreparedData> = hqnn_runtime::par_map_budgeted(levels.len(), |i| {
+            prepare_level_data(&config.search, levels[i])
+        });
+        let data_of = |n_features: usize| {
+            let at = levels.iter().position(|&l| l == n_features);
+            // lint:allow(panic): `levels` holds every cell's level
+            &data[at.expect("level prepared")]
+        };
+
+        // Phase 2: the shards, in claim order. Each buffers its progress
+        // callbacks (retained combos only, cheap next to training) so they
+        // can be replayed in sequential order below.
+        let claimed: Vec<(RepetitionOutcome, Vec<ComboOutcome>)> =
+            hqnn_runtime::par_map_budgeted(plan.shards.len(), |i| {
+                let shard = plan.shards[i];
                 let _shard_span = telemetry::span("search.shard");
-                let space = cell.family.space(cell.n_features);
-                let mut buffered: Vec<(usize, ComboOutcome)> = Vec::new();
-                let result = search_level(
-                    &space,
-                    cell.n_features,
+                let cell = shard.index / repetitions;
+                if shard.repetition == 0 {
+                    level_start_event(shard.n_features, sorted[cell].len(), &config.search);
+                }
+                let mut buffered = Vec::new();
+                let outcome = search_repetition(
+                    &sorted[cell],
+                    data_of(shard.n_features),
+                    shard.n_features,
+                    shard.repetition,
                     &config.search,
                     &config.cost,
-                    &mut |rep, combo| buffered.push((rep, combo.clone())),
+                    &mut |combo| buffered.push(combo.clone()),
                 );
-                (result, buffered)
+                (outcome, buffered)
             });
-        // Replay progress and store per-family results in cell order —
-        // exactly the order the sequential family loop produces.
-        let mut shards = sharded.into_iter();
+        // Back into sequential order: the indices are 0..shards, each once.
+        let mut done: Vec<(usize, (RepetitionOutcome, Vec<ComboOutcome>))> =
+            plan.shards.iter().map(|s| s.index).zip(claimed).collect();
+        done.sort_unstable_by_key(|&(index, _)| index);
+
+        // Replay progress and store per-family results in sequential
+        // order — exactly the order the sequential family loop produces.
+        let mut shards = done.into_iter().map(|(_, shard)| shard);
         for &family in families {
             let mut results = Vec::with_capacity(config.levels.len());
             for &n_features in &config.levels {
-                // lint:allow(panic): par_map_budgeted returns one entry per cell
-                let (result, buffered) = shards.next().expect("one shard per cell");
-                for (rep, combo) in &buffered {
-                    progress(family, n_features, *rep, combo);
+                let mut level = LevelResult {
+                    n_features,
+                    repetitions: Vec::with_capacity(repetitions),
+                };
+                for rep in 0..repetitions {
+                    // lint:allow(panic): every index in 0..shards is claimed exactly once
+                    let (outcome, buffered) = shards.next().expect("one shard per index");
+                    for combo in &buffered {
+                        progress(family, n_features, rep, combo);
+                    }
+                    level.repetitions.push(outcome);
                 }
-                results.push(result);
+                results.push(level);
             }
-            let slot = match family {
-                Family::Classical => &mut self.classical,
-                Family::HybridBel => &mut self.hybrid_bel,
-                Family::HybridSel => &mut self.hybrid_sel,
-            };
-            *slot = results;
+            *self.family_mut(family) = results;
         }
         plan
+    }
+
+    fn family_mut(&mut self, family: Family) -> &mut Vec<LevelResult> {
+        match family {
+            Family::Classical => &mut self.classical,
+            Family::HybridBel => &mut self.hybrid_bel,
+            Family::HybridSel => &mut self.hybrid_sel,
+        }
     }
 
     /// The stored results for a family (may be empty if not run).
@@ -495,9 +608,8 @@ pub fn accuracy_frontier(
     cost: &hqnn_flops::CostModel,
     progress: &mut dyn FnMut(&ComboOutcome),
 ) -> Vec<ComboOutcome> {
-    let mut sorted: Vec<&hqnn_core::ModelSpec> = space.iter().collect();
-    sorted.sort_by_key(|s| s.flops(cost).total());
-    let data = crate::protocol::prepare_level_data(config, n_features);
+    let sorted = flops_order(space, cost);
+    let data = prepare_level_data(config, n_features);
     let mut outcomes = Vec::new();
     for (idx, spec) in sorted
         .iter()
@@ -703,19 +815,95 @@ mod tests {
         assert_eq!(seq, sharded);
         assert_eq!(seq_calls, shard_calls);
         assert_eq!(
-            plan.cells.len(),
-            families.len() * sharded.config.levels.len()
+            plan.shards.len(),
+            families.len() * sharded.config.levels.len() * sharded.config.search.repetitions
         );
         assert!(plan.outer * plan.inner <= 4);
         assert_eq!(
             plan.descriptor(),
             format!(
-                "cells={};outer={};inner={}",
-                plan.cells.len(),
+                "shards={};outer={};inner={}",
+                plan.shards.len(),
                 plan.outer,
                 plan.inner
             )
         );
+    }
+
+    /// The fast profile's cells, each with its estimate, in sequential
+    /// order — what `run_study_sharded` hands `ShardPlan::new`.
+    fn fast_cells() -> (ExperimentConfig, Vec<(Family, usize, u64)>) {
+        let config = ExperimentConfig::fast();
+        let cells = Family::ALL
+            .iter()
+            .flat_map(|&family| config.levels.iter().map(move |&n| (family, n)))
+            .map(|(family, n)| {
+                let space = family.space(n);
+                let sorted = flops_order(&space, &config.cost);
+                let estimate = repetition_flops_bound(&sorted, &config.search, &config.cost);
+                (family, n, estimate)
+            })
+            .collect();
+        (config, cells)
+    }
+
+    #[test]
+    fn claim_order_is_longest_first_and_independent_of_the_thread_budget() {
+        let (config, cells) = fast_cells();
+        let repetitions = config.search.repetitions;
+        let reference = ShardPlan::new(&cells, repetitions, 1);
+        assert_eq!(reference.shards.len(), cells.len() * repetitions);
+        for threads in [2, 3, 8, 64] {
+            let plan = ShardPlan::new(&cells, repetitions, threads);
+            assert_eq!(plan.shards, reference.shards, "threads={threads}");
+            assert!(plan.outer * plan.inner <= threads, "threads={threads}");
+        }
+        // The largest estimate is claimed first, and estimates never rise
+        // along the claim order; ties keep sequential order.
+        let largest = cells.iter().map(|&(_, _, e)| e).max().expect("cells");
+        assert_eq!(reference.shards[0].estimated_flops, largest);
+        for pair in reference.shards.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(a.estimated_flops >= b.estimated_flops);
+            if a.estimated_flops == b.estimated_flops {
+                assert!(a.index < b.index);
+            }
+        }
+        // Every sequential index is listed once, and it names its shard.
+        let mut indices: Vec<usize> = reference.shards.iter().map(|s| s.index).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..cells.len() * repetitions).collect::<Vec<_>>());
+        for shard in &reference.shards {
+            let (family, n, estimate) = cells[shard.index / repetitions];
+            assert_eq!((shard.family, shard.n_features), (family, n));
+            assert_eq!(shard.repetition, shard.index % repetitions);
+            assert_eq!(shard.estimated_flops, estimate);
+        }
+    }
+
+    #[test]
+    fn repetition_flops_bound_prices_the_combos_a_repetition_may_train() {
+        let cost = CostModel::default();
+        let space = Family::HybridBel.space(10);
+        let sorted = flops_order(&space, &cost);
+        let search = SearchConfig {
+            max_combos_per_repetition: 3,
+            runs_per_combo: 2,
+            ..SearchConfig::smoke()
+        };
+        let first_three: u64 = sorted[..3].iter().map(|s| s.flops(&cost).total()).sum();
+        assert_eq!(
+            repetition_flops_bound(&sorted, &search, &cost),
+            2 * first_three
+        );
+        // A cap above the space prices the whole space.
+        let uncapped = SearchConfig {
+            max_combos_per_repetition: usize::MAX,
+            runs_per_combo: 1,
+            ..search
+        };
+        let all: u64 = sorted.iter().map(|s| s.flops(&cost).total()).sum();
+        assert_eq!(repetition_flops_bound(&sorted, &uncapped, &cost), all);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod report;
 pub mod space;
 
 pub use experiments::{
-    ExperimentConfig, Family, ShardCell, ShardPlan, StudyResult, TableOneRow, NUMERICS_VERSION,
+    ExperimentConfig, Family, Shard, ShardPlan, StudyResult, TableOneRow, NUMERICS_VERSION,
 };
 pub use protocol::{ComboOutcome, LevelResult, RepetitionOutcome, RunSummary, SearchConfig};
 pub use space::{classical_space, combination_count, hybrid_space};

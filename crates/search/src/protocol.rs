@@ -311,21 +311,23 @@ pub fn evaluate_combo_wave(
     })
 }
 
+/// The architectures of `space` in the order the protocol trains them:
+/// ascending total FLOPs under `cost`, ties in `space` order.
+pub fn flops_order<'a>(space: &'a [ModelSpec], cost: &CostModel) -> Vec<&'a ModelSpec> {
+    let mut sorted: Vec<&ModelSpec> = space.iter().collect();
+    // Stable, like `sort_by_key`, but prices each architecture once.
+    sorted.sort_by_cached_key(|s| s.flops(cost).total());
+    sorted
+}
+
 /// Runs the full protocol for one complexity level over a search space:
-/// sorts by FLOPs, trains cheapest-first until a combo passes, and repeats
-/// `config.repetitions` times with independent random streams.
+/// sorts by FLOPs ([`flops_order`]), prepares the level's data
+/// ([`prepare_level_data`]) and runs [`search_repetition`]
+/// `config.repetitions` times, each on its own random streams.
 ///
-/// Combos are trained in speculative waves of `hqnn_runtime::threads()`
-/// concurrent evaluations. Because every combo's outcome is determined by
-/// its salt alone, scanning each wave in FLOPs order and truncating at the
-/// first pass reproduces the sequential early-stop **exactly**: the
-/// evaluated list, winner, telemetry counters, and `progress` calls are
-/// byte-identical at every thread count. (Speculative combos past the first
-/// pass are trained and discarded — that cost shows in the `search.combo`
-/// span count but never in results.)
-///
-/// `progress` is invoked for every *retained* combo evaluation — binaries
-/// use it for live logging; pass `|_,_| {}` to ignore.
+/// `progress` is invoked for every *retained* combo evaluation with its
+/// repetition index — binaries use it for live logging; pass `|_,_| {}` to
+/// ignore.
 ///
 /// # Panics
 ///
@@ -343,76 +345,116 @@ pub fn search_level(
         "spec feature counts disagree with the level"
     );
     let _level_span = telemetry::span("search.level");
+    level_start_event(n_features, space.len(), config);
+    let sorted = flops_order(space, cost);
+    let data = prepare_level_data(config, n_features);
+    let repetitions = (0..config.repetitions)
+        .map(|rep| {
+            search_repetition(
+                &sorted,
+                &data,
+                n_features,
+                rep,
+                config,
+                cost,
+                &mut |combo| progress(rep, combo),
+            )
+        })
+        .collect();
+    LevelResult {
+        n_features,
+        repetitions,
+    }
+}
+
+/// Emits the `search.level_start` event that opens a level's search.
+pub(crate) fn level_start_event(n_features: usize, space: usize, config: &SearchConfig) {
     telemetry::event(
         telemetry::Level::Info,
         "search.level_start",
         &[
             ("n_features", n_features.into()),
-            ("space", space.len().into()),
+            ("space", space.into()),
             ("repetitions", config.repetitions.into()),
         ],
     );
-    let mut sorted: Vec<&ModelSpec> = space.iter().collect();
-    sorted.sort_by_key(|s| s.flops(cost).total());
+}
 
-    let data = prepare_level_data(config, n_features);
+/// Runs protocol repetition `rep` at one complexity level: trains the
+/// architectures of `sorted` (FLOPs-ascending, as [`flops_order`] returns
+/// them) cheapest-first on `data` until one passes, examining at most
+/// `config.max_combos_per_repetition`.
+///
+/// Combos are trained in speculative waves of `hqnn_runtime::threads()`
+/// concurrent evaluations. Because every combo's outcome is determined by
+/// its salt alone, scanning each wave in FLOPs order and truncating at the
+/// first pass reproduces the sequential early-stop **exactly**: the
+/// evaluated list, winner, telemetry counters, and `progress` calls are
+/// byte-identical at every thread count. (Speculative combos past the first
+/// pass are trained and discarded — that cost shows in the `search.combo`
+/// span count but never in results.) The salts depend only on
+/// `(n_features, rep, combo)`, so repetitions are independent of each other
+/// and may run in any order or concurrently.
+///
+/// `progress` is invoked for every *retained* combo evaluation, in order.
+pub fn search_repetition(
+    sorted: &[&ModelSpec],
+    data: &PreparedData,
+    n_features: usize,
+    rep: usize,
+    config: &SearchConfig,
+    cost: &CostModel,
+    progress: &mut dyn FnMut(&ComboOutcome),
+) -> RepetitionOutcome {
     let total = sorted.len().min(config.max_combos_per_repetition);
     let wave_size = hqnn_runtime::threads();
-    let mut repetitions = Vec::with_capacity(config.repetitions);
-    for rep in 0..config.repetitions {
-        let mut evaluated = Vec::new();
-        let mut winner = None;
-        let mut next = 0;
-        while next < total && winner.is_none() {
-            let wave_end = (next + wave_size).min(total);
-            // Salt layout: (level, repetition, combo) → independent streams.
-            let salts: Vec<u64> = (next..wave_end)
-                .map(|combo_idx| (n_features as u64) << 32 | (rep as u64) << 16 | combo_idx as u64)
-                .collect();
-            let outcomes =
-                evaluate_combo_wave(&sorted[next..wave_end], &data, config, cost, &salts);
-            // Scan the wave cheapest-first and truncate at the first pass:
-            // combos after it were speculative work and are discarded
-            // unreported, keeping results and telemetry identical to the
-            // sequential early-stop.
-            for (offset, outcome) in outcomes.into_iter().enumerate() {
-                let combo_idx = next + offset;
-                telemetry::counter("search.combos_evaluated", 1);
-                telemetry::counter("flops.estimated_total", outcome.flops.total());
-                telemetry::event(
-                    telemetry::Level::Info,
-                    "search.combo",
-                    &[
-                        ("n_features", n_features.into()),
-                        ("rep", rep.into()),
-                        ("combo", combo_idx.into()),
-                        ("model", outcome.spec.label().into()),
-                        ("params", outcome.param_count.into()),
-                        ("flops", outcome.flops.total().into()),
-                        ("train_acc", outcome.avg_train_accuracy.into()),
-                        ("val_acc", outcome.avg_val_accuracy.into()),
-                        ("passed", outcome.passed.into()),
-                    ],
-                );
-                progress(rep, &outcome);
-                let passed = outcome.passed;
-                evaluated.push(outcome);
-                if passed {
-                    winner = Some(evaluated.len() - 1);
-                    break;
-                }
+    let mut evaluated = Vec::new();
+    let mut winner = None;
+    let mut next = 0;
+    while next < total && winner.is_none() {
+        let wave_end = (next + wave_size).min(total);
+        // Salt layout: (level, repetition, combo) → independent streams.
+        let salts: Vec<u64> = (next..wave_end)
+            .map(|combo_idx| (n_features as u64) << 32 | (rep as u64) << 16 | combo_idx as u64)
+            .collect();
+        let outcomes = evaluate_combo_wave(&sorted[next..wave_end], data, config, cost, &salts);
+        // Scan the wave cheapest-first and truncate at the first pass:
+        // combos after it were speculative work and are discarded
+        // unreported, keeping results and telemetry identical to the
+        // sequential early-stop.
+        for (offset, outcome) in outcomes.into_iter().enumerate() {
+            let combo_idx = next + offset;
+            telemetry::counter("search.combos_evaluated", 1);
+            telemetry::counter("flops.estimated_total", outcome.flops.total());
+            telemetry::event(
+                telemetry::Level::Info,
+                "search.combo",
+                &[
+                    ("n_features", n_features.into()),
+                    ("rep", rep.into()),
+                    ("combo", combo_idx.into()),
+                    ("model", outcome.spec.label().into()),
+                    ("params", outcome.param_count.into()),
+                    ("flops", outcome.flops.total().into()),
+                    ("train_acc", outcome.avg_train_accuracy.into()),
+                    ("val_acc", outcome.avg_val_accuracy.into()),
+                    ("passed", outcome.passed.into()),
+                ],
+            );
+            progress(&outcome);
+            let passed = outcome.passed;
+            evaluated.push(outcome);
+            if passed {
+                winner = Some(evaluated.len() - 1);
+                break;
             }
-            next = wave_end;
         }
-        repetitions.push(RepetitionOutcome {
-            repetition: rep,
-            evaluated,
-            winner,
-        });
+        next = wave_end;
     }
-    LevelResult {
-        n_features,
-        repetitions,
+    RepetitionOutcome {
+        repetition: rep,
+        evaluated,
+        winner,
     }
 }
 
@@ -435,6 +477,38 @@ mod tests {
         assert_eq!(a.y_val, b.y_val);
         assert_eq!(a.n_classes, 3);
         assert_eq!(a.x_train.cols(), 6);
+    }
+
+    /// FNV-1a over the bits of both feature matrices, then both label
+    /// vectors, of one prepared level.
+    fn data_fingerprint(data: &PreparedData) -> u64 {
+        let values = data.x_train.as_slice().iter().chain(data.x_val.as_slice());
+        let labels = data.y_train.iter().chain(&data.y_val);
+        values
+            .map(|v| v.to_bits())
+            .chain(labels.map(|&y| y as u64))
+            .fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+                word.to_le_bytes().iter().fold(hash, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                })
+            })
+    }
+
+    #[test]
+    fn prepare_level_data_bits_are_pinned() {
+        // Paper-size data at the easiest and the hardest level: a change to
+        // the spiral generator, the split or the standardiser that moves a
+        // single bit (or reorders an RNG draw) fails here.
+        let config = SearchConfig::paper().with_seed(31);
+        let fingerprints: Vec<(usize, u64)> = [10, 110]
+            .into_iter()
+            .map(|n| (n, data_fingerprint(&prepare_level_data(&config, n))))
+            .collect();
+        assert_eq!(
+            fingerprints,
+            [(10, 0xf503_0b7e_df1c_8322), (110, 0xc23e_bd32_cc6f_7b78)],
+            "{fingerprints:#x?}"
+        );
     }
 
     #[test]

@@ -6,30 +6,58 @@
 //! study sharding) sits under this study, and none may change a byte of it.
 
 use hqnn_search::experiments::Family;
-use hqnn_search::{ExperimentConfig, StudyResult};
+use hqnn_search::{ComboOutcome, ExperimentConfig, StudyResult};
 
-/// One smoke-scale study at the given thread budget, serialised to the same
-/// pretty JSON that `StudyResult::save` writes. `sharded` selects the
-/// sharded scheduler (`run_study_sharded`) instead of the sequential
-/// per-family loops. The manifest stays `None` (as `StudyResult::new`
-/// leaves it), so the comparison covers every computed number without
-/// provenance noise like timestamps.
-fn study_json(threads: usize, sharded: bool) -> String {
+/// The smoke study at level 4 over the classical and BEL families.
+const SMOKE_FAMILIES: [Family; 2] = [Family::Classical, Family::HybridBel];
+
+fn smoke_config() -> ExperimentConfig {
+    let mut config = ExperimentConfig::smoke();
+    config.levels = vec![4];
+    config
+}
+
+/// One study at the given thread budget, serialised to the same pretty JSON
+/// that `StudyResult::save` writes, plus every retained evaluation as the
+/// `progress` callback saw it (family, level, repetition and the combo's
+/// JSON, one line each). `sharded` selects the sharded scheduler
+/// (`run_study_sharded`) instead of the sequential per-family loops. The
+/// manifest stays `None` (as `StudyResult::new` leaves it), so the
+/// comparison covers every computed number without provenance noise like
+/// timestamps.
+fn run_study(
+    config: &ExperimentConfig,
+    families: &[Family],
+    threads: usize,
+    sharded: bool,
+) -> (String, Vec<String>) {
+    let line = |family: Family, n_features: usize, rep: usize, combo: &ComboOutcome| {
+        let combo = serde_json::to_string(combo).expect("serialize combo");
+        format!("{family:?} {n_features} {rep} {combo}")
+    };
     hqnn_runtime::with_threads(threads, || {
-        let mut config = ExperimentConfig::smoke();
-        config.levels = vec![4];
-        let mut study = StudyResult::new(config);
+        let mut study = StudyResult::new(config.clone());
+        let mut progress = Vec::new();
         if sharded {
-            study.run_study_sharded(
-                &[Family::Classical, Family::HybridBel],
-                &mut |_, _, _, _| {},
-            );
+            let plan = study.run_study_sharded(families, &mut |family, n, rep, combo| {
+                progress.push(line(family, n, rep, combo));
+            });
+            let shards = families.len() * config.levels.len() * config.search.repetitions;
+            assert_eq!(plan.shards.len(), shards);
         } else {
-            study.run_family(Family::Classical, &mut |_, _, _| {});
-            study.run_family(Family::HybridBel, &mut |_, _, _| {});
+            for &family in families {
+                study.run_family(family, &mut |n, rep, combo| {
+                    progress.push(line(family, n, rep, combo));
+                });
+            }
         }
-        serde_json::to_string_pretty(&study).expect("serialize study")
+        let json = serde_json::to_string_pretty(&study).expect("serialize study");
+        (json, progress)
     })
+}
+
+fn study_json(threads: usize, sharded: bool) -> String {
+    run_study(&smoke_config(), &SMOKE_FAMILIES, threads, sharded).0
 }
 
 /// Asserts `other` equals the 1-thread sequential `reference` byte for byte.
@@ -62,5 +90,25 @@ fn sharded_study_json_is_byte_identical_to_sequential() {
     let reference = study_json(1, false);
     for threads in [1, 8] {
         assert_identical(&reference, &study_json(threads, true), threads, true);
+    }
+}
+
+#[test]
+fn repetition_shards_reproduce_the_sequential_study_and_progress() {
+    // Two repetitions over two levels and every family: enough shards that
+    // repetitions of one cell run concurrently and the claim order differs
+    // from the sequential one. The replayed progress must match too.
+    let mut config = ExperimentConfig::smoke();
+    config.search.repetitions = 2;
+    config.levels = vec![4, 8];
+    let (reference, reference_progress) = run_study(&config, &Family::ALL, 1, false);
+    assert!(reference_progress.iter().any(|line| line.contains(" 8 1 ")));
+    for threads in [1, 2, 3, 8] {
+        let (json, progress) = run_study(&config, &Family::ALL, threads, true);
+        assert_identical(&reference, &json, threads, true);
+        assert!(
+            progress == reference_progress,
+            "replayed progress diverged from the sequential sequence at threads={threads}"
+        );
     }
 }
